@@ -58,7 +58,9 @@ from .schwarzpick import (
     equality_gap,
     mod_grad,
     mod_grad_fd,
+    mod_grad_fd_many,
     sp_bound,
+    sp_bound_many,
     sp_bound_slice,
 )
 
@@ -96,7 +98,9 @@ __all__ = [
     "BoundReport",
     "mod_grad",
     "mod_grad_fd",
+    "mod_grad_fd_many",
     "sp_bound",
+    "sp_bound_many",
     "sp_bound_slice",
     "equality_gap",
     "ExtremalSpec",

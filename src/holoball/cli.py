@@ -8,7 +8,8 @@ serialization to stdout in full round-trip precision.
 Exit codes: 0 success (bound holds / form matches / no violations), 1 for a
 mathematical finding (bound violated, no-match, campaign violations), 2 for
 input, schema, or precondition errors. Points and vectors on the command
-line are semicolon-separated complex pairs, ``re,im;re,im;...``; map files
+line are semicolon-separated complex pairs, ``re,im;re,im;...``, given as
+``--point -0.3,0.1`` or ``--point=-0.3,0.1``; map files
 are JSON documents in the format described in ``holomap``, with ``-``
 reading from stdin.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -29,6 +31,26 @@ from .holomap import emit_spec, parse_spec
 from .schwarzpick import mod_grad, sp_bound
 
 __all__ = ["run", "main"]
+
+
+_VECTOR_FLAGS = ("--point", "--p", "--q", "--u", "--beta", "--a")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--point -0.3,0.1`` as ``--point=-0.3,0.1``: argparse reads a
+    separate value that starts with ``-`` as an option of its own."""
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in _VECTOR_FLAGS and i + 1 < len(argv) and _NEGATIVE_VALUE.match(argv[i + 1]):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
 
 
 def _parse_vector(text: str, flag: str) -> np.ndarray:
@@ -180,7 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_attach_vector_values(argv))
     try:
         return args.fn(args)
     except (ValueError, OSError, NumericalError) as e:
@@ -190,3 +213,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

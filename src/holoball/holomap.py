@@ -123,7 +123,9 @@ def _eval_terms(Z: np.ndarray, alphas: np.ndarray, coefs: np.ndarray, m: int) ->
         for k in range(1, dj + 1):
             P[:, k] = P[:, k - 1] * Z[:, j]
         mono *= P[:, alphas[:, j]]
-    return mono @ coefs
+    # one vector-matrix product per row: ``mono @ coefs`` switches kernels
+    # with the batch size, which changes the last bits of row i
+    return np.matmul(mono[:, None, :], coefs)[:, 0, :]
 
 
 class PolyMap(HoloMap):

@@ -21,6 +21,12 @@ D(c, r) the bound scales to ``r (1 - |g|^2) / (r^2 - |z - c|^2)``.
 as an independent oracle for the closed form: one-sided difference
 quotients, Richardson-extrapolated to step 0, maximized over sampled unit
 directions plus the analytic maximizer candidates.
+
+Every check runs on a ``(B, n)`` batch of points: ``sp_bound_many`` and
+``mod_grad_fd_many`` evaluate the map once per batch and vectorise the
+nonzero branch. Row i of a batch is bit for bit the same point checked
+alone; ``mod_grad``, ``mod_grad_fd``, ``sp_bound`` and ``equality_gap`` run
+the same code at B = 1.
 """
 
 from __future__ import annotations
@@ -44,7 +50,9 @@ __all__ = [
     "BoundReport",
     "mod_grad",
     "mod_grad_fd",
+    "mod_grad_fd_many",
     "sp_bound",
+    "sp_bound_many",
     "sp_bound_slice",
     "equality_gap",
 ]
@@ -56,6 +64,9 @@ ZERO_BRANCH_TOL = 1e-13
 DEFAULT_FD_STEPS = (1e-4, 5e-5)
 DEFAULT_FD_DIRS = 64
 DEFAULT_BOUND_TOL = 1e-9
+# rows per eval_many call in the FD oracle: about ten points at the default
+# steps and directions, which keeps the oracle's peak memory small
+_FD_MAX_ROWS = 1400
 
 
 @dataclass(eq=False)
@@ -110,29 +121,65 @@ class BoundReport:
         }
 
 
-def _grad_from_parts(v: np.ndarray, J: np.ndarray, zero_tol: float) -> GradResult:
-    fn = vnorm(v)
-    if fn > zero_tol:
-        A = J.T @ np.conj(v)
-        return GradResult(value=vnorm(A) / fn, branch="nonzero", A=A)
-    sigma, top = spectral_norm(J)
-    res = GradResult(value=sigma, branch="zero", top_dir=top)
-    if fn > zero_tol / 10.0:
-        res.ambiguous = True
-        res.alt_value = vnorm(J.T @ np.conj(v)) / fn
-    return res
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D batch; row i equals ``vnorm(X[i])``."""
+    return np.sqrt((np.abs(X) ** 2).sum(axis=1))
+
+
+def _contract(V: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """``A = conj(f(z)) . Df(z)`` per row. One vector-matrix product per row
+    keeps ``A[i] == J[i].T @ conj(V[i])`` bit for bit at any batch size."""
+    return np.matmul(np.conj(V)[:, None, :], J)[:, 0, :]
+
+
+def _one_point(z, n: int, name: str) -> np.ndarray:
+    Z = _as_batch(z, n)
+    if Z.shape[0] != 1:
+        raise InputError(f"{name} takes a single point")
+    return Z
+
+
+@dataclass(eq=False)
+class _GradBatch:
+    """|grad|f|| over a batch: ``value`` and ``A`` for every row, plus the
+    full result of each row at or below the zero tolerance, keyed by row."""
+
+    value: np.ndarray
+    A: np.ndarray
+    zero: dict
+
+    def result(self, i: int) -> GradResult:
+        g = self.zero.get(i)
+        if g is None:
+            g = GradResult(value=float(self.value[i]), branch="nonzero", A=self.A[i])
+        return g
+
+
+def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray, zero_tol: float) -> _GradBatch:
+    """Closed form for the batch ``f = V``, ``Df = J``, ``|f| = nv``: the
+    nonzero branch vectorised, zero and ambiguous rows one at a time."""
+    A = _contract(V, J)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = _row_norms(A) / nv
+    zero = {}
+    for i in np.flatnonzero(nv <= zero_tol).tolist():
+        sigma, top = spectral_norm(J[i])
+        g = GradResult(value=sigma, branch="zero", top_dir=top)
+        if nv[i] > zero_tol / 10.0:
+            g.ambiguous = True
+            g.alt_value = float(value[i])
+        value[i] = sigma
+        zero[i] = g
+    return _GradBatch(value, A, zero)
 
 
 def mod_grad(f: HoloMap, z, zero_tol: float = ZERO_BRANCH_TOL) -> GradResult:
     """Closed-form |grad|f||(z) with branch selection on |f(z)|."""
     if zero_tol <= 0:
         raise InputError("zero_tol must be positive")
-    Z = _as_batch(z, f.n)
-    if Z.shape[0] != 1:
-        raise InputError("mod_grad takes a single point")
-    v = f.eval_many(Z)[0]
-    J = f.jac_many(Z)[0]
-    return _grad_from_parts(v, J, zero_tol)
+    Z = _one_point(z, f.n, "mod_grad")
+    V = f.eval_many(Z)
+    return _grad_many(V, f.jac_many(Z), _row_norms(V), zero_tol).result(0)
 
 
 def _extrapolate_to_zero(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -147,6 +194,63 @@ def _extrapolate_to_zero(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
             nxt.append((ti * p[i + 1] - tj * p[i]) / (ti - tj))
         p = nxt
     return p[0]
+
+
+def mod_grad_fd_many(
+    f: HoloMap,
+    Z,
+    seeds,
+    steps=DEFAULT_FD_STEPS,
+    dirs: int = DEFAULT_FD_DIRS,
+) -> np.ndarray:
+    """``mod_grad_fd`` at every row of a ``(B, n)`` batch, row i with direction
+    seed ``seeds[i]``; entry i is bit for bit
+    ``mod_grad_fd(f, Z[i], steps, dirs, seeds[i])``.
+
+    The (point, direction, step) evaluations of up to ``_FD_MAX_ROWS`` rows
+    go to ``f.eval_many`` together.
+    """
+    ts = np.asarray(steps, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise InputError("steps must be a non-empty sequence")
+    if (ts <= 0).any() or (np.diff(ts) >= 0).any():
+        raise InputError("steps must be positive and strictly decreasing")
+    if dirs < 64:
+        raise InputError("dirs must be at least 64")
+    Z = _as_batch(Z, f.n)
+    count = Z.shape[0]
+    seeds = list(seeds)
+    if len(seeds) != count:
+        raise InputError(f"{len(seeds)} seeds for {count} points")
+
+    V = f.eval_many(Z)
+    J = f.jac_many(Z)
+    base = _row_norms(V)
+    A = _contract(V, J)
+    nA = _row_norms(A)
+    out = np.empty(count)
+    chunk = max(1, _FD_MAX_ROWS // ((dirs + 2) * ts.size))
+    for lo in range(0, count, chunk):
+        hi = min(count, lo + chunk)
+        cands = []
+        for i in range(lo, hi):
+            ci = [sample_unit_sphere(f.n, dirs, seeds[i])]
+            if nA[i] > 0:
+                ci.append(np.conj(A[i])[None, :] / nA[i])
+            if base[i] <= ZERO_BRANCH_TOL:
+                ci.append(spectral_norm(J[i]).direction[None, :])
+            cands.append(np.concatenate(ci, axis=0))
+        sizes = [c.shape[0] for c in cands]
+        D = np.concatenate(cands, axis=0)
+        origin = np.repeat(Z[lo:hi], sizes, axis=0)
+        # all (point, direction, step) evaluations of the chunk in one batch
+        pts = origin[:, None, :] + ts[None, :, None] * D[:, None, :]
+        mods = _row_norms(f.eval_many(pts.reshape(-1, f.n))).reshape(-1, ts.shape[0])
+        quotients = (mods - np.repeat(base[lo:hi], sizes)[:, None]) / ts[None, :]
+        extrapolated = _extrapolate_to_zero(ts, quotients)
+        starts = np.cumsum([0] + sizes[:-1])
+        out[lo:hi] = np.maximum.reduceat(extrapolated, starts)
+    return out
 
 
 def mod_grad_fd(
@@ -165,72 +269,69 @@ def mod_grad_fd(
     A != 0, and the top singular direction of the Jacobian when the zero
     branch is in play.
     """
-    ts = np.asarray(steps, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise InputError("steps must be a non-empty sequence")
-    if (ts <= 0).any() or (np.diff(ts) >= 0).any():
-        raise InputError("steps must be positive and strictly decreasing")
-    if dirs < 64:
-        raise InputError("dirs must be at least 64")
-    Z = _as_batch(z, f.n)
-    if Z.shape[0] != 1:
-        raise InputError("mod_grad_fd takes a single point")
-    zv = Z[0]
-
-    v = f.eval_many(Z)[0]
-    J = f.jac_many(Z)[0]
-    base = vnorm(v)
-    D = sample_unit_sphere(f.n, dirs, seed)
-    cands = [D]
-    A = J.T @ np.conj(v)
-    nA = vnorm(A)
-    if nA > 0:
-        cands.append(np.conj(A)[None, :] / nA)
-    if base <= ZERO_BRANCH_TOL:
-        cands.append(spectral_norm(J).direction[None, :])
-    B = np.concatenate(cands, axis=0)
-
-    # all (direction, step) evaluations in one batch
-    pts = zv[None, None, :] + ts[None, :, None] * B[:, None, :]
-    vals = f.eval_many(pts.reshape(-1, f.n))
-    mods = np.sqrt((np.abs(vals) ** 2).sum(axis=1)).reshape(B.shape[0], ts.shape[0])
-    quotients = (mods - base) / ts[None, :]
-    extrapolated = _extrapolate_to_zero(ts, quotients)
-    return float(extrapolated.max())
+    Z = _one_point(z, f.n, "mod_grad_fd")
+    return float(mod_grad_fd_many(f, Z, [seed], steps, dirs)[0])
 
 
-def _one_minus_sq(x: float) -> float:
+def _one_minus_sq(x):
     # compensated 1 - x^2 to keep accuracy near the boundary
     return (1.0 - x) * (1.0 + x)
 
 
-def sp_bound(f: HoloMap, z, tol: float = DEFAULT_BOUND_TOL) -> BoundReport:
-    """Check the bound |grad|f||(z) <= (1 - |f(z)|^2) / (1 - |z|^2)."""
+def _image_norms(V: np.ndarray) -> np.ndarray:
+    """|f(z)| per row; raises for the first row whose image leaves the ball."""
+    nv = _row_norms(V)
+    out = ~(nv < 1.0)
+    if out.any():
+        k = int(out.argmax())
+        if not np.isfinite(V[k]).all():
+            raise InputError("map value is not finite at the point")
+        raise CertificationError(
+            f"map value leaves the unit ball at the point, |f(z)| = {float(nv[k])}"
+        )
+    return nv
+
+
+def sp_bound_many(f: HoloMap, Z, tol: float = DEFAULT_BOUND_TOL) -> list[BoundReport]:
+    """Check the bound at every row of a ``(B, n)`` batch; report i is bit for
+    bit ``sp_bound(f, Z[i], tol)``. A row outside the ball, or one whose
+    image leaves it, raises what ``sp_bound`` raises for the first such row."""
     if tol <= 0:
         raise InputError("tol must be positive")
-    Z = _as_batch(z, f.n)
-    if Z.shape[0] != 1:
-        raise InputError("sp_bound takes a single point")
-    zv = Z[0]
-    nz = vnorm(zv)
-    if nz >= 1.0:
-        raise InputError(f"point must lie strictly inside the unit ball, |z| = {nz}")
-    v = f.eval_many(Z)[0]
-    nv = vnorm(v)
-    if nv >= 1.0:
-        raise CertificationError(f"map value leaves the unit ball at the point, |f(z)| = {nv}")
-    g = _grad_from_parts(v, f.jac_many(Z)[0], ZERO_BRANCH_TOL)
+    Z = _as_batch(Z, f.n)
+    nz = _row_norms(Z)
+    outside = nz >= 1.0
+    if outside.any():
+        k = int(outside.argmax())
+        if k:
+            _image_norms(f.eval_many(Z[:k]))
+        raise InputError(f"point must lie strictly inside the unit ball, |z| = {float(nz[k])}")
+    V = f.eval_many(Z)
+    nv = _image_norms(V)
+    g = _grad_many(V, f.jac_many(Z), nv, ZERO_BRANCH_TOL)
     rhs = _one_minus_sq(nv) / _one_minus_sq(nz)
     slack = rhs - g.value
-    return BoundReport(
-        point=zv.copy(),
-        lhs=g.value,
-        rhs=float(rhs),
-        slack=float(slack),
-        holds=bool(slack >= -tol),
-        tol=float(tol),
-        branch=g.branch,
-    )
+    holds = (slack >= -tol).tolist()
+    lhs, rhs, slack = g.value.tolist(), rhs.tolist(), slack.tolist()
+    tol = float(tol)
+    points = Z.copy()
+    return [
+        BoundReport(
+            point=points[i],
+            lhs=lhs[i],
+            rhs=rhs[i],
+            slack=slack[i],
+            holds=holds[i],
+            tol=tol,
+            branch="zero" if i in g.zero else "nonzero",
+        )
+        for i in range(Z.shape[0])
+    ]
+
+
+def sp_bound(f: HoloMap, z, tol: float = DEFAULT_BOUND_TOL) -> BoundReport:
+    """Check the bound |grad|f||(z) <= (1 - |f(z)|^2) / (1 - |z|^2)."""
+    return sp_bound_many(f, _one_point(z, f.n, "sp_bound"), tol)[0]
 
 
 def sp_bound_slice(g: HoloMap, xi, c, r: float, tol: float = DEFAULT_BOUND_TOL) -> BoundReport:
@@ -252,11 +353,11 @@ def sp_bound_slice(g: HoloMap, xi, c, r: float, tol: float = DEFAULT_BOUND_TOL) 
     if dist >= r:
         raise InputError(f"xi must lie strictly inside D(c, r), |xi - c| = {dist} >= {r}")
     Z = np.array([[xi]], dtype=np.complex128)
-    v = g.eval_many(Z)[0]
-    nv = vnorm(v)
+    V = g.eval_many(Z)
+    nv = vnorm(V[0])
     if nv >= 1.0:
         raise CertificationError(f"map value leaves the unit ball at xi, |g(xi)| = {nv}")
-    gr = _grad_from_parts(v, g.jac_many(Z)[0], ZERO_BRANCH_TOL)
+    gr = _grad_many(V, g.jac_many(Z), np.array([nv]), ZERO_BRANCH_TOL).result(0)
     rhs = r * _one_minus_sq(nv) / ((r - dist) * (r + dist))
     slack = rhs - gr.value
     return BoundReport(

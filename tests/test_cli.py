@@ -5,10 +5,15 @@ mismatch, campaign violation), 2 usage or input error.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holoball
 from holoball import (
     PolyMap,
     counterexample_map,
@@ -91,6 +96,55 @@ def test_bad_point_string(tmp_path, capsys):
     path = write_map(tmp_path, PolyMap.identity(1))
     assert run(["grad", "--map", path, "--point", "0.1,oops"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _joined(argv):
+    """``--flag value`` pairs whose value starts with ``-`` as ``--flag=value``."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and tok.startswith("-"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def test_vector_values_may_start_with_minus(tmp_path, capsys):
+    path = write_map(tmp_path, PolyMap.from_scalar_coeffs([0.1, 0.5, 0.0, 0.2]))
+    calls = [
+        ["bound", "--map", path, "--point", "-0.3,0.1"],
+        ["grad", "--map", path, "--point", "-0.3,-0.1"],
+        ["slice", "--p", "-0.5,0;0,0", "--q", "-0.1,0.5;0,0"],
+        ["extremal", "--case", "zero", "--p", "-0.5,0", "--u", "-1,0", "--beta", "-1,0"],
+        ["extremal", "--case", "nonzero", "--p", "-0.2,0", "--u", "-1,0",
+         "--a", "-0.5,0", "--theta", "-1.0"],
+    ]
+    for argv in calls:
+        assert run(argv) == 0, argv
+        spaced = capsys.readouterr().out
+        assert run(_joined(argv)) == 0
+        assert capsys.readouterr().out == spaced
+    f = parse_spec(json.loads(spaced))
+    assert f.eval(-0.2)[0] == pytest.approx(-0.5, abs=1e-15)
+
+
+def _python_m(module, *args):
+    src = str(Path(holoball.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["holoball", "holoball.cli"])
+def test_python_dash_m_runs_the_command(tmp_path, module):
+    path = write_map(tmp_path, counterexample_map())
+    proc = _python_m(module, "bound", "--map", path, "--point", "-0.25,0")
+    assert proc.returncode == 0, proc.stderr
+    z = np.array([-0.25 + 0.0j])
+    assert proc.stdout == json.dumps(sp_bound(counterexample_map(), z).to_dict()) + "\n"
+    proc = _python_m(module)
+    assert proc.returncode == 2
+    assert "usage: holoball" in proc.stderr
 
 
 def test_slice_matches_library(capsys):

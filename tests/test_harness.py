@@ -14,6 +14,7 @@ from holoball import (
     fuzz_campaign,
     gen_random_polymap,
     mod_grad,
+    mod_grad_fd,
     sample_ball_points,
     sp_bound,
 )
@@ -140,6 +141,25 @@ def test_small_campaign_records_are_auditable(tmp_path):
     assert rec["fd"] is None
     assert rec["fd_dev"] is None
     assert list(rec) == ["trial", "point", "lhs", "rhs", "slack", "branch", "fd", "fd_dev"]
+
+
+def test_fd_campaign_records_are_replayable(tmp_path):
+    cfg = FuzzConfig(trials=2, points_per_trial=15, fd_dirs=64, seed=19)
+    log = tmp_path / "fd.jsonl"
+    rep = fuzz_campaign(cfg, log)
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(records) == rep.points_checked == 30
+    for trial in range(cfg.trials):
+        f = gen_random_polymap(cfg.n, cfg.m, cfg.max_degree, cfg.margin, _mix(cfg.seed, trial, 0))
+        pts = sample_ball_points(cfg.n, cfg.points_per_trial, _mix(cfg.seed, trial, 1))
+        for idx in range(cfg.points_per_trial):
+            rec = records[trial * cfg.points_per_trial + idx]
+            fd = mod_grad_fd(f, pts[idx], cfg.fd_steps, cfg.fd_dirs, seed=_mix(cfg.seed, trial, 2, idx))
+            check = sp_bound(f, pts[idx], cfg.tol)
+            assert rec["trial"] == trial
+            assert rec["fd"] == fd
+            assert rec["fd_dev"] == abs(check.lhs - fd)
+            assert (rec["lhs"], rec["rhs"], rec["slack"]) == (check.lhs, check.rhs, check.slack)
 
 
 def test_campaign_log_is_byte_identical(tmp_path):

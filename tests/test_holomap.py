@@ -19,7 +19,9 @@ from holoball import (
     ScalarTimesVector,
     SchemaError,
     emit_spec,
+    gen_random_polymap,
     parse_spec,
+    sample_ball_points,
 )
 
 S = 1.0 / np.sqrt(2.0)
@@ -110,6 +112,27 @@ def test_batch_agrees_with_single_point(f, z):
     for i in range(zs.shape[0]):
         assert np.array_equal(V[i], f.eval(zs[i]))
         assert np.array_equal(J[i], f.jacobian(zs[i]))
+
+
+BATCH_MAPS = [
+    gen_random_polymap(n, m, max_degree=4, margin=0.25, seed=10 * n + m)
+    for n in range(1, 5)
+    for m in range(1, 5)
+] + [
+    Pipeline([gen_random_polymap(2, 3, 3, 0.25, seed=5), gen_random_polymap(3, 2, 2, 0.25, seed=6)]),
+]
+
+
+@pytest.mark.parametrize("f", BATCH_MAPS, ids=repr)
+def test_batch_rows_are_bit_identical_to_one_row_calls(f):
+    # row i of a batch is the point evaluated alone, bit for bit, at any batch size
+    zs = sample_ball_points(f.n, 101, seed=f.n + 7 * f.m)
+    V = f.eval_many(zs)
+    J = f.jac_many(zs)
+    for i in range(zs.shape[0]):
+        assert np.array_equal(V[i], f.eval_many(zs[i : i + 1])[0])
+        assert np.array_equal(J[i], f.jac_many(zs[i : i + 1])[0])
+    assert np.array_equal(V[:40], f.eval_many(zs[:40]))
 
 
 def test_mobius_involution():

@@ -23,10 +23,14 @@ from holoball import (
     disk_slice,
     equality_gap,
     extremal_zero_case,
+    force_zero_at,
     gen_random_polymap,
     mod_grad,
     mod_grad_fd,
+    mod_grad_fd_many,
+    sample_ball_points,
     sp_bound,
+    sp_bound_many,
     sp_bound_slice,
 )
 from holoball.schwarzpick import DEFAULT_FD_STEPS, ZERO_BRANCH_TOL
@@ -292,3 +296,84 @@ def test_equality_gap_values():
     assert equality_gap(PolyMap.identity(1), 0.0) == pytest.approx(0.0, abs=1e-12)
     square = PolyMap.from_scalar_coeffs([0.0, 0.0, 1.0])
     assert equality_gap(square, 0.5) == pytest.approx(0.25, abs=1e-15)
+
+
+# -- batches: row i is the point checked alone, bit for bit ------------------
+
+
+def assert_same_report(a, b):
+    assert np.array_equal(a.point, b.point)
+    assert (a.lhs, a.rhs, a.slack, a.holds, a.tol, a.branch) == (
+        b.lhs, b.rhs, b.slack, b.holds, b.tol, b.branch)
+    assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 5)])
+def test_sp_bound_many_rows_equal_single_point(n, m):
+    f = gen_random_polymap(n, m, max_degree=4, margin=0.25, seed=100 + 10 * n + m)
+    zs = sample_ball_points(n, 100, seed=200 + 10 * n + m)
+    reports = sp_bound_many(f, zs)
+    assert len(reports) == 100
+    for i in range(100):
+        assert_same_report(reports[i], sp_bound(f, zs[i]))
+        assert reports[i].lhs == mod_grad(f, zs[i]).value
+
+
+def mixed_batch():
+    """Nonzero rows around a zero of f (forced at p) and a row in the
+    ambiguous band (1e-14, 1e-13] next to it."""
+    p = np.array([0.3 - 0.1j, 0.2j])
+    f = force_zero_at(gen_random_polymap(2, 3, max_degree=3, margin=0.25, seed=17), p, 0.25)
+    d = np.array([0.6, 0.8j])
+    near = p + 5e-14 / np.sqrt((np.abs(f.jacobian(p) @ d) ** 2).sum()) * d
+    zs = np.concatenate([sample_ball_points(2, 3, seed=1), [p, near], sample_ball_points(2, 2, seed=2)])
+    return f, zs
+
+
+def test_mixed_batch_keeps_every_branch_bit_identical():
+    f, zs = mixed_batch()
+    singles = [mod_grad(f, z) for z in zs]
+    assert [g.branch for g in singles] == ["nonzero"] * 3 + ["zero", "zero"] + ["nonzero"] * 2
+    assert [g.ambiguous for g in singles] == [False] * 4 + [True, False, False]
+    for rep, z, g in zip(sp_bound_many(f, zs), zs, singles):
+        assert_same_report(rep, sp_bound(f, z))
+        assert rep.lhs == g.value
+
+
+def test_fd_many_rows_equal_single_point():
+    f, zs = mixed_batch()
+    seeds = [7 * i + 1 for i in range(zs.shape[0])]
+    got = mod_grad_fd_many(f, zs, seeds)
+    for i, z in enumerate(zs):
+        assert got[i] == mod_grad_fd(f, z, seed=seeds[i])
+    # rows past one eval_many chunk
+    g = gen_random_polymap(3, 2, max_degree=3, margin=0.25, seed=4)
+    ws = sample_ball_points(3, 25, seed=5)
+    got = mod_grad_fd_many(g, ws, range(25), steps=(1e-4, 5e-5, 2.5e-5), dirs=70)
+    for i, w in enumerate(ws):
+        assert got[i] == mod_grad_fd(g, w, steps=(1e-4, 5e-5, 2.5e-5), dirs=70, seed=i)
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_batch_raises_what_the_first_bad_row_raises():
+    doubler = PolyMap.from_scalar_coeffs([0.0, 2.0])
+    # |z| >= 1 at row 2; the image leaves the ball at row 3
+    zs = np.array([0.1, 0.2j, 1.0, 0.6])
+    assert raised(sp_bound_many, doubler, zs) == raised(sp_bound, doubler, 1.0)
+    assert raised(sp_bound_many, doubler, zs)[0] is InputError
+    # the image leaves the ball at row 1, before the point outside it
+    zs = np.array([0.1, -0.6, 1.5j])
+    assert raised(sp_bound_many, doubler, zs) == raised(sp_bound, doubler, -0.6)
+    assert raised(sp_bound_many, doubler, zs)[0] is CertificationError
+    f = gen_random_polymap(2, 2, max_degree=3, margin=0.25, seed=3)
+    zs = np.array([[0.1, 0.2], [0.8, 0.8j], [0.9, 0.9]])
+    assert raised(sp_bound_many, f, zs) == raised(sp_bound, f, zs[1])
+    with pytest.raises(InputError):
+        sp_bound_many(f, zs[:1], tol=0.0)
+    with pytest.raises(InputError):
+        mod_grad_fd_many(f, zs[:1], [1, 2])
