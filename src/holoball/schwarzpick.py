@@ -159,8 +159,9 @@ def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray, zero_tol: float) ->
     """Closed form for the batch ``f = V``, ``Df = J``, ``|f| = nv``: the
     nonzero branch vectorised, zero and ambiguous rows one at a time."""
     A = _contract(V, J)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = _row_norms(A) / nv
+    # rows at or below zero_tol/10 use only the zero branch; the floor just
+    # keeps 0/0 out of their unused quotient
+    value = _row_norms(A) / np.maximum(nv, zero_tol / 10.0)
     zero = {}
     for i in np.flatnonzero(nv <= zero_tol).tolist():
         sigma, top = spectral_norm(J[i])
@@ -281,9 +282,9 @@ def _one_minus_sq(x):
 def _image_norms(V: np.ndarray) -> np.ndarray:
     """|f(z)| per row; raises for the first row whose image leaves the ball."""
     nv = _row_norms(V)
-    out = ~(nv < 1.0)
-    if out.any():
-        k = int(out.argmax())
+    inside = nv < 1.0
+    if not inside.all():
+        k = int(inside.argmin())
         if not np.isfinite(V[k]).all():
             raise InputError("map value is not finite at the point")
         raise CertificationError(

@@ -32,6 +32,7 @@ from holoball import (
     sp_bound,
     sp_bound_many,
     sp_bound_slice,
+    vnorm,
 )
 from holoball.schwarzpick import DEFAULT_FD_STEPS, ZERO_BRANCH_TOL
 
@@ -317,6 +318,12 @@ def test_sp_bound_many_rows_equal_single_point(n, m):
     for i in range(100):
         assert_same_report(reports[i], sp_bound(f, zs[i]))
         assert reports[i].lhs == mod_grad(f, zs[i]).value
+        # the per-point formulas in plain float arithmetic, as the reference
+        v, J = f.eval(zs[i]), f.jacobian(zs[i])
+        nv, nz = vnorm(v), vnorm(zs[i])
+        assert reports[i].branch == "nonzero"
+        assert reports[i].lhs == vnorm(J.T @ np.conj(v)) / nv
+        assert reports[i].rhs == (1.0 - nv) * (1.0 + nv) / ((1.0 - nz) * (1.0 + nz))
 
 
 def mixed_batch():
