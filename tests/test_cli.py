@@ -130,7 +130,8 @@ def test_vector_values_may_start_with_minus(tmp_path, capsys):
 
 def _python_m(module, *args):
     src = str(Path(holoball.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     return subprocess.run([sys.executable, "-m", module, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
