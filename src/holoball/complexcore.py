@@ -139,6 +139,16 @@ def spectral_norm(M, tol: float = 1e-12, max_iter: int = 10_000) -> SpectralPair
     return SpectralPair(float(np.sqrt(max(best_lam, 0.0))), best_v)
 
 
+def _gaussian_rows(n: int, count: int, seed: int):
+    """A generator seeded with ``seed`` and the first ``count`` standard
+    complex Gaussian rows of length n it draws; the draws behind
+    ``sample_unit_sphere``."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError("seed must be a non-negative integer")
+    rng = np.random.default_rng(int(seed))
+    return rng, rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+
+
 def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` points uniformly on the unit sphere of C^n.
 
@@ -149,10 +159,7 @@ def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:
         raise InputError("n must be a positive integer")
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise InputError("count must be a positive integer")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError("seed must be a non-negative integer")
-    rng = np.random.default_rng(int(seed))
-    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    rng, z = _gaussian_rows(n, count, seed)
     norms = np.sqrt((np.abs(z) ** 2).sum(axis=1))
     # redraw the (measure-zero) rows that are too short to normalize stably
     while (norms < 1e-12).any():

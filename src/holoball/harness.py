@@ -10,11 +10,11 @@ Campaigns derive one sub-seed per (trial, purpose, point) by splitmix64
 hashing of the config seed, so trials are independent and the whole run is
 reproducible; identical configs produce byte-identical JSONL (the summary's
 ``runtime_ms`` is the only non-deterministic output). A trial is checked in
-one batch: one ``sp_bound_many`` call over its points, and one
+one batch: the array core of ``sp_bound_many`` over its points, and one
 ``mod_grad_fd_many`` call when the oracle is on, each point keeping its own
-direction seed. Since row i of a batch equals the point checked alone, every
-record can be re-derived with ``sp_bound`` and ``mod_grad_fd``. Each log
-line is
+direction seed; the aggregate and the log lines are read off the result
+arrays. Since row i of a batch equals the point checked alone, every record
+can be re-derived with ``sp_bound`` and ``mod_grad_fd``. Each log line is
 
     {"trial": int, "point": [[re, im], ...], "lhs": real, "rhs": real,
      "slack": real, "branch": "zero"|"nonzero", "fd": real, "fd_dev": real}
@@ -27,6 +27,7 @@ with trial index -1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -35,16 +36,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexcore import sample_unit_sphere, spectral_norm, vector_to_pairs
+from .complexcore import sample_unit_sphere, spectral_norm
 from .errors import InputError
 from .holomap import PolyMap
 from .schwarzpick import (
     DEFAULT_FD_STEPS,
     BoundReport,
-    mod_grad_fd,
+    _bound_batch,
+    _BoundBatch,
+    _fd_steps,
     mod_grad_fd_many,
-    sp_bound,
-    sp_bound_many,
 )
 
 __all__ = [
@@ -77,30 +78,50 @@ def _mix(*parts: int) -> int:
     return x >> 1
 
 
-def _multi_indices(n: int, max_degree: int) -> list[tuple[int, ...]]:
-    return [
-        alpha
-        for alpha in itertools.product(range(max_degree + 1), repeat=n)
-        if sum(alpha) <= max_degree
-    ]
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer))
+
+
+@functools.lru_cache(maxsize=64)
+def _multi_indices(n: int, max_degree: int) -> np.ndarray:
+    """The multi-indices of total degree <= max_degree in n variables, in
+    lexicographic order, as one read-only ``(T, n)`` int64 array."""
+    alphas = np.array(
+        [
+            alpha
+            for alpha in itertools.product(range(max_degree + 1), repeat=n)
+            if sum(alpha) <= max_degree
+        ],
+        dtype=np.int64,
+    ).reshape(-1, n)
+    alphas.setflags(write=False)
+    return alphas
+
+
+def _certified(n: int, m: int, alphas: np.ndarray, coefs: np.ndarray, margin: float) -> PolyMap:
+    """The terms rescaled to the l1 containment certificate."""
+    cert = float(np.sqrt(((np.abs(coefs).sum(axis=0)) ** 2).sum()))
+    if cert == 0.0:
+        return PolyMap.from_arrays(n, m, alphas, coefs)
+    # tiny deflation keeps the certificate strict under rounding
+    scale = (1.0 - margin) / cert * (1.0 - 1e-13)
+    return PolyMap.from_arrays(n, m, alphas, coefs * scale)
 
 
 def gen_random_polymap(n: int, m: int, max_degree: int, margin: float, seed: int) -> PolyMap:
     """Seeded Gaussian polynomial map rescaled to the l1 containment
     certificate ``sum_k (sum_alpha |c_{k,alpha}|)^2 <= (1 - margin)^2``."""
-    if n < 1 or m < 1:
-        raise InputError("n and m must be positive")
-    if max_degree < 0:
-        raise InputError("max_degree must be non-negative")
+    if not (_is_int(n) and _is_int(m)) or n < 1 or m < 1:
+        raise InputError("n and m must be positive integers")
+    if not _is_int(max_degree) or max_degree < 0:
+        raise InputError("max_degree must be a non-negative integer")
     if not (0.0 < margin < 1.0):
         raise InputError("margin must lie in (0, 1)")
     alphas = _multi_indices(n, max_degree)
     rng = np.random.default_rng(_mix(seed))
-    raw = rng.standard_normal((len(alphas), m)) + 1j * rng.standard_normal((len(alphas), m))
-    cert = float(np.sqrt(((np.abs(raw).sum(axis=0)) ** 2).sum()))
-    # tiny deflation keeps the certificate strict under rounding
-    scale = (1.0 - margin) / cert * (1.0 - 1e-13)
-    return PolyMap(n, m, zip(alphas, raw * scale))
+    T = alphas.shape[0]
+    raw = rng.standard_normal((T, m)) + 1j * rng.standard_normal((T, m))
+    return _certified(n, m, alphas, raw, margin)
 
 
 def force_zero_at(f: PolyMap, p, margin: float) -> PolyMap:
@@ -109,17 +130,18 @@ def force_zero_at(f: PolyMap, p, margin: float) -> PolyMap:
     zero-branch threshold)."""
     if not (0.0 < margin < 1.0):
         raise InputError("margin must lie in (0, 1)")
-    terms = f.terms
-    zero_alpha = (0,) * f.n
-    const = terms.get(zero_alpha, np.zeros(f.m, dtype=np.complex128)).copy()
-    const -= f.eval(p)
-    terms[zero_alpha] = const
-    mat = np.array(list(terms.values()), dtype=np.complex128)
-    cert = float(np.sqrt(((np.abs(mat).sum(axis=0)) ** 2).sum()))
-    if cert == 0.0:
-        return PolyMap(f.n, f.m, terms)
-    scale = (1.0 - margin) / cert * (1.0 - 1e-13)
-    return PolyMap(f.n, f.m, {a: c * scale for a, c in terms.items()})
+    alphas, coefs = f._alphas, f._coefs.copy()
+    # the zero multi-index sorts first when present; a missing one is
+    # appended as the last row, and the certificate's sum over the rows
+    # rounds according to that order
+    if alphas.shape[0] and not alphas[0].any():
+        coefs[0] -= f.eval(p)
+    else:
+        const = np.zeros(f.m, dtype=np.complex128)
+        const -= f.eval(p)
+        alphas = np.vstack([alphas, np.zeros((1, f.n), dtype=np.int64)])
+        coefs = np.vstack([coefs, const[None, :]])
+    return _certified(f.n, f.m, alphas, coefs, margin)
 
 
 def sample_ball_points(n: int, count: int, seed: int) -> np.ndarray:
@@ -163,6 +185,11 @@ class FuzzConfig:
     pin_counterexample: bool = False
 
     def validate(self) -> None:
+        """Raise ``InputError`` for a field the campaign cannot run with;
+        ``fuzz_campaign`` calls this before it opens its log."""
+        for name in ("trials", "points_per_trial", "n", "m", "max_degree", "fd_dirs"):
+            if not _is_int(getattr(self, name)):
+                raise InputError(f"{name} must be an integer")
         if self.trials < 0:
             raise InputError("trials must be non-negative")
         if self.points_per_trial < 1:
@@ -175,8 +202,10 @@ class FuzzConfig:
             raise InputError("margin must lie in (0, 1)")
         if self.tol <= 0:
             raise InputError("tol must be positive")
-        if self.fd_dirs != 0 and self.fd_dirs < 64:
-            raise InputError("fd_dirs must be 0 (disabled) or at least 64")
+        if self.fd_dirs != 0:
+            if self.fd_dirs < 64:
+                raise InputError("fd_dirs must be 0 (disabled) or at least 64")
+            _fd_steps(self.fd_steps)
 
 
 @dataclass
@@ -209,67 +238,96 @@ class CampaignReport:
         }
 
 
-def _record_line(trial: int, rep: BoundReport, fd: float | None) -> str:
-    rec = {
-        "trial": trial,
-        "point": vector_to_pairs(rep.point),
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "branch": rep.branch,
-        "fd": None if fd is None else float(fd),
-        "fd_dev": None if fd is None else abs(rep.lhs - float(fd)),
-    }
-    return json.dumps(rec)
+def _record_lines(trial: int, b: _BoundBatch, fds: np.ndarray | None) -> str:
+    """The JSONL records of one checked batch, one line per row."""
+    B, n = b.points.shape
+    points = b.points.view(np.float64).reshape(B, n, 2).tolist()
+    lhs, rhs, slack = b.lhs.tolist(), b.rhs.tolist(), b.slack.tolist()
+    branch = ["zero" if z else "nonzero" for z in b.zero.tolist()]
+    if fds is None:
+        fd = fd_dev = [None] * B
+    else:
+        fd, fd_dev = fds.tolist(), np.abs(b.lhs - fds).tolist()
+    return "".join(
+        json.dumps(
+            {
+                "trial": trial,
+                "point": points[i],
+                "lhs": lhs[i],
+                "rhs": rhs[i],
+                "slack": slack[i],
+                "branch": branch[i],
+                "fd": fd[i],
+                "fd_dev": fd_dev[i],
+            }
+        )
+        + "\n"
+        for i in range(B)
+    )
+
+
+def _absorb(report: CampaignReport, b: _BoundBatch, fds: np.ndarray | None) -> None:
+    """Fold one checked batch, in row order, into the campaign aggregate."""
+    report.points_checked += b.lhs.shape[0]
+    worst = float(b.slack.min())
+    if report.worst_slack is None or worst < report.worst_slack:
+        report.worst_slack = worst
+    if not b.holds.all():
+        report.violations += b.reports(np.flatnonzero(~b.holds))
+    if fds is not None:
+        dev = float(np.abs(b.lhs - fds).max())
+        if report.oracle_max_dev is None or dev > report.oracle_max_dev:
+            report.oracle_max_dev = dev
+        report.fd_anomalies += int((fds > b.lhs + FD_ANOMALY_TOL).sum())
 
 
 def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> CampaignReport:
     """Run a campaign: per trial, generate one certified map and check the
     bound (plus the FD oracle when enabled) at sampled ball points as one
     batch, streaming one JSONL record per point to ``log_path`` in trial
-    order."""
+    order. A config that fails ``validate`` raises before the log is
+    opened."""
     cfg.validate()
     t0 = time.perf_counter()
     report = CampaignReport(trials_run=0, points_checked=0)
+
+    def check(f, points, seed_of):
+        # the bound at every point, and the FD oracle with direction seed
+        # seed_of(idx) for point idx when it is on
+        b = _bound_batch(f, points, cfg.tol)
+        if not cfg.fd_dirs:
+            return b, None
+        seeds = [seed_of(idx) for idx in range(points.shape[0])]
+        return b, mod_grad_fd_many(f, points, seeds, cfg.fd_steps, cfg.fd_dirs)
 
     out = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     try:
         if cfg.pin_counterexample:
             ce = counterexample_map()
-            zero = np.zeros(1, dtype=np.complex128)
-            rep = sp_bound(ce, zero, cfg.tol)
-            fd = (
-                mod_grad_fd(ce, zero, cfg.fd_steps, cfg.fd_dirs, seed=_mix(cfg.seed, 0xCE))
-                if cfg.fd_dirs
-                else None
-            )
-            classical = spectral_norm(ce.jacobian(zero)).value
+            zero = np.zeros((1, 1), dtype=np.complex128)
+            b, fds = check(ce, zero, lambda idx: _mix(cfg.seed, 0xCE))
+            classical = spectral_norm(ce.jacobian(zero[0])).value
+            rhs = b.rhs.item()
             report.counterexample = {
                 "classical_lhs": float(classical),
-                "rhs": rep.rhs,
-                "classical_violated": bool(classical > rep.rhs),
-                "modulus_lhs": rep.lhs,
-                "holds": rep.holds,
+                "rhs": rhs,
+                "classical_violated": bool(classical > rhs),
+                "modulus_lhs": b.lhs.item(),
+                "holds": b.holds.item(),
             }
             if out is not None:
-                out.write(_record_line(-1, rep, fd) + "\n")
-            _absorb(report, rep, fd)
+                out.write(_record_lines(-1, b, fds))
+            _absorb(report, b, fds)
 
         for trial in range(cfg.trials):
             f = gen_random_polymap(
                 cfg.n, cfg.m, cfg.max_degree, cfg.margin, _mix(cfg.seed, trial, 0)
             )
             points = sample_ball_points(cfg.n, cfg.points_per_trial, _mix(cfg.seed, trial, 1))
-            reports = sp_bound_many(f, points, cfg.tol)
-            if cfg.fd_dirs:
-                seeds = [_mix(cfg.seed, trial, 2, idx) for idx in range(len(reports))]
-                fds = mod_grad_fd_many(f, points, seeds, cfg.fd_steps, cfg.fd_dirs).tolist()
-            else:
-                fds = [None] * len(reports)
-            for rep, fd in zip(reports, fds):
-                if out is not None:
-                    out.write(_record_line(trial, rep, fd) + "\n")
-                _absorb(report, rep, fd)
+            b, fds = check(f, points, lambda idx: _mix(cfg.seed, trial, 2, idx))
+            if out is not None:
+                out.write(_record_lines(trial, b, fds))
+            _absorb(report, b, fds)
             report.trials_run += 1
     finally:
         if out is not None:
@@ -277,17 +335,3 @@ def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> Campai
 
     report.runtime_ms = (time.perf_counter() - t0) * 1e3
     return report
-
-
-def _absorb(report: CampaignReport, rep: BoundReport, fd: float | None) -> None:
-    report.points_checked += 1
-    if report.worst_slack is None or rep.slack < report.worst_slack:
-        report.worst_slack = rep.slack
-    if not rep.holds:
-        report.violations.append(rep)
-    if fd is not None:
-        dev = abs(rep.lhs - fd)
-        if report.oracle_max_dev is None or dev > report.oracle_max_dev:
-            report.oracle_max_dev = dev
-        if fd > rep.lhs + FD_ANOMALY_TOL:
-            report.fd_anomalies += 1

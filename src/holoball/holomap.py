@@ -3,7 +3,9 @@
 Every map kind evaluates by plain arithmetic on its description and
 differentiates exactly: term by term for polynomials, rational-derivative
 formulas for the Moebius kinds, chain rule for pipelines. No numerical
-differentiation happens in this module.
+differentiation happens in this module. A polynomial builds one table of
+powers per variable for a batch of points; the n columns of its Jacobian
+share that table.
 
 Maps are immutable after construction. Domain membership is not enforced at
 evaluation time; a map may be evaluated anywhere its poles permit (slices of
@@ -108,24 +110,96 @@ class HoloMap:
         return self.jacobian(z) @ b
 
 
-def _eval_terms(Z: np.ndarray, alphas: np.ndarray, coefs: np.ndarray, m: int) -> np.ndarray:
-    B = Z.shape[0]
-    T = alphas.shape[0]
-    if T == 0:
-        return np.zeros((B, m), dtype=np.complex128)
-    mono = np.ones((B, T), dtype=np.complex128)
-    for j in range(Z.shape[1]):
-        dj = int(alphas[:, j].max())
+def _powers(Z: np.ndarray, degrees) -> list[np.ndarray]:
+    """Per column j of the ``(B, n)`` batch, the table ``Z[:, j] ** k`` for
+    k = 0..degrees[j], by repeated multiplication (None where the degree is 0)."""
+    tables = []
+    for j, dj in enumerate(degrees):
         if dj == 0:
+            tables.append(None)
             continue
-        P = np.empty((B, dj + 1), dtype=np.complex128)
+        P = np.empty((Z.shape[0], dj + 1), dtype=np.complex128)
         P[:, 0] = 1.0
         for k in range(1, dj + 1):
             P[:, k] = P[:, k - 1] * Z[:, j]
-        mono *= P[:, alphas[:, j]]
+        tables.append(P)
+    return tables
+
+
+def _eval_terms(tables, B: int, alphas: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Sum of the terms ``coefs[t] * prod_j z_j ** alphas[t, j]`` over the
+    power tables of a batch of B points; the tables must reach the largest
+    exponent of each variable in ``alphas``."""
+    if alphas.shape[0] == 0:
+        return np.zeros((B, coefs.shape[1]), dtype=np.complex128)
+    mono = np.ones((B, alphas.shape[0]), dtype=np.complex128)
+    for j in np.flatnonzero(alphas.max(axis=0)).tolist():
+        mono *= tables[j][:, alphas[:, j]]
     # one vector-matrix product per row: ``mono @ coefs`` switches kernels
     # with the batch size, which changes the last bits of row i
     return np.matmul(mono[:, None, :], coefs)[:, 0, :]
+
+
+def _stack_rows(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """1-D arrays of any lengths as the rows of one zero-padded 2-D array,
+    with the length of each row."""
+    lens = np.array([r.shape[0] for r in rows], dtype=np.int64)
+    out = np.zeros((lens.shape[0], int(lens.max(initial=0))), dtype=dtype)
+    if rows:
+        out[np.arange(out.shape[1]) < lens[:, None]] = np.concatenate(rows)
+    return out, lens
+
+
+def _dims(n, m) -> tuple[int, int]:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InputError("n must be a positive integer")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise InputError("m must be a positive integer")
+    return int(n), int(m)
+
+
+def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
+    """Validate T polynomial terms and sort them lexicographically.
+
+    Row t of the int64 array ``alphas`` holds multi-index t in its first
+    ``alpha_lens[t]`` entries, row t of the complex128 array ``coefs`` its
+    coefficient vector in the first ``coef_lens[t]`` entries; any further
+    entries are zero padding. An error names the first faulty term in input
+    order, checked for length, negative entries, an earlier duplicate,
+    coefficient length and finiteness in that order. Returns the frozen
+    ``(T, n)`` multi-indices and ``(T, m)`` coefficients.
+    """
+    T = alphas.shape[0]
+    order = np.lexsort(alphas.T[::-1]) if alphas.shape[1] else np.arange(T)
+    ranked = alphas[order]
+    dup = np.zeros(T, dtype=bool)
+    # the sort is stable, so the later rows of a run of equal rows are the
+    # later occurrences in input order
+    dup[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
+    checks = (
+        alpha_lens != n,
+        (alphas < 0).any(axis=1),
+        dup,
+        coef_lens != m,
+        ~np.isfinite(coefs).all(axis=1),
+    )
+    bad = np.logical_or.reduce(checks)
+    if bad.any():
+        t = int(bad.argmax())
+        key = tuple(alphas[t, : alpha_lens[t]].tolist())
+        if checks[0][t]:
+            raise InputError(f"multi-index {key} has length {len(key)}, expected {n}")
+        if checks[1][t]:
+            raise InputError(f"multi-index {key} has a negative entry")
+        if checks[2][t]:
+            raise InputError(f"duplicate multi-index {key}")
+        if checks[3][t]:
+            raise InputError(f"coefficient for {key} has length {coef_lens[t]}, expected {m}")
+        raise InputError(f"coefficient for {key} is not finite")
+    return (
+        _freeze(ranked.reshape(T, n)),
+        _freeze(coefs[order].reshape(T, m)),
+    )
 
 
 class PolyMap(HoloMap):
@@ -133,39 +207,53 @@ class PolyMap(HoloMap):
 
     ``terms`` maps a multi-index tuple (length n, non-negative ints) to a
     coefficient vector of length m; an iterable of ``(alpha, coef)`` pairs is
-    also accepted. Terms are stored in lexicographic multi-index order and
-    coefficients are kept exactly as given.
+    also accepted, and ``from_arrays`` takes the terms as two arrays. Terms
+    are stored in lexicographic multi-index order and coefficients are kept
+    exactly as given.
     """
 
     def __init__(self, n: int, m: int, terms):
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise InputError("n must be a positive integer")
-        if not isinstance(m, (int, np.integer)) or m < 1:
-            raise InputError("m must be a positive integer")
-        self.n = int(n)
-        self.m = int(m)
+        n, m = _dims(n, m)
         items = terms.items() if hasattr(terms, "items") else list(terms)
-        seen = {}
-        for alpha, coef in items:
-            key = tuple(int(a) for a in np.asarray(alpha).reshape(-1))
-            if len(key) != self.n:
-                raise InputError(f"multi-index {key} has length {len(key)}, expected {self.n}")
-            if any(a < 0 for a in key):
-                raise InputError(f"multi-index {key} has a negative entry")
-            if key in seen:
-                raise InputError(f"duplicate multi-index {key}")
-            vec = np.asarray(coef, dtype=np.complex128).reshape(-1)
-            if vec.shape[0] != self.m:
-                raise InputError(
-                    f"coefficient for {key} has length {vec.shape[0]}, expected {self.m}"
-                )
-            if not np.isfinite(vec).all():
-                raise InputError(f"coefficient for {key} is not finite")
-            seen[key] = vec
-        order = sorted(seen)
-        self._alphas = _freeze(np.array(order, dtype=np.int64).reshape(len(order), self.n))
-        self._coefs = _freeze(
-            np.array([seen[k] for k in order], dtype=np.complex128).reshape(len(order), self.m)
+        alphas, alpha_lens = _stack_rows(
+            [np.asarray(alpha).reshape(-1) for alpha, _ in items], np.int64
+        )
+        coefs, coef_lens = _stack_rows(
+            [np.asarray(coef, dtype=np.complex128).reshape(-1) for _, coef in items],
+            np.complex128,
+        )
+        self._setup(n, m, alphas, coefs, alpha_lens, coef_lens)
+
+    @classmethod
+    def from_arrays(cls, n: int, m: int, alphas, coefs) -> "PolyMap":
+        """Map with term t given by row t of a ``(T, n)`` integer multi-index
+        array and of a ``(T, m)`` complex coefficient array; validated and
+        sorted exactly as the terms passed to the constructor."""
+        n, m = _dims(n, m)
+        alphas = np.asarray(alphas, dtype=np.int64)
+        coefs = np.asarray(coefs, dtype=np.complex128)
+        if alphas.ndim != 2 or coefs.ndim != 2 or alphas.shape[0] != coefs.shape[0]:
+            raise InputError(
+                f"terms must be (T, n) and (T, m) arrays, got {alphas.shape} and {coefs.shape}"
+            )
+        T = alphas.shape[0]
+        f = cls.__new__(cls)
+        f._setup(
+            n,
+            m,
+            alphas,
+            coefs,
+            np.full(T, alphas.shape[1], dtype=np.int64),
+            np.full(T, coefs.shape[1], dtype=np.int64),
+        )
+        return f
+
+    def _setup(self, n: int, m: int, alphas, coefs, alpha_lens, coef_lens) -> None:
+        self._alphas, self._coefs = _normalise_terms(n, m, alphas, coefs, alpha_lens, coef_lens)
+        self.n = n
+        self.m = m
+        self._degrees = (
+            self._alphas.max(axis=0).tolist() if self._alphas.shape[0] else [0] * self.n
         )
         self._derivs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -197,7 +285,7 @@ class PolyMap(HoloMap):
 
     def eval_many(self, Z) -> np.ndarray:
         Z = _as_batch(Z, self.n)
-        return _eval_terms(Z, self._alphas, self._coefs, self.m)
+        return _eval_terms(_powers(Z, self._degrees), Z.shape[0], self._alphas, self._coefs)
 
     def _deriv_arrays(self, j: int):
         cached = self._derivs.get(j)
@@ -213,11 +301,16 @@ class PolyMap(HoloMap):
 
     def jac_many(self, Z) -> np.ndarray:
         Z = _as_batch(Z, self.n)
-        cols = []
-        for j in range(self.n):
-            alphas, coefs = self._deriv_arrays(j)
-            cols.append(_eval_terms(Z, alphas, coefs, self.m))
-        return np.stack(cols, axis=2)
+        # the derivative terms never exceed the map's own degrees, so every
+        # column reads the same tables
+        tables = _powers(Z, self._degrees)
+        return np.stack(
+            [
+                _eval_terms(tables, Z.shape[0], *self._deriv_arrays(j))
+                for j in range(self.n)
+            ],
+            axis=2,
+        )
 
 
 class MobiusDisk(HoloMap):

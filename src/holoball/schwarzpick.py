@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexcore import (
+    _gaussian_rows,
     sample_unit_sphere,
     spectral_norm,
     vector_to_pairs,
@@ -197,6 +198,40 @@ def _extrapolate_to_zero(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return p[0]
 
 
+def _fd_steps(steps) -> np.ndarray:
+    """The FD oracle's steps as a float array; raises unless they are
+    positive and strictly decreasing."""
+    ts = np.asarray(steps, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise InputError("steps must be a non-empty sequence")
+    if (ts <= 0).any() or (np.diff(ts) >= 0).any():
+        raise InputError("steps must be positive and strictly decreasing")
+    return ts
+
+
+def _fd_directions(n, dirs, seeds, A, nA, J, base) -> np.ndarray:
+    """The ``(P, dirs + 2, n)`` directions of P points: per point its ``dirs``
+    seeded sphere samples (``sample_unit_sphere(n, dirs, seed)``), then the
+    direction conjugate to A/|A| and the top singular direction of the
+    Jacobian. A point without one of those candidates repeats its first
+    direction there, which leaves the maximum over its directions unchanged."""
+    D = np.empty((len(seeds), dirs + 2, n), dtype=np.complex128)
+    for k, seed in enumerate(seeds):
+        D[k, :dirs] = _gaussian_rows(n, dirs, seed)[1]
+    sphere = D[:, :dirs]
+    norms = np.sqrt((np.abs(sphere) ** 2).sum(axis=2))
+    sphere /= norms[..., None]
+    # a draw too short to normalise stably is redrawn as sample_unit_sphere does
+    for k in np.flatnonzero((norms < 1e-12).any(axis=1)).tolist():
+        sphere[k] = sample_unit_sphere(n, dirs, seeds[k])
+    D[:, dirs:] = D[:, :1]
+    has_a = nA > 0
+    D[has_a, dirs] = np.conj(A[has_a]) / nA[has_a, None]
+    for k in np.flatnonzero(base <= ZERO_BRANCH_TOL).tolist():
+        D[k, dirs + 1] = spectral_norm(J[k]).direction
+    return D
+
+
 def mod_grad_fd_many(
     f: HoloMap,
     Z,
@@ -211,11 +246,9 @@ def mod_grad_fd_many(
     The (point, direction, step) evaluations of up to ``_FD_MAX_ROWS`` rows
     go to ``f.eval_many`` together.
     """
-    ts = np.asarray(steps, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise InputError("steps must be a non-empty sequence")
-    if (ts <= 0).any() or (np.diff(ts) >= 0).any():
-        raise InputError("steps must be positive and strictly decreasing")
+    ts = _fd_steps(steps)
+    if not isinstance(dirs, (int, np.integer)):
+        raise InputError("dirs must be an integer")
     if dirs < 64:
         raise InputError("dirs must be at least 64")
     Z = _as_batch(Z, f.n)
@@ -233,24 +266,12 @@ def mod_grad_fd_many(
     chunk = max(1, _FD_MAX_ROWS // ((dirs + 2) * ts.size))
     for lo in range(0, count, chunk):
         hi = min(count, lo + chunk)
-        cands = []
-        for i in range(lo, hi):
-            ci = [sample_unit_sphere(f.n, dirs, seeds[i])]
-            if nA[i] > 0:
-                ci.append(np.conj(A[i])[None, :] / nA[i])
-            if base[i] <= ZERO_BRANCH_TOL:
-                ci.append(spectral_norm(J[i]).direction[None, :])
-            cands.append(np.concatenate(ci, axis=0))
-        sizes = [c.shape[0] for c in cands]
-        D = np.concatenate(cands, axis=0)
-        origin = np.repeat(Z[lo:hi], sizes, axis=0)
+        D = _fd_directions(f.n, dirs, seeds[lo:hi], A[lo:hi], nA[lo:hi], J[lo:hi], base[lo:hi])
         # all (point, direction, step) evaluations of the chunk in one batch
-        pts = origin[:, None, :] + ts[None, :, None] * D[:, None, :]
-        mods = _row_norms(f.eval_many(pts.reshape(-1, f.n))).reshape(-1, ts.shape[0])
-        quotients = (mods - np.repeat(base[lo:hi], sizes)[:, None]) / ts[None, :]
-        extrapolated = _extrapolate_to_zero(ts, quotients)
-        starts = np.cumsum([0] + sizes[:-1])
-        out[lo:hi] = np.maximum.reduceat(extrapolated, starts)
+        pts = Z[lo:hi, None, None, :] + ts[None, None, :, None] * D[:, :, None, :]
+        mods = _row_norms(f.eval_many(pts.reshape(-1, f.n))).reshape(D.shape[:2] + ts.shape)
+        quotients = (mods - base[lo:hi, None, None]) / ts
+        out[lo:hi] = _extrapolate_to_zero(ts, quotients).max(axis=1)
     return out
 
 
@@ -293,10 +314,40 @@ def _image_norms(V: np.ndarray) -> np.ndarray:
     return nv
 
 
-def sp_bound_many(f: HoloMap, Z, tol: float = DEFAULT_BOUND_TOL) -> list[BoundReport]:
-    """Check the bound at every row of a ``(B, n)`` batch; report i is bit for
-    bit ``sp_bound(f, Z[i], tol)``. A row outside the ball, or one whose
-    image leaves it, raises what ``sp_bound`` raises for the first such row."""
+@dataclass(eq=False)
+class _BoundBatch:
+    """The bound at every row of a batch, as arrays: ``zero`` marks the rows
+    whose gradient came from the zero branch."""
+
+    points: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    holds: np.ndarray
+    zero: np.ndarray
+    tol: float
+
+    def reports(self, rows: np.ndarray) -> list[BoundReport]:
+        """The ``BoundReport`` of each of the given rows, in their order."""
+        lhs, rhs = self.lhs[rows].tolist(), self.rhs[rows].tolist()
+        slack, holds = self.slack[rows].tolist(), self.holds[rows].tolist()
+        zero = self.zero[rows].tolist()
+        return [
+            BoundReport(
+                point=self.points[i],
+                lhs=lhs[k],
+                rhs=rhs[k],
+                slack=slack[k],
+                holds=holds[k],
+                tol=self.tol,
+                branch="zero" if zero[k] else "nonzero",
+            )
+            for k, i in enumerate(rows.tolist())
+        ]
+
+
+def _bound_batch(f: HoloMap, Z, tol: float) -> _BoundBatch:
+    """The array core of ``sp_bound_many``."""
     if tol <= 0:
         raise InputError("tol must be positive")
     Z = _as_batch(Z, f.n)
@@ -312,22 +363,17 @@ def sp_bound_many(f: HoloMap, Z, tol: float = DEFAULT_BOUND_TOL) -> list[BoundRe
     g = _grad_many(V, f.jac_many(Z), nv, ZERO_BRANCH_TOL)
     rhs = _one_minus_sq(nv) / _one_minus_sq(nz)
     slack = rhs - g.value
-    holds = (slack >= -tol).tolist()
-    lhs, rhs, slack = g.value.tolist(), rhs.tolist(), slack.tolist()
-    tol = float(tol)
-    points = Z.copy()
-    return [
-        BoundReport(
-            point=points[i],
-            lhs=lhs[i],
-            rhs=rhs[i],
-            slack=slack[i],
-            holds=holds[i],
-            tol=tol,
-            branch="zero" if i in g.zero else "nonzero",
-        )
-        for i in range(Z.shape[0])
-    ]
+    zero = np.zeros(Z.shape[0], dtype=bool)
+    zero[list(g.zero)] = True
+    return _BoundBatch(Z.copy(), g.value, rhs, slack, slack >= -tol, zero, float(tol))
+
+
+def sp_bound_many(f: HoloMap, Z, tol: float = DEFAULT_BOUND_TOL) -> list[BoundReport]:
+    """Check the bound at every row of a ``(B, n)`` batch; report i is bit for
+    bit ``sp_bound(f, Z[i], tol)``. A row outside the ball, or one whose
+    image leaves it, raises what ``sp_bound`` raises for the first such row."""
+    b = _bound_batch(f, Z, tol)
+    return b.reports(np.arange(b.lhs.shape[0]))
 
 
 def sp_bound(f: HoloMap, z, tol: float = DEFAULT_BOUND_TOL) -> BoundReport:

@@ -1,5 +1,6 @@
 """Random map generation, ball sampling, and campaign determinism."""
 
+import itertools
 import json
 
 import numpy as np
@@ -9,16 +10,20 @@ from holoball import (
     CampaignReport,
     FuzzConfig,
     InputError,
+    PolyMap,
     counterexample_map,
     force_zero_at,
     fuzz_campaign,
     gen_random_polymap,
     mod_grad,
     mod_grad_fd,
+    mod_grad_fd_many,
     sample_ball_points,
     sp_bound,
+    sp_bound_many,
 )
-from holoball.harness import _mix
+from holoball import harness
+from holoball.harness import FD_ANOMALY_TOL, _mix, _multi_indices
 
 
 def l1_certificate(f):
@@ -205,3 +210,157 @@ def test_mix_is_a_stable_hash():
     assert _mix(1, 2, 3) != _mix(1, 2, 4)
     assert _mix(0) != _mix(1)
     assert 0 <= _mix(20250817, 999, 2, 99) < 2**63
+
+
+# -- array-built maps and array-read campaigns against per-term references ---
+
+
+def dict_polymap(n, m, max_degree, margin, seed):
+    """The generator built term by term through a dict, as the reference."""
+    alphas = [
+        a for a in itertools.product(range(max_degree + 1), repeat=n) if sum(a) <= max_degree
+    ]
+    rng = np.random.default_rng(_mix(seed))
+    raw = rng.standard_normal((len(alphas), m)) + 1j * rng.standard_normal((len(alphas), m))
+    cert = float(np.sqrt(((np.abs(raw).sum(axis=0)) ** 2).sum()))
+    scale = (1.0 - margin) / cert * (1.0 - 1e-13)
+    return PolyMap(n, m, dict(zip(alphas, raw * scale)))
+
+
+def dict_force_zero(f, p, margin):
+    terms = f.terms
+    zero_alpha = (0,) * f.n
+    const = terms.get(zero_alpha, np.zeros(f.m, dtype=np.complex128)).copy()
+    const -= f.eval(p)
+    terms[zero_alpha] = const
+    mat = np.array(list(terms.values()), dtype=np.complex128)
+    cert = float(np.sqrt(((np.abs(mat).sum(axis=0)) ** 2).sum()))
+    scale = (1.0 - margin) / cert * (1.0 - 1e-13)
+    return PolyMap(f.n, f.m, {a: c * scale for a, c in terms.items()})
+
+
+def assert_same_terms(f, g):
+    assert np.array_equal(f._alphas, g._alphas)
+    assert np.array_equal(f._coefs, g._coefs)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 5)])
+def test_generated_arrays_equal_dict_reference(n, m):
+    for seed in (0, 1000 + 16 * n + m):
+        assert_same_terms(
+            gen_random_polymap(n, m, 4, 0.25, seed), dict_polymap(n, m, 4, 0.25, seed)
+        )
+
+
+def test_multi_indices_are_cached_read_only():
+    a = _multi_indices(3, 4)
+    assert a is _multi_indices(3, 4)
+    assert a.shape == (35, 3) and a.dtype == np.int64
+    assert not a.flags.writeable
+    with pytest.raises(InputError):
+        gen_random_polymap(2.0, 2, max_degree=3, margin=0.25, seed=1)
+    with pytest.raises(InputError):
+        gen_random_polymap(2, 2, max_degree=3.0, margin=0.25, seed=1)
+
+
+def test_force_zero_equals_dict_reference():
+    p = np.array([0.2, 0.1j])
+    f = gen_random_polymap(2, 3, max_degree=3, margin=0.25, seed=5)
+    assert_same_terms(force_zero_at(f, p, 0.3), dict_force_zero(f, p, 0.3))
+    # no constant term: the reference sums it last in the certificate
+    g = PolyMap(2, 2, {(1, 0): [0.3, 0.1j], (0, 2): [0.2, -0.1]})
+    assert_same_terms(force_zero_at(g, p, 0.25), dict_force_zero(g, p, 0.25))
+
+
+def absorb_reference(report, rep, fd):
+    """The per-point campaign aggregate, as the reference."""
+    report.points_checked += 1
+    if report.worst_slack is None or rep.slack < report.worst_slack:
+        report.worst_slack = rep.slack
+    if not rep.holds:
+        report.violations.append(rep)
+    if fd is not None:
+        dev = abs(rep.lhs - fd)
+        if report.oracle_max_dev is None or dev > report.oracle_max_dev:
+            report.oracle_max_dev = dev
+        if fd > rep.lhs + FD_ANOMALY_TOL:
+            report.fd_anomalies += 1
+
+
+def unitary_for(seeds):
+    """A map generator that returns a unitary map of C^2 for the given
+    seeds. A unitary map attains equality everywhere, so a tiny tol turns
+    its rounding-level negative slacks into violations."""
+
+    def gen(n, m, max_degree, margin, seed):
+        if seed in seeds:
+            c, s = np.cos(0.7), np.sin(0.7)
+            return PolyMap(2, 2, {(1, 0): [c, s * 1j], (0, 1): [s * 1j, c]})
+        return gen_random_polymap(n, m, max_degree, margin, seed)
+
+    return gen
+
+
+@pytest.mark.parametrize("fd_dirs", [0, 64])
+def test_campaign_report_equals_per_point_loop(monkeypatch, fd_dirs):
+    cfg = FuzzConfig(trials=4, points_per_trial=30, n=2, m=2, seed=23, tol=1e-300,
+                     fd_dirs=fd_dirs, pin_counterexample=True)
+    gen = unitary_for({_mix(cfg.seed, t, 0) for t in (1, 3)})
+    monkeypatch.setattr(harness, "gen_random_polymap", gen)
+    got = fuzz_campaign(cfg)
+
+    want = CampaignReport(trials_run=cfg.trials, points_checked=0)
+    ce = counterexample_map()
+    zero = np.zeros(1, dtype=np.complex128)
+    fd = None
+    if fd_dirs:
+        fd = mod_grad_fd(ce, zero, cfg.fd_steps, cfg.fd_dirs, seed=_mix(cfg.seed, 0xCE))
+    ce_rep = sp_bound(ce, zero, cfg.tol)
+    absorb_reference(want, ce_rep, fd)
+    for trial in range(cfg.trials):
+        seed = _mix(cfg.seed, trial, 0)
+        f = gen(cfg.n, cfg.m, cfg.max_degree, cfg.margin, seed)
+        pts = sample_ball_points(cfg.n, cfg.points_per_trial, _mix(cfg.seed, trial, 1))
+        seeds = [_mix(cfg.seed, trial, 2, idx) for idx in range(cfg.points_per_trial)]
+        fds = mod_grad_fd_many(f, pts, seeds, cfg.fd_steps, cfg.fd_dirs) if fd_dirs else None
+        for idx, rep in enumerate(sp_bound_many(f, pts, cfg.tol)):
+            absorb_reference(want, rep, None if fds is None else float(fds[idx]))
+
+    assert want.violations, "the unitary trials must give violations"
+    assert got.trials_run == want.trials_run
+    assert got.points_checked == want.points_checked == 1 + 4 * 30
+    assert got.worst_slack == want.worst_slack
+    assert got.oracle_max_dev == want.oracle_max_dev
+    assert got.fd_anomalies == want.fd_anomalies
+    assert [v.to_dict() for v in got.violations] == [v.to_dict() for v in want.violations]
+    assert [v.tol for v in got.violations] == [v.tol for v in want.violations]
+    assert all(isinstance(v.slack, float) and isinstance(v.holds, bool) for v in got.violations)
+    assert type(got.worst_slack) is float
+    assert (got.counterexample["modulus_lhs"], got.counterexample["rhs"]) == (ce_rep.lhs, ce_rep.rhs)
+    assert got.counterexample["holds"] is ce_rep.holds is True
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"fd_steps": (1e-4, 1e-4)},
+        {"fd_steps": ()},
+        {"n": 2.0},
+        {"m": 2.0},
+        {"points_per_trial": 2.5},
+        {"trials": 1.5},
+        {"max_degree": 3.0},
+        {"fd_dirs": 64.0},
+    ],
+    ids=lambda d: next(iter(d)),
+)
+def test_bad_config_raises_before_the_log_is_touched(tmp_path, bad):
+    log = tmp_path / "keep.jsonl"
+    log.write_bytes(b"earlier run\n")
+    with pytest.raises(InputError):
+        fuzz_campaign(FuzzConfig(**{"trials": 2, "points_per_trial": 5, **bad}), log)
+    assert log.read_bytes() == b"earlier run\n"
+
+
+def test_fd_steps_unchecked_with_the_oracle_off():
+    FuzzConfig(fd_dirs=0, fd_steps=(1e-4, 1e-4)).validate()

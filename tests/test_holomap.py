@@ -322,3 +322,78 @@ def test_schema_errors_carry_paths(doc, path):
 def test_schema_error_message_names_path():
     with pytest.raises(SchemaError, match="/z0"):
         parse_spec({"kind": "mobius_scalar", "z0": [1.5, 0.0]})
+
+
+# -- PolyMap terms: one validator for the mapping and the array path ---------
+
+
+@pytest.mark.parametrize(
+    "n,m,terms,message",
+    [
+        (2, 1, {(1, 0, 0): [1.0]}, "multi-index (1, 0, 0) has length 3, expected 2"),
+        (2, 1, [((1, 0), [1.0]), ((1,), [1.0])], "multi-index (1,) has length 1, expected 2"),
+        (2, 1, {(1, -1): [1.0]}, "multi-index (1, -1) has a negative entry"),
+        (2, 1, [((1, 0), [1.0]), ((0, 1), [1.0]), ((1, 0), [2.0])],
+         "duplicate multi-index (1, 0)"),
+        (2, 2, {(0, 0): [1.0, 0.0], (1, 0): [1.0]},
+         "coefficient for (1, 0) has length 1, expected 2"),
+        (2, 2, {(0, 0): [1.0, 2.0], (1, 0): [1.0, np.inf]}, "coefficient for (1, 0) is not finite"),
+        # the first faulty term in input order, with its first failing check
+        (2, 1, [((1, 0), [1.0]), ((-1, 0), [np.nan, 2.0])],
+         "multi-index (-1, 0) has a negative entry"),
+        (2, 1, [((1, 0), [1.0, 2.0]), ((1,), [1.0])],
+         "coefficient for (1, 0) has length 2, expected 1"),
+        (3, 2, [((0, 0, 0), [1, 2]), ((2, 1, 0), [1j, 2]), ((0, 3, 0), [1, 2]),
+                ((2, 1, 0), [1j, 2])],
+         "duplicate multi-index (2, 1, 0)"),
+        (0, 1, {}, "n must be a positive integer"),
+        (1, 0, {}, "m must be a positive integer"),
+        (2.0, 1, {}, "n must be a positive integer"),
+    ],
+)
+def test_poly_error_messages(n, m, terms, message):
+    with pytest.raises(InputError) as exc:
+        PolyMap(n, m, terms)
+    assert str(exc.value) == message
+
+
+def test_from_arrays_reports_the_same_errors():
+    alphas = np.array([[1, 0], [0, 1], [1, 0]])
+    with pytest.raises(InputError) as exc:
+        PolyMap.from_arrays(2, 1, alphas, np.ones((3, 1)))
+    assert str(exc.value) == "duplicate multi-index (1, 0)"
+    with pytest.raises(InputError) as exc:
+        PolyMap.from_arrays(2, 2, alphas[:2], np.ones((2, 3)))
+    assert str(exc.value) == "coefficient for (1, 0) has length 3, expected 2"
+    with pytest.raises(InputError):
+        PolyMap.from_arrays(2, 1, alphas, np.ones((2, 1)))
+    empty = PolyMap.from_arrays(2, 3, np.zeros((0, 2)), np.zeros((0, 3)))
+    assert np.array_equal(empty.eval([0.1, 0.2]), np.zeros(3))
+
+
+def test_from_arrays_and_mapping_sort_shuffled_terms_alike():
+    rng = np.random.default_rng(11)
+    f = gen_random_polymap(3, 2, max_degree=4, margin=0.25, seed=8)
+    perm = rng.permutation(f._alphas.shape[0])
+    alphas, coefs = f._alphas[perm], f._coefs[perm]
+    g = PolyMap.from_arrays(3, 2, alphas, coefs)
+    h = PolyMap(3, 2, {tuple(a): c for a, c in zip(alphas.tolist(), coefs)})
+    k = PolyMap(3, 2, zip(alphas, coefs))
+    for other in (g, h, k):
+        assert np.array_equal(other._alphas, f._alphas)
+        assert np.array_equal(other._coefs, f._coefs)
+        assert other._alphas.dtype == np.int64 and other._coefs.dtype == np.complex128
+        assert not other._alphas.flags.writeable and not other._coefs.flags.writeable
+    # the map keeps its own copy of the coefficients
+    coefs[:] = 0.0
+    assert np.array_equal(g._coefs, f._coefs)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 5)])
+def test_jacobian_columns_equal_derivative_maps(n, m):
+    f = gen_random_polymap(n, m, max_degree=4, margin=0.25, seed=300 + 10 * n + m)
+    zs = sample_ball_points(n, 40, seed=400 + 10 * n + m)
+    J = f.jac_many(zs)
+    for j in range(n):
+        d = PolyMap.from_arrays(n, m, *f._deriv_arrays(j))
+        assert np.array_equal(J[:, :, j], d.eval_many(zs))

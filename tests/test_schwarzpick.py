@@ -29,12 +29,15 @@ from holoball import (
     mod_grad_fd,
     mod_grad_fd_many,
     sample_ball_points,
+    sample_unit_sphere,
     sp_bound,
     sp_bound_many,
     sp_bound_slice,
+    spectral_norm,
     vnorm,
 )
-from holoball.schwarzpick import DEFAULT_FD_STEPS, ZERO_BRANCH_TOL
+from holoball import schwarzpick
+from holoball.schwarzpick import DEFAULT_FD_STEPS, ZERO_BRANCH_TOL, _extrapolate_to_zero
 
 S = 1.0 / np.sqrt(2.0)
 HALFSUM = PolyMap(2, 1, {(1, 0): [0.5], (0, 1): [0.5]})
@@ -384,3 +387,62 @@ def test_batch_raises_what_the_first_bad_row_raises():
         sp_bound_many(f, zs[:1], tol=0.0)
     with pytest.raises(InputError):
         mod_grad_fd_many(f, zs[:1], [1, 2])
+
+
+def fd_reference(f, z, steps, dirs, seed):
+    """The FD oracle at one point with its candidate directions gathered in
+    a list, as the reference for the batched direction array."""
+    z = np.asarray(z, dtype=np.complex128).reshape(1, f.n)
+    v, J = f.eval_many(z)[0], f.jac_many(z)[0]
+    base = vnorm(v)
+    A = J.T @ np.conj(v)
+    cands = [sample_unit_sphere(f.n, dirs, seed)]
+    if vnorm(A) > 0:
+        cands.append(np.conj(A)[None, :] / vnorm(A))
+    if base <= ZERO_BRANCH_TOL:
+        cands.append(spectral_norm(J).direction[None, :])
+    D = np.concatenate(cands)
+    ts = np.asarray(steps, dtype=float)
+    pts = z + ts[None, :, None] * D[:, None, :]
+    vals = f.eval_many(pts.reshape(-1, f.n))
+    mods = np.sqrt((np.abs(vals) ** 2).sum(axis=1)).reshape(-1, ts.size)
+    return float(_extrapolate_to_zero(ts, (mods - base) / ts).max())
+
+
+def test_fd_many_equals_per_point_candidate_lists():
+    f, zs = mixed_batch()
+    seeds = [3 * i + 2 for i in range(zs.shape[0])]
+    got = mod_grad_fd_many(f, zs, seeds)
+    for i, z in enumerate(zs):
+        assert got[i] == fd_reference(f, z, DEFAULT_FD_STEPS, 64, seeds[i])
+    # A = 0 at the origin: no conjugate-gradient candidate
+    for seed in range(3):
+        got = mod_grad_fd_many(COUNTEREXAMPLE, [[0.0]], [seed], dirs=65)[0]
+        assert got == fd_reference(COUNTEREXAMPLE, 0.0, DEFAULT_FD_STEPS, 65, seed)
+
+
+def test_fd_short_draw_falls_back_to_sphere_sampler(monkeypatch):
+    f = gen_random_polymap(2, 2, max_degree=3, margin=0.25, seed=9)
+    zs = sample_ball_points(2, 4, seed=10)
+    V, J = f.eval_many(zs), f.jac_many(zs)
+    A = np.stack([J[i].T @ np.conj(V[i]) for i in range(4)])
+    args = (A, np.array([vnorm(a) for a in A]), J, np.array([vnorm(v) for v in V]))
+    want = schwarzpick._fd_directions(2, 64, [1, 2, 3, 4], *args)
+    draws = schwarzpick._gaussian_rows
+
+    def short_row_for_seed_3(n, count, seed):
+        rng, z = draws(n, count, seed)
+        if seed == 3:
+            z[5] = 1e-13
+        return rng, z
+
+    monkeypatch.setattr(schwarzpick, "_gaussian_rows", short_row_for_seed_3)
+    got = schwarzpick._fd_directions(2, 64, [1, 2, 3, 4], *args)
+    # sample_unit_sphere redraws the short row; the other rows of seed 3
+    # come out as they do without it
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[2, :64], sample_unit_sphere(2, 64, 3))
+    with pytest.raises(InputError):
+        mod_grad_fd_many(f, zs[:1], [1], dirs=64.0)
+    with pytest.raises(InputError):
+        mod_grad_fd_many(f, zs[:1], [-1])
