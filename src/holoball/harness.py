@@ -187,7 +187,7 @@ class FuzzConfig:
     def validate(self) -> None:
         """Raise ``InputError`` for a field the campaign cannot run with;
         ``fuzz_campaign`` calls this before it opens its log."""
-        for name in ("trials", "points_per_trial", "n", "m", "max_degree", "fd_dirs"):
+        for name in ("trials", "points_per_trial", "n", "m", "max_degree", "fd_dirs", "seed"):
             if not _is_int(getattr(self, name)):
                 raise InputError(f"{name} must be an integer")
         if self.trials < 0:

@@ -12,20 +12,13 @@ evaluation time; a map may be evaluated anywhere its poles permit (slices of
 the ball live on disks larger than the unit disk). Ball containment is
 asserted by the bound-checking and harness layers instead.
 
-Document format (``parse_spec`` / ``emit_spec``): a JSON object with a
-``kind`` field. Complex scalars are ``[re, im]`` pairs, vectors lists of
-pairs. Kinds:
-
-* ``poly``: ``{n, m, terms: [{alpha: [int, ...], coef: [[re, im], ...]}]}``,
-  multi-indices in lexicographic order, coefficients kept exactly as given.
-* ``mobius_scalar``: ``{z0}`` for ``z -> (z0 - z) / (1 - conj(z0) z)``.
-* ``mobius_quotient``: ``{a_abs, theta}`` for
-  ``z -> (a_abs + e^{i theta} z) / (1 + a_abs e^{i theta} z)``.
-* ``line_embed``: ``{p, q}`` for ``z -> p + z (q - p)``.
-* ``linear_functional``: ``{u}`` for ``w -> herm_inner(w, u)``.
-* ``scalar_times_vector``: ``{beta}`` for ``z -> z * beta``.
-* ``affine_scalar``: ``{r, c}`` for ``z -> r z + c``.
-* ``pipeline``: ``{stages: [...]}``, applied first to last.
+Document format (``parse_spec`` / ``emit_spec``): a JSON object whose
+``kind`` field names the map class; complex scalars are ``[re, im]`` pairs,
+vectors lists of pairs. Each class owns its format: its ``kind`` and its
+``_fields``, which the inherited ``to_spec`` and ``from_spec`` follow.
+``from_spec`` checks only the JSON shape; the constructor is the one place
+a value is judged, and its ``InputError`` comes back as a ``SchemaError``
+at the field the error names.
 """
 
 from __future__ import annotations
@@ -55,6 +48,15 @@ __all__ = [
 POLE_TOL = 1e-15
 
 
+class _FieldError(InputError):
+    """A constructor's ``InputError`` naming the faulty argument by its
+    document path relative to the map, such as ``z0`` or ``terms/3/alpha``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -79,11 +81,96 @@ def _as_batch(Z, n: int) -> np.ndarray:
     return A
 
 
+# document fields: JSON shape checks, each raising SchemaError at its path
+
+
+def _expect_object(doc, path, keys):
+    if not isinstance(doc, dict):
+        raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
+    extra = set(doc) - set(keys)
+    if extra:
+        raise SchemaError(path, f"unexpected field(s) {sorted(extra)}")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise SchemaError(path, f"missing field(s) {missing}")
+
+
+def _list(v, path) -> list:
+    if not isinstance(v, list):
+        raise SchemaError(path, "expected a list")
+    return v
+
+
+def _real(v, path) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(path, f"expected a number, got {type(v).__name__}")
+    try:
+        f = float(v)
+    except OverflowError:  # an int past the float range
+        f = np.inf
+    if not np.isfinite(f):
+        raise SchemaError(path, "number must be finite")
+    return f
+
+
+def _int(v, path) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(path, f"expected an integer, got {type(v).__name__}")
+    return v
+
+
+def _pair(v, path) -> complex:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise SchemaError(path, "expected a [re, im] pair")
+    return complex(_real(v[0], f"{path}/0"), _real(v[1], f"{path}/1"))
+
+
+def _pairs(v, path) -> np.ndarray:
+    if not isinstance(v, (list, tuple)) or len(v) == 0:
+        raise SchemaError(path, "expected a non-empty list of [re, im] pairs")
+    return np.array([_pair(x, f"{path}/{i}") for i, x in enumerate(v)], dtype=np.complex128)
+
+
+def _terms(v, path) -> list:
+    """A poly document's terms as ``(alpha, coef)`` pairs."""
+    terms = []
+    for i, t in enumerate(_list(v, path)):
+        _expect_object(t, f"{path}/{i}", ("alpha", "coef"))
+        alpha = _list(t["alpha"], f"{path}/{i}/alpha")
+        alpha = [_int(a, f"{path}/{i}/alpha/{j}") for j, a in enumerate(alpha)]
+        terms.append((alpha, _pairs(t["coef"], f"{path}/{i}/coef")))
+    return terms
+
+
+def _stages(v, path) -> list:
+    """A pipeline document's stages, parsed."""
+    return [_parse(s, f"{path}/{i}") for i, s in enumerate(_list(v, path))]
+
+
+# a document field's reader (JSON value, path -> constructor argument) and
+# writer (attribute -> JSON value)
+_INT = (_int, int)
+_REAL = (_real, float)
+_PAIR = (_pair, complex_to_pair)
+_VECTOR = (_pairs, vector_to_pairs)
+_TERMS = (_terms, lambda terms: [{"alpha": list(a), "coef": vector_to_pairs(c)}
+                                 for a, c in terms.items()])
+_STAGES = (_stages, lambda stages: [s.to_spec() for s in stages])
+
+
 class HoloMap:
-    """Base class: a holomorphic map C^n -> C^m given by exact formulas."""
+    """Base class: a holomorphic map C^n -> C^m given by exact formulas.
+
+    A class with a document format is listed in ``_KINDS`` under its
+    ``kind``. Its ``_fields`` are the document's fields after ``kind``, each
+    with its reader and writer, in the order of the constructor's arguments;
+    the map keeps each as an attribute of the same name.
+    """
 
     n: int
     m: int
+    kind: str
+    _fields: tuple = ()
 
     def eval_many(self, Z) -> np.ndarray:
         """Evaluate at a batch of points, ``(B, n) -> (B, m)``."""
@@ -108,6 +195,19 @@ class HoloMap:
         if b.shape[0] != self.n:
             raise InputError(f"direction has dimension {b.shape[0]}, map expects {self.n}")
         return self.jacobian(z) @ b
+
+    def to_spec(self) -> dict:
+        """The map's document; ``parse_spec`` of it rebuilds the map."""
+        if not hasattr(self, "kind"):
+            raise InputError(f"cannot serialize {type(self).__name__}")
+        return {"kind": self.kind, **{k: write(getattr(self, k)) for k, (_, write) in self._fields}}
+
+    @classmethod
+    def from_spec(cls, doc, path: str) -> "HoloMap":
+        """The map of a document of this kind, ``path`` locating the document
+        in ``SchemaError``; checks only the JSON shape."""
+        _expect_object(doc, path, ("kind", *(k for k, _ in cls._fields)))
+        return cls(*(read(doc[k], f"{path}/{k}") for k, (read, _) in cls._fields))
 
 
 def _powers(Z: np.ndarray, degrees) -> list[np.ndarray]:
@@ -151,11 +251,22 @@ def _stack_rows(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dims(n, m) -> tuple[int, int]:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError("n must be a positive integer")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InputError("m must be a positive integer")
+    for name, v in (("n", n), ("m", m)):
+        if not isinstance(v, (int, np.integer)) or v < 1:
+            raise _FieldError(name, f"{name} must be a positive integer")
+        if v >= 2**59:  # past the largest dimension of a complex128 array
+            raise _FieldError(name, f"{name} = {v} is too large")
     return int(n), int(m)
+
+
+def _multi_index(t: int, alpha) -> np.ndarray:
+    """Multi-index t of a term list as a 1-D int64 array."""
+    try:
+        return np.asarray(alpha, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise _FieldError(
+            f"terms/{t}/alpha", f"multi-index {tuple(alpha)} does not fit in int64"
+        ) from None
 
 
 def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
@@ -164,9 +275,10 @@ def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
     Row t of the int64 array ``alphas`` holds multi-index t in its first
     ``alpha_lens[t]`` entries, row t of the complex128 array ``coefs`` its
     coefficient vector in the first ``coef_lens[t]`` entries; any further
-    entries are zero padding. An error names the first faulty term in input
+    entries are zero padding. An error names the first faulty term t in input
     order, checked for length, negative entries, an earlier duplicate,
-    coefficient length and finiteness in that order. Returns the frozen
+    coefficient length and finiteness in that order, and its field is
+    ``terms/t/alpha`` or ``terms/t/coef``. Returns the frozen
     ``(T, n)`` multi-indices and ``(T, m)`` coefficients.
     """
     T = alphas.shape[0]
@@ -187,15 +299,18 @@ def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
     if bad.any():
         t = int(bad.argmax())
         key = tuple(alphas[t, : alpha_lens[t]].tolist())
+        alpha, coef = f"terms/{t}/alpha", f"terms/{t}/coef"
         if checks[0][t]:
-            raise InputError(f"multi-index {key} has length {len(key)}, expected {n}")
+            raise _FieldError(alpha, f"multi-index {key} has length {len(key)}, expected {n}")
         if checks[1][t]:
-            raise InputError(f"multi-index {key} has a negative entry")
+            raise _FieldError(alpha, f"multi-index {key} has a negative entry")
         if checks[2][t]:
-            raise InputError(f"duplicate multi-index {key}")
+            raise _FieldError(alpha, f"duplicate multi-index {key}")
         if checks[3][t]:
-            raise InputError(f"coefficient for {key} has length {coef_lens[t]}, expected {m}")
-        raise InputError(f"coefficient for {key} is not finite")
+            raise _FieldError(
+                coef, f"coefficient for {key} has length {coef_lens[t]}, expected {m}"
+            )
+        raise _FieldError(coef, f"coefficient for {key} is not finite")
     return (
         _freeze(ranked.reshape(T, n)),
         _freeze(coefs[order].reshape(T, m)),
@@ -210,13 +325,19 @@ class PolyMap(HoloMap):
     also accepted, and ``from_arrays`` takes the terms as two arrays. Terms
     are stored in lexicographic multi-index order and coefficients are kept
     exactly as given.
+
+    Document: ``{"kind": "poly", "n", "m", "terms": [{"alpha": [int, ...],
+    "coef": [[re, im], ...]}, ...]}``, terms in that order.
     """
+
+    kind = "poly"
+    _fields = (("n", _INT), ("m", _INT), ("terms", _TERMS))
 
     def __init__(self, n: int, m: int, terms):
         n, m = _dims(n, m)
         items = terms.items() if hasattr(terms, "items") else list(terms)
         alphas, alpha_lens = _stack_rows(
-            [np.asarray(alpha).reshape(-1) for alpha, _ in items], np.int64
+            [_multi_index(t, alpha) for t, (alpha, _) in enumerate(items)], np.int64
         )
         coefs, coef_lens = _stack_rows(
             [np.asarray(coef, dtype=np.complex128).reshape(-1) for _, coef in items],
@@ -252,9 +373,8 @@ class PolyMap(HoloMap):
         self._alphas, self._coefs = _normalise_terms(n, m, alphas, coefs, alpha_lens, coef_lens)
         self.n = n
         self.m = m
-        self._degrees = (
-            self._alphas.max(axis=0).tolist() if self._alphas.shape[0] else [0] * self.n
-        )
+        # a map without terms needs no power tables, whatever its n
+        self._degrees = self._alphas.max(axis=0).tolist() if self._alphas.shape[0] else []
         self._derivs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -322,13 +442,16 @@ class MobiusDisk(HoloMap):
 
     n = 1
     m = 1
+    kind = "mobius_scalar"
+    _fields = (("z0", _PAIR),)
 
     def __init__(self, z0):
         z0 = complex(z0)
         if not (np.isfinite(z0.real) and np.isfinite(z0.imag)):
-            raise InputError("z0 must be finite")
-        if abs(z0) >= 1:
-            raise InputError(f"|z0| must be < 1, got {abs(z0)}")
+            raise _FieldError("z0", "z0 must be finite")
+        z0_abs = float(np.abs(z0))  # abs(z0) raises OverflowError past the float range
+        if z0_abs >= 1:
+            raise _FieldError("z0", f"|z0| must be < 1, got {z0_abs}")
         self.z0 = z0
 
     def __repr__(self):
@@ -358,14 +481,16 @@ class MobiusQuotient(HoloMap):
 
     n = 1
     m = 1
+    kind = "mobius_quotient"
+    _fields = (("a_abs", _REAL), ("theta", _REAL))
 
     def __init__(self, a_abs: float, theta: float):
         a_abs = float(a_abs)
         theta = float(theta)
         if not np.isfinite(a_abs) or not (0.0 <= a_abs < 1.0):
-            raise InputError(f"a_abs must lie in [0, 1), got {a_abs}")
+            raise _FieldError("a_abs", f"a_abs must lie in [0, 1), got {a_abs}")
         if not np.isfinite(theta):
-            raise InputError("theta must be finite")
+            raise _FieldError("theta", "theta must be finite")
         self.a_abs = a_abs
         self.theta = theta
         self._rot = complex(np.exp(1j * theta))
@@ -394,15 +519,17 @@ class LineEmbed(HoloMap):
     L(1) = q."""
 
     n = 1
+    kind = "line_embed"
+    _fields = (("p", _VECTOR), ("q", _VECTOR))
 
     def __init__(self, p, q):
         self.p = _freeze(as_cvector(p, "p").copy())
         self.q = _freeze(as_cvector(q, "q").copy())
         if self.p.shape != self.q.shape:
-            raise InputError("p and q must have the same dimension")
+            raise _FieldError("q", "p and q must have the same dimension")
         self._d = _freeze(self.q - self.p)
         if vnorm(self._d) < 1e-14:
-            raise InputError("q must differ from p")
+            raise _FieldError("q", "q must differ from p")
         self.m = self.p.shape[0]
 
     def __repr__(self):
@@ -421,6 +548,8 @@ class LinearFunctional(HoloMap):
     """Inner product against a fixed vector, ``w -> herm_inner(w, u)``."""
 
     m = 1
+    kind = "linear_functional"
+    _fields = (("u", _VECTOR),)
 
     def __init__(self, u):
         self.u = _freeze(as_cvector(u, "u").copy())
@@ -443,6 +572,8 @@ class ScalarTimesVector(HoloMap):
     """Scale a fixed vector by the scalar argument, ``z -> z * beta``."""
 
     n = 1
+    kind = "scalar_times_vector"
+    _fields = (("beta", _VECTOR),)
 
     def __init__(self, beta):
         self.beta = _freeze(as_cvector(beta, "beta").copy())
@@ -465,13 +596,15 @@ class AffineScalar(HoloMap):
 
     n = 1
     m = 1
+    kind = "affine_scalar"
+    _fields = (("r", _PAIR), ("c", _PAIR))
 
     def __init__(self, r, c):
         r = complex(r)
         c = complex(c)
         for name, v in (("r", r), ("c", c)):
             if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                raise InputError(f"{name} must be finite")
+                raise _FieldError(name, f"{name} must be finite")
         self.r = r
         self.c = c
 
@@ -491,17 +624,21 @@ class Pipeline(HoloMap):
     """Composition of maps, applied first to last; the Jacobian is the
     (batched) chain-rule product of the stage Jacobians."""
 
+    kind = "pipeline"
+    _fields = (("stages", _STAGES),)
+
     def __init__(self, stages):
         stages = tuple(stages)
         if not stages:
-            raise InputError("pipeline needs at least one stage")
+            raise _FieldError("stages", "pipeline needs at least one stage")
         for s in stages:
             if not isinstance(s, HoloMap):
-                raise InputError(f"pipeline stage {s!r} is not a map")
+                raise _FieldError("stages", f"pipeline stage {s!r} is not a map")
         for a, b in itertools.pairwise(stages):
             if a.m != b.n:
-                raise InputError(
-                    f"stage output dimension {a.m} does not match next input dimension {b.n}"
+                raise _FieldError(
+                    "stages",
+                    f"stage output dimension {a.m} does not match next input dimension {b.n}",
                 )
         self.stages = stages
         self.n = stages[0].n
@@ -531,119 +668,25 @@ class Pipeline(HoloMap):
 # document format
 
 
-def _expect_object(doc, path, keys):
-    if not isinstance(doc, dict):
-        raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
-    extra = set(doc) - set(keys)
-    if extra:
-        raise SchemaError(path, f"unexpected field(s) {sorted(extra)}")
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise SchemaError(path, f"missing field(s) {missing}")
-
-
-def _real(v, path) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(v).__name__}")
-    f = float(v)
-    if not np.isfinite(f):
-        raise SchemaError(path, "number must be finite")
-    return f
-
-
-def _int(v, path, minimum=None) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(path, f"expected an integer, got {type(v).__name__}")
-    if minimum is not None and v < minimum:
-        raise SchemaError(path, f"must be >= {minimum}, got {v}")
-    return v
-
-
-def _pair(v, path) -> complex:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise SchemaError(path, "expected a [re, im] pair")
-    return complex(_real(v[0], f"{path}/0"), _real(v[1], f"{path}/1"))
-
-
-def _pairs(v, path) -> np.ndarray:
-    if not isinstance(v, (list, tuple)) or len(v) == 0:
-        raise SchemaError(path, "expected a non-empty list of [re, im] pairs")
-    return np.array([_pair(x, f"{path}/{i}") for i, x in enumerate(v)], dtype=np.complex128)
-
-
-def _parse_poly(doc, path):
-    _expect_object(doc, path, ("kind", "n", "m", "terms"))
-    n = _int(doc["n"], f"{path}/n", minimum=1)
-    m = _int(doc["m"], f"{path}/m", minimum=1)
-    raw = doc["terms"]
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}/terms", "expected a list")
-    terms = []
-    seen = set()
-    for i, t in enumerate(raw):
-        tp = f"{path}/terms/{i}"
-        _expect_object(t, tp, ("alpha", "coef"))
-        alpha = t["alpha"]
-        if not isinstance(alpha, list) or len(alpha) != n:
-            raise SchemaError(f"{tp}/alpha", f"expected a list of {n} integers")
-        key = tuple(_int(a, f"{tp}/alpha/{j}", minimum=0) for j, a in enumerate(alpha))
-        if key in seen:
-            raise SchemaError(f"{tp}/alpha", f"duplicate multi-index {list(key)}")
-        seen.add(key)
-        coef = _pairs(t["coef"], f"{tp}/coef")
-        if coef.shape[0] != m:
-            raise SchemaError(f"{tp}/coef", f"expected {m} pairs, got {coef.shape[0]}")
-        terms.append((key, coef))
-    return PolyMap(n, m, terms)
+_KINDS = {cls.kind: cls for cls in (PolyMap, MobiusDisk, MobiusQuotient, LineEmbed,
+                                    LinearFunctional, ScalarTimesVector, AffineScalar, Pipeline)}
 
 
 def _parse(doc, path) -> HoloMap:
     if not isinstance(doc, dict):
         raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind == "poly":
-        return _parse_poly(doc, path)
-    if kind == "mobius_scalar":
-        _expect_object(doc, path, ("kind", "z0"))
-        z0 = _pair(doc["z0"], f"{path}/z0")
-        if abs(z0) >= 1:
-            raise SchemaError(f"{path}/z0", f"|z0| must be < 1, got {abs(z0)}")
-        return MobiusDisk(z0)
-    if kind == "mobius_quotient":
-        _expect_object(doc, path, ("kind", "a_abs", "theta"))
-        a_abs = _real(doc["a_abs"], f"{path}/a_abs")
-        if not (0.0 <= a_abs < 1.0):
-            raise SchemaError(f"{path}/a_abs", f"must lie in [0, 1), got {a_abs}")
-        return MobiusQuotient(a_abs, _real(doc["theta"], f"{path}/theta"))
-    if kind == "line_embed":
-        _expect_object(doc, path, ("kind", "p", "q"))
-        p = _pairs(doc["p"], f"{path}/p")
-        q = _pairs(doc["q"], f"{path}/q")
-        if p.shape != q.shape:
-            raise SchemaError(f"{path}/q", "p and q must have the same dimension")
-        if vnorm(q - p) < 1e-14:
-            raise SchemaError(f"{path}/q", "q must differ from p")
-        return LineEmbed(p, q)
-    if kind == "linear_functional":
-        _expect_object(doc, path, ("kind", "u"))
-        return LinearFunctional(_pairs(doc["u"], f"{path}/u"))
-    if kind == "scalar_times_vector":
-        _expect_object(doc, path, ("kind", "beta"))
-        return ScalarTimesVector(_pairs(doc["beta"], f"{path}/beta"))
-    if kind == "affine_scalar":
-        _expect_object(doc, path, ("kind", "r", "c"))
-        return AffineScalar(_pair(doc["r"], f"{path}/r"), _pair(doc["c"], f"{path}/c"))
-    if kind == "pipeline":
-        _expect_object(doc, path, ("kind", "stages"))
-        raw = doc["stages"]
-        if not isinstance(raw, list) or len(raw) == 0:
-            raise SchemaError(f"{path}/stages", "expected a non-empty list")
-        stages = [_parse(s, f"{path}/stages/{i}") for i, s in enumerate(raw)]
-        try:
-            return Pipeline(stages)
-        except InputError as e:
-            raise SchemaError(f"{path}/stages", str(e)) from e
-    raise SchemaError(f"{path}/kind", f"unknown kind {kind!r}")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SchemaError(f"{path}/kind", f"unknown kind {kind!r}")
+    try:
+        return cls.from_spec(doc, path)
+    except SchemaError:
+        raise
+    except _FieldError as e:
+        raise SchemaError(f"{path}/{e.field}", str(e)) from e
+    except InputError as e:
+        raise SchemaError(path, str(e)) from e
 
 
 def parse_spec(doc) -> HoloMap:
@@ -653,31 +696,4 @@ def parse_spec(doc) -> HoloMap:
 
 def emit_spec(f: HoloMap) -> dict:
     """Serialize a map to its document; inverse of ``parse_spec``."""
-    if isinstance(f, PolyMap):
-        return {
-            "kind": "poly",
-            "n": f.n,
-            "m": f.m,
-            "terms": [
-                {
-                    "alpha": [int(a) for a in f._alphas[i]],
-                    "coef": vector_to_pairs(f._coefs[i]),
-                }
-                for i in range(f._alphas.shape[0])
-            ],
-        }
-    if isinstance(f, MobiusDisk):
-        return {"kind": "mobius_scalar", "z0": complex_to_pair(f.z0)}
-    if isinstance(f, MobiusQuotient):
-        return {"kind": "mobius_quotient", "a_abs": f.a_abs, "theta": f.theta}
-    if isinstance(f, LineEmbed):
-        return {"kind": "line_embed", "p": vector_to_pairs(f.p), "q": vector_to_pairs(f.q)}
-    if isinstance(f, LinearFunctional):
-        return {"kind": "linear_functional", "u": vector_to_pairs(f.u)}
-    if isinstance(f, ScalarTimesVector):
-        return {"kind": "scalar_times_vector", "beta": vector_to_pairs(f.beta)}
-    if isinstance(f, AffineScalar):
-        return {"kind": "affine_scalar", "r": complex_to_pair(f.r), "c": complex_to_pair(f.c)}
-    if isinstance(f, Pipeline):
-        return {"kind": "pipeline", "stages": [emit_spec(s) for s in f.stages]}
-    raise InputError(f"cannot serialize {type(f).__name__}")
+    return f.to_spec()

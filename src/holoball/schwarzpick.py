@@ -25,8 +25,8 @@ directions plus the analytic maximizer candidates.
 Every check runs on a ``(B, n)`` batch of points: ``sp_bound_many`` and
 ``mod_grad_fd_many`` evaluate the map once per batch and vectorise the
 nonzero branch. Row i of a batch is bit for bit the same point checked
-alone; ``mod_grad``, ``mod_grad_fd``, ``sp_bound`` and ``equality_gap`` run
-the same code at B = 1.
+alone; ``mod_grad``, ``mod_grad_fd``, ``sp_bound``, ``sp_bound_slice`` and
+``equality_gap`` run the same code at B = 1.
 """
 
 from __future__ import annotations
@@ -35,13 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcore import (
-    _gaussian_rows,
-    sample_unit_sphere,
-    spectral_norm,
-    vector_to_pairs,
-    vnorm,
-)
+from .complexcore import _gaussian_rows, sample_unit_sphere, spectral_norm, vector_to_pairs
 from .errors import CertificationError, InputError
 from .holomap import HoloMap, _as_batch
 
@@ -346,22 +340,26 @@ class _BoundBatch:
         ]
 
 
-def _bound_batch(f: HoloMap, Z, tol: float) -> _BoundBatch:
-    """The array core of ``sp_bound_many``."""
+def _bound_batch(f: HoloMap, Z, tol: float, c: complex = 0.0, r: float = 1.0) -> _BoundBatch:
+    """The array core of ``sp_bound_many`` and ``sp_bound_slice``: the bound
+    ``|grad|f||(z) <= r (1 - |f(z)|^2) / (r^2 - |z - c|^2)`` on the ball
+    |z - c| < r; the unit ball is c = 0, r = 1."""
     if tol <= 0:
         raise InputError("tol must be positive")
     Z = _as_batch(Z, f.n)
-    nz = _row_norms(Z)
-    outside = nz >= 1.0
+    dist = _row_norms(Z - c)
+    outside = dist >= r
     if outside.any():
         k = int(outside.argmax())
         if k:
             _image_norms(f.eval_many(Z[:k]))
-        raise InputError(f"point must lie strictly inside the unit ball, |z| = {float(nz[k])}")
+        raise InputError(
+            f"point must lie strictly inside |z - c| < r = {r}, c = {c}: |z - c| = {float(dist[k])}"
+        )
     V = f.eval_many(Z)
     nv = _image_norms(V)
     g = _grad_many(V, f.jac_many(Z), nv, ZERO_BRANCH_TOL)
-    rhs = _one_minus_sq(nv) / _one_minus_sq(nz)
+    rhs = r * _one_minus_sq(nv) / ((r - dist) * (r + dist))
     slack = rhs - g.value
     zero = np.zeros(Z.shape[0], dtype=bool)
     zero[list(g.zero)] = True
@@ -389,33 +387,13 @@ def sp_bound_slice(g: HoloMap, xi, c, r: float, tol: float = DEFAULT_BOUND_TOL) 
     """
     if g.n != 1:
         raise InputError("sp_bound_slice expects a map of one complex variable")
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    r = float(r)
+    c, r = complex(c), float(r)
+    if not np.isfinite(c):
+        raise InputError("c must be finite")
     if not np.isfinite(r) or r <= 0:
         raise InputError("r must be a positive real")
-    xi = complex(np.asarray(xi, dtype=np.complex128).reshape(-1)[0])
-    c = complex(c)
-    dist = abs(xi - c)
-    if dist >= r:
-        raise InputError(f"xi must lie strictly inside D(c, r), |xi - c| = {dist} >= {r}")
-    Z = np.array([[xi]], dtype=np.complex128)
-    V = g.eval_many(Z)
-    nv = vnorm(V[0])
-    if nv >= 1.0:
-        raise CertificationError(f"map value leaves the unit ball at xi, |g(xi)| = {nv}")
-    gr = _grad_many(V, g.jac_many(Z), np.array([nv]), ZERO_BRANCH_TOL).result(0)
-    rhs = r * _one_minus_sq(nv) / ((r - dist) * (r + dist))
-    slack = rhs - gr.value
-    return BoundReport(
-        point=np.array([xi], dtype=np.complex128),
-        lhs=gr.value,
-        rhs=float(rhs),
-        slack=float(slack),
-        holds=bool(slack >= -tol),
-        tol=float(tol),
-        branch=gr.branch,
-    )
+    b = _bound_batch(g, _one_point(xi, 1, "sp_bound_slice"), tol, c, r)
+    return b.reports(np.arange(1))[0]
 
 
 def equality_gap(f: HoloMap, p) -> float:

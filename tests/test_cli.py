@@ -92,6 +92,15 @@ def test_bad_map_file(tmp_path, capsys):
     assert run(["grad", "--map", str(tmp_path / "missing.json"), "--point", "0,0"]) == 2
 
 
+def test_oversized_multi_index_is_a_schema_error(tmp_path, capsys):
+    # a bad document exits 2, never 1 (the "bound violated" code)
+    doc = {"kind": "poly", "n": 1, "m": 1, "terms": [{"alpha": [10**30], "coef": [[0.5, 0]]}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert run(["bound", "--map", str(path), "--point", "0.1,0"]) == 2
+    assert "error: /terms/0/alpha:" in capsys.readouterr().err
+
+
 def test_bad_point_string(tmp_path, capsys):
     path = write_map(tmp_path, PolyMap.identity(1))
     assert run(["grad", "--map", path, "--point", "0.1,oops"]) == 2

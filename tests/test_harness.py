@@ -351,6 +351,7 @@ def test_campaign_report_equals_per_point_loop(monkeypatch, fd_dirs):
         {"trials": 1.5},
         {"max_degree": 3.0},
         {"fd_dirs": 64.0},
+        {"seed": 1.5},
     ],
     ids=lambda d: next(iter(d)),
 )

@@ -1,10 +1,13 @@
 """Map algebra: exact evaluation and Jacobians against a central-difference
 oracle, holomorphy of every node kind, and the document format round trip."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoball import (
     AffineScalar,
@@ -311,6 +314,8 @@ def test_poly_document_sorted_lexicographically():
          "/stages/0/z0"),
         ({"kind": "pipeline", "stages": []}, "/stages"),
         ({"kind": "line_embed", "p": [[0.0, 0.0]], "q": [[0.0, 0.0]]}, "/q"),
+        ({"kind": "poly", "n": 1, "m": 1, "terms": [{"alpha": [10**30], "coef": [[0.5, 0]]}]},
+         "/terms/0/alpha"),
     ],
 )
 def test_schema_errors_carry_paths(doc, path):
@@ -397,3 +402,103 @@ def test_jacobian_columns_equal_derivative_maps(n, m):
     for j in range(n):
         d = PolyMap.from_arrays(n, m, *f._deriv_arrays(j))
         assert np.array_equal(J[:, :, j], d.eval_many(zs))
+
+
+# -- documents: property tests ------------------------------------------------
+
+
+@st.composite
+def poly_maps(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    alphas = draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), unique=True, max_size=8))
+    coefs = [draw(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                           min_size=m, max_size=m)) for _ in alphas]
+    return PolyMap(n, m, zip(alphas, coefs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_maps())
+def test_random_poly_documents_round_trip_bit_exact(f):
+    text = json.dumps(emit_spec(f))
+    g = parse_spec(json.loads(text))
+    assert json.dumps(emit_spec(g)) == text
+    assert g._alphas.tobytes() == f._alphas.tobytes()
+    assert g._coefs.tobytes() == f._coefs.tobytes()
+
+
+# values a mutation puts into a document: numbers out of every kind's range,
+# beyond int64 and beyond the float range, non-finite floats, every other
+# JSON type, and nested containers
+NUMBERS = st.sampled_from(
+    [10**400, 2**63, -(10**30), 1.7e308, 2**59, 2**62, -1, 0, 1.0, -0.1, 0.999999, 1.5]
+)
+VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.text(max_size=4), st.integers(-(2**70), 2**70), st.floats(),
+        NUMBERS,
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=5), kids, max_size=3)
+    ),
+    max_leaves=6,
+)
+MUTATION_BASES = ROUND_TRIP_DOCS + [
+    emit_spec(gen_random_polymap(2, 3, max_degree=2, margin=0.25, seed=9)),
+    # pipelines nested in pipelines
+    {"kind": "pipeline", "stages": [ROUND_TRIP_DOCS[-1], ROUND_TRIP_DOCS[1],
+                                    {"kind": "pipeline", "stages": ROUND_TRIP_DOCS[1:3]}]},
+]
+
+
+def _slots(node):
+    """Every (container, key) pair inside a decoded JSON document."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out.append((node, key))
+        out.extend(_slots(value))
+    return out
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one or two mutations: a field or list entry
+    dropped or added, a value replaced by one of ``VALUES``, or a number by
+    one of ``NUMBERS``."""
+    doc = copy.deepcopy(draw(st.sampled_from(MUTATION_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        slots = _slots(doc)
+        if not slots:
+            break
+        action = draw(st.sampled_from(["drop", "add", "replace", "number"]))
+        if action == "number":
+            slots = [(c, k) for c, k in slots if type(c[k]) in (int, float)] or slots
+        container, key = draw(st.sampled_from(slots))
+        if action == "drop":
+            del container[key]
+        elif action == "add" and isinstance(container, dict):
+            container[draw(st.text(max_size=5))] = draw(VALUES)
+        elif action == "add":
+            container.insert(key, draw(VALUES))
+        else:
+            container[key] = draw(NUMBERS if action == "number" else VALUES)
+    return doc
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_raise_only_schema_errors(doc):
+    try:
+        f = parse_spec(doc)
+    except SchemaError as e:
+        assert e.path.startswith("/")
+        assert str(e).startswith(e.path + ": ")
+    else:
+        # the mutation left a valid document: it round-trips
+        emitted = emit_spec(f)
+        assert emit_spec(parse_spec(json.loads(json.dumps(emitted)))) == emitted

@@ -294,6 +294,10 @@ def test_slice_bound_validation():
         sp_bound_slice(HALFSUM, 0.0, 0.0, 1.0)
     with pytest.raises(InputError):
         sp_bound_slice(g, 0.0, 0.0, -1.0)
+    with pytest.raises(InputError):
+        sp_bound_slice(g, 0.1, float("nan"), 1.0)
+    with pytest.raises(InputError, match="takes a single point"):
+        sp_bound_slice(g, [0.1, 5.0], 0.0, 1.0)
 
 
 def test_equality_gap_values():
