@@ -7,11 +7,11 @@ serialization to stdout in full round-trip precision.
 
 Exit codes: 0 success (bound holds / form matches / no violations), 1 for a
 mathematical finding (bound violated, no-match, campaign violations), 2 for
-input, schema, or precondition errors. Points and vectors on the command
-line are semicolon-separated complex pairs, ``re,im;re,im;...``, given as
-``--point -0.3,0.1`` or ``--point=-0.3,0.1``; map files
-are JSON documents in the format described in ``holomap``, with ``-``
-reading from stdin.
+input, schema, or precondition errors and any other failure. Points and
+vectors on the command line are semicolon-separated complex pairs,
+``re,im;re,im;...``, given as ``--point -0.3,0.1`` or
+``--point=-0.3,0.1``; map files are JSON documents in the format described
+in ``holomap``, with ``-`` reading from stdin.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .extremal import ExtremalSpec, diagnose_equality_form, extremal_nonzero_case, extremal_zero_case
 from .geometry import disk_slice
 from .harness import FuzzConfig, fuzz_campaign
@@ -206,7 +206,9 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(_attach_vector_values(argv))
     try:
         return args.fn(args)
-    except (ValueError, OSError, NumericalError) as e:
+    except Exception as e:
+        # exit 1 belongs to a verdict alone: every failure, expected or not,
+        # is reported on one line and exits 2
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,7 @@ __all__ = [
     "SpectralPair",
     "spectral_norm",
     "sample_unit_sphere",
+    "sphere_rows",
     "complex_to_pair",
     "pair_to_complex",
     "vector_to_pairs",
@@ -139,16 +140,6 @@ def spectral_norm(M, tol: float = 1e-12, max_iter: int = 10_000) -> SpectralPair
     return SpectralPair(float(np.sqrt(max(best_lam, 0.0))), best_v)
 
 
-def _gaussian_rows(n: int, count: int, seed: int):
-    """A generator seeded with ``seed`` and the first ``count`` standard
-    complex Gaussian rows of length n it draws; the draws behind
-    ``sample_unit_sphere``."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError("seed must be a non-negative integer")
-    rng = np.random.default_rng(int(seed))
-    return rng, rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-
-
 def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` points uniformly on the unit sphere of C^n.
 
@@ -159,7 +150,10 @@ def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:
         raise InputError("n must be a positive integer")
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise InputError("count must be a positive integer")
-    rng, z = _gaussian_rows(n, count, seed)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError("seed must be a non-negative integer")
+    rng = np.random.default_rng(int(seed))
+    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     norms = np.sqrt((np.abs(z) ** 2).sum(axis=1))
     # redraw the (measure-zero) rows that are too short to normalize stably
     while (norms < 1e-12).any():
@@ -168,6 +162,80 @@ def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:
         z[bad] = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
         norms = np.sqrt((np.abs(z) ** 2).sum(axis=1))
     return z / norms[:, None]
+
+
+# splitmix64 constants (Steele, Lea and Flood, OOPSLA 2014); uint64 scalars,
+# because a Python int mixed into uint64 arithmetic promotes to float64
+# before numpy 2
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S12, _S27, _S30, _S31 = (np.uint64(s) for s in (12, 27, 30, 31))
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 output function of each word of a uint64 array."""
+    x = (x ^ (x >> _S30)) * _MIX1
+    x = (x ^ (x >> _S27)) * _MIX2
+    return x ^ (x >> _S31)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """Seeds as a 1-D uint64 array; each must be an integer in [0, 2^64)."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1:
+        return seeds
+    seeds = list(seeds)
+    for s in seeds:
+        if not isinstance(s, (int, np.integer)) or not 0 <= int(s) < 2**64:
+            raise InputError("seed must be a non-negative integer")
+    return np.array([int(s) for s in seeds], dtype=np.uint64)
+
+
+def _stream_words(seeds: np.ndarray, k: int) -> np.ndarray:
+    """Words 0..k-1 of each seed's stream, shape ``(len(seeds), k)``: word c
+    is output c of the splitmix64 generator seeded with the seed, a pure
+    function of (seed, c)."""
+    counters = np.arange(1, k + 1, dtype=np.uint64) * _GOLDEN
+    return _splitmix64(seeds[:, None] + counters)
+
+
+def _open_unit(words: np.ndarray) -> np.ndarray:
+    """The top 52 bits k of each word as the uniform ``(k + 0.5) 2^-52``,
+    which lies strictly inside (0, 1). (With 53 bits, k + 0.5 would round
+    up to 2^53 at the top and give 1.)"""
+    return ((words >> _S12).astype(np.float64) + 0.5) * 2.0**-52
+
+
+def sphere_rows(n: int, count: int, seeds) -> np.ndarray:
+    """``count`` uniform unit rows of C^n per seed, shape
+    ``(len(seeds), count, n)``; row block i depends on ``seeds[i]`` alone.
+
+    Entry (d, j) of a seed's block takes words ``2 (d n + j)`` and
+    ``2 (d n + j) + 1`` of the seed's counter-based stream (``_stream_words``)
+    as uniforms u1, u2 and is the Box-Muller Gaussian
+    ``sqrt(-2 log u1) e^{2 pi i u2}``, scaled to a unit row. Since
+    u1 <= 1 - 2^-53, every entry has modulus at least 2^-26 before scaling,
+    so every row normalizes stably. The integer stream is exactly portable;
+    the floats go through numpy's log, cos and sin, so their last bits are
+    fixed only on one machine and numpy build.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InputError("n must be a positive integer")
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise InputError("count must be a positive integer")
+    S = _seed_words(seeds)
+    u = _open_unit(_stream_words(S, 2 * count * n)).reshape(S.shape[0], count, n, 2)
+    r2 = -2.0 * np.log(u[..., 0])
+    theta = (2.0 * np.pi) * u[..., 1]
+    # a column loop: numpy's sum over a short last axis costs several times more
+    norm2 = r2[..., 0].copy()
+    for j in range(1, n):
+        norm2 += r2[..., j]
+    scale = np.sqrt(r2 / norm2[..., None])
+    out = np.empty(r2.shape, dtype=np.complex128)
+    out.real = scale * np.cos(theta)
+    out.imag = scale * np.sin(theta)
+    return out
 
 
 def complex_to_pair(z) -> list:

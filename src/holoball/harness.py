@@ -12,8 +12,11 @@ reproducible; identical configs produce byte-identical JSONL (the summary's
 ``runtime_ms`` is the only non-deterministic output). A trial is checked in
 one batch: the array core of ``sp_bound_many`` over its points, and one
 ``mod_grad_fd_many`` call when the oracle is on, each point keeping its own
-direction seed; the aggregate and the log lines are read off the result
-arrays. Since row i of a batch equals the point checked alone, every record
+direction seed ``_mix(seed, trial, 2, idx)`` (derived for the whole trial
+as one uint64 array) that keys its directions in
+``complexcore.sphere_rows``; the aggregate and the log lines are read off
+the result arrays, and a trial's lines are encoded with one ``json.dumps``
+call. Since row i of a batch equals the point checked alone, every record
 can be re-derived with ``sp_bound`` and ``mod_grad_fd``. Each log line is
 
     {"trial": int, "point": [[re, im], ...], "lhs": real, "rhs": real,
@@ -36,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexcore import sample_unit_sphere, spectral_norm
+from .complexcore import _GOLDEN, _splitmix64, sample_unit_sphere, spectral_norm
 from .errors import InputError
 from .holomap import PolyMap
 from .schwarzpick import (
@@ -65,8 +68,8 @@ FD_ANOMALY_TOL = 1e-6
 _RADIUS_CAP = 0.999
 
 
-def _mix(*parts: int) -> int:
-    """splitmix64 over the parts; stable non-negative sub-seed."""
+def _mix_state(parts) -> int:
+    """The splitmix64 chain over the parts, before ``_mix``'s final shift."""
     x = 0x9E3779B97F4A7C15
     for part in parts:
         x = (x ^ (int(part) & _MASK)) & _MASK
@@ -75,7 +78,19 @@ def _mix(*parts: int) -> int:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         x = z ^ (z >> 31)
-    return x >> 1
+    return x
+
+
+def _mix(*parts: int) -> int:
+    """splitmix64 over the parts; stable non-negative sub-seed."""
+    return _mix_state(parts) >> 1
+
+
+def _mix_range(prefix, count: int) -> np.ndarray:
+    """``[_mix(*prefix, idx) for idx in range(count)]`` as one uint64 array:
+    the prefix is hashed once, the last round runs over all idx at once."""
+    x = np.arange(count, dtype=np.uint64) ^ np.uint64(_mix_state(prefix))
+    return _splitmix64(x + _GOLDEN) >> np.uint64(1)
 
 
 def _is_int(v) -> bool:
@@ -248,22 +263,22 @@ def _record_lines(trial: int, b: _BoundBatch, fds: np.ndarray | None) -> str:
         fd = fd_dev = [None] * B
     else:
         fd, fd_dev = fds.tolist(), np.abs(b.lhs - fds).tolist()
-    return "".join(
-        json.dumps(
-            {
-                "trial": trial,
-                "point": points[i],
-                "lhs": lhs[i],
-                "rhs": rhs[i],
-                "slack": slack[i],
-                "branch": branch[i],
-                "fd": fd[i],
-                "fd_dev": fd_dev[i],
-            }
-        )
-        + "\n"
+    records = [
+        {
+            "trial": trial,
+            "point": points[i],
+            "lhs": lhs[i],
+            "rhs": rhs[i],
+            "slack": slack[i],
+            "branch": branch[i],
+            "fd": fd[i],
+            "fd_dev": fd_dev[i],
+        }
         for i in range(B)
-    )
+    ]
+    # one encoder call for the batch; records hold no nested objects, so
+    # "}, {" occurs only between two of them
+    return json.dumps(records)[1:-1].replace("}, {", "}\n{") + "\n"
 
 
 def _absorb(report: CampaignReport, b: _BoundBatch, fds: np.ndarray | None) -> None:
@@ -291,21 +306,20 @@ def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> Campai
     t0 = time.perf_counter()
     report = CampaignReport(trials_run=0, points_checked=0)
 
-    def check(f, points, seed_of):
-        # the bound at every point, and the FD oracle with direction seed
-        # seed_of(idx) for point idx when it is on
+    def check(f, points, seeds):
+        # the bound at every point, and the FD oracle when it is on, with
+        # the points' direction seeds from seeds()
         b = _bound_batch(f, points, cfg.tol)
         if not cfg.fd_dirs:
             return b, None
-        seeds = [seed_of(idx) for idx in range(points.shape[0])]
-        return b, mod_grad_fd_many(f, points, seeds, cfg.fd_steps, cfg.fd_dirs)
+        return b, mod_grad_fd_many(f, points, seeds(), cfg.fd_steps, cfg.fd_dirs)
 
     out = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     try:
         if cfg.pin_counterexample:
             ce = counterexample_map()
             zero = np.zeros((1, 1), dtype=np.complex128)
-            b, fds = check(ce, zero, lambda idx: _mix(cfg.seed, 0xCE))
+            b, fds = check(ce, zero, lambda: [_mix(cfg.seed, 0xCE)])
             classical = spectral_norm(ce.jacobian(zero[0])).value
             rhs = b.rhs.item()
             report.counterexample = {
@@ -324,7 +338,9 @@ def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> Campai
                 cfg.n, cfg.m, cfg.max_degree, cfg.margin, _mix(cfg.seed, trial, 0)
             )
             points = sample_ball_points(cfg.n, cfg.points_per_trial, _mix(cfg.seed, trial, 1))
-            b, fds = check(f, points, lambda idx: _mix(cfg.seed, trial, 2, idx))
+            b, fds = check(
+                f, points, lambda: _mix_range((cfg.seed, trial, 2), cfg.points_per_trial)
+            )
             if out is not None:
                 out.write(_record_lines(trial, b, fds))
             _absorb(report, b, fds)

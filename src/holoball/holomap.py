@@ -43,9 +43,14 @@ __all__ = [
     "parse_spec",
     "emit_spec",
     "POLE_TOL",
+    "MAX_DEGREE",
 ]
 
 POLE_TOL = 1e-15
+# largest exponent of one variable in a PolyMap term; evaluation builds a
+# (B, degree + 1) power table per variable, so a document asking for far
+# more would exhaust memory at its first point instead of being rejected
+MAX_DEGREE = 1024
 
 
 class _FieldError(InputError):
@@ -276,10 +281,10 @@ def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
     ``alpha_lens[t]`` entries, row t of the complex128 array ``coefs`` its
     coefficient vector in the first ``coef_lens[t]`` entries; any further
     entries are zero padding. An error names the first faulty term t in input
-    order, checked for length, negative entries, an earlier duplicate,
-    coefficient length and finiteness in that order, and its field is
-    ``terms/t/alpha`` or ``terms/t/coef``. Returns the frozen
-    ``(T, n)`` multi-indices and ``(T, m)`` coefficients.
+    order, checked for length, negative entries, entries above
+    ``MAX_DEGREE``, an earlier duplicate, coefficient length and finiteness
+    in that order, and its field is ``terms/t/alpha`` or ``terms/t/coef``.
+    Returns the frozen ``(T, n)`` multi-indices and ``(T, m)`` coefficients.
     """
     T = alphas.shape[0]
     order = np.lexsort(alphas.T[::-1]) if alphas.shape[1] else np.arange(T)
@@ -291,6 +296,7 @@ def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
     checks = (
         alpha_lens != n,
         (alphas < 0).any(axis=1),
+        (alphas > MAX_DEGREE).any(axis=1),
         dup,
         coef_lens != m,
         ~np.isfinite(coefs).all(axis=1),
@@ -305,8 +311,12 @@ def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
         if checks[1][t]:
             raise _FieldError(alpha, f"multi-index {key} has a negative entry")
         if checks[2][t]:
-            raise _FieldError(alpha, f"duplicate multi-index {key}")
+            raise _FieldError(
+                alpha, f"multi-index {key} has an entry above MAX_DEGREE = {MAX_DEGREE}"
+            )
         if checks[3][t]:
+            raise _FieldError(alpha, f"duplicate multi-index {key}")
+        if checks[4][t]:
             raise _FieldError(
                 coef, f"coefficient for {key} has length {coef_lens[t]}, expected {m}"
             )
@@ -320,11 +330,11 @@ def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
 class PolyMap(HoloMap):
     """Polynomial map C^n -> C^m with explicit multi-index terms.
 
-    ``terms`` maps a multi-index tuple (length n, non-negative ints) to a
-    coefficient vector of length m; an iterable of ``(alpha, coef)`` pairs is
-    also accepted, and ``from_arrays`` takes the terms as two arrays. Terms
-    are stored in lexicographic multi-index order and coefficients are kept
-    exactly as given.
+    ``terms`` maps a multi-index tuple (length n, ints in [0, MAX_DEGREE])
+    to a coefficient vector of length m; an iterable of ``(alpha, coef)``
+    pairs is also accepted, and ``from_arrays`` takes the terms as two
+    arrays. Terms are stored in lexicographic multi-index order and
+    coefficients are kept exactly as given.
 
     Document: ``{"kind": "poly", "n", "m", "terms": [{"alpha": [int, ...],
     "coef": [[re, im], ...]}, ...]}``, terms in that order.

@@ -20,7 +20,10 @@ D(c, r) the bound scales to ``r (1 - |g|^2) / (r^2 - |z - c|^2)``.
 ``mod_grad_fd`` realizes the directional definition numerically and serves
 as an independent oracle for the closed form: one-sided difference
 quotients, Richardson-extrapolated to step 0, maximized over sampled unit
-directions plus the analytic maximizer candidates.
+directions plus the analytic maximizer candidates. The sampled directions
+of a point come from ``complexcore.sphere_rows``, a counter-based
+splitmix64 stream keyed by the point's seed, so a batch draws the
+directions of all its points in a few array operations.
 
 Every check runs on a ``(B, n)`` batch of points: ``sp_bound_many`` and
 ``mod_grad_fd_many`` evaluate the map once per batch and vectorise the
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcore import _gaussian_rows, sample_unit_sphere, spectral_norm, vector_to_pairs
+from .complexcore import _seed_words, spectral_norm, sphere_rows, vector_to_pairs
 from .errors import CertificationError, InputError
 from .holomap import HoloMap, _as_batch
 
@@ -205,19 +208,13 @@ def _fd_steps(steps) -> np.ndarray:
 
 def _fd_directions(n, dirs, seeds, A, nA, J, base) -> np.ndarray:
     """The ``(P, dirs + 2, n)`` directions of P points: per point its ``dirs``
-    seeded sphere samples (``sample_unit_sphere(n, dirs, seed)``), then the
-    direction conjugate to A/|A| and the top singular direction of the
-    Jacobian. A point without one of those candidates repeats its first
-    direction there, which leaves the maximum over its directions unchanged."""
+    seeded sphere samples (``sphere_rows(n, dirs, seeds)``, drawn for all P
+    points at once), then the direction conjugate to A/|A| and the top
+    singular direction of the Jacobian. A point without one of those
+    candidates repeats its first direction there, which leaves the maximum
+    over its directions unchanged."""
     D = np.empty((len(seeds), dirs + 2, n), dtype=np.complex128)
-    for k, seed in enumerate(seeds):
-        D[k, :dirs] = _gaussian_rows(n, dirs, seed)[1]
-    sphere = D[:, :dirs]
-    norms = np.sqrt((np.abs(sphere) ** 2).sum(axis=2))
-    sphere /= norms[..., None]
-    # a draw too short to normalise stably is redrawn as sample_unit_sphere does
-    for k in np.flatnonzero((norms < 1e-12).any(axis=1)).tolist():
-        sphere[k] = sample_unit_sphere(n, dirs, seeds[k])
+    D[:, :dirs] = sphere_rows(n, dirs, seeds)
     D[:, dirs:] = D[:, :1]
     has_a = nA > 0
     D[has_a, dirs] = np.conj(A[has_a]) / nA[has_a, None]
@@ -234,7 +231,8 @@ def mod_grad_fd_many(
     dirs: int = DEFAULT_FD_DIRS,
 ) -> np.ndarray:
     """``mod_grad_fd`` at every row of a ``(B, n)`` batch, row i with direction
-    seed ``seeds[i]``; entry i is bit for bit
+    seed ``seeds[i]`` (a uint64 array or any iterable of integers in
+    [0, 2^64)); entry i is bit for bit
     ``mod_grad_fd(f, Z[i], steps, dirs, seeds[i])``.
 
     The (point, direction, step) evaluations of up to ``_FD_MAX_ROWS`` rows
@@ -247,7 +245,7 @@ def mod_grad_fd_many(
         raise InputError("dirs must be at least 64")
     Z = _as_batch(Z, f.n)
     count = Z.shape[0]
-    seeds = list(seeds)
+    seeds = _seed_words(seeds)
     if len(seeds) != count:
         raise InputError(f"{len(seeds)} seeds for {count} points")
 
@@ -280,8 +278,9 @@ def mod_grad_fd(
     |grad|f||(z): the maximum over unit directions of the one-sided
     difference quotient of ``|f|``, Richardson-extrapolated over ``steps``.
 
-    Directions are ``dirs`` seeded uniform samples of the unit sphere plus
-    the analytic maximizer candidates: the direction conjugate to A/|A| when
+    Directions are ``dirs`` uniform samples of the unit sphere, the rows of
+    ``sphere_rows(f.n, dirs, [seed])``, plus the analytic maximizer
+    candidates: the direction conjugate to A/|A| when
     A != 0, and the top singular direction of the Jacobian when the zero
     branch is in play.
     """

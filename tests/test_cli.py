@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holoball
 from holoball import (
@@ -99,6 +101,49 @@ def test_oversized_multi_index_is_a_schema_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["bound", "--map", str(path), "--point", "0.1,0"]) == 2
     assert "error: /terms/0/alpha:" in capsys.readouterr().err
+
+
+def test_huge_exponent_is_a_schema_error(tmp_path, capsys):
+    # a valid-looking exponent past MAX_DEGREE is rejected when the document
+    # is read, instead of failing to allocate its power table at the point
+    doc = {"kind": "poly", "n": 2, "m": 1, "terms": [{"alpha": [2**40, 0], "coef": [[0.5, 0]]}]}
+    path = tmp_path / "deg.json"
+    path.write_text(json.dumps(doc))
+    assert run(["bound", "--map", str(path), "--point", "0.1,0;0,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: /terms/0/alpha: ")
+    assert err.count("\n") == 1
+
+
+def test_unexpected_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # exit 1 means a verdict; any other failure is an error, exit 2
+    path = write_map(tmp_path, PolyMap.identity(1))
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB")
+
+    monkeypatch.setattr(holoball.cli, "sp_bound", out_of_memory)
+    assert run(["bound", "--map", path, "--point", "0.1,0"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 16.0 TiB\n"
+
+
+@st.composite
+def poly_documents_with_large_exponents(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    exponent = st.one_of(st.integers(0, 8), st.integers(1000, 1100), st.integers(0, 2**62))
+    alphas = draw(st.lists(st.tuples(*[exponent] * n), min_size=1, max_size=4, unique=True))
+    coef = [[0.1, 0.0]] * m
+    return {"kind": "poly", "n": n, "m": m,
+            "terms": [{"alpha": list(a), "coef": coef} for a in alphas]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_documents_with_large_exponents())
+def test_large_exponents_never_escape_the_exit_codes(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("deg") / "map.json"
+    path.write_text(json.dumps(doc))
+    point = ";".join(["0.1,0"] * doc["n"])
+    assert run(["bound", "--map", str(path), "--point", point]) in (0, 1, 2)
 
 
 def test_bad_point_string(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Primitives: inner product conventions, the power-iteration spectral norm
-against a library SVD oracle, and seeded sphere sampling.
+against a library SVD oracle, seeded sphere sampling, and the counter-based
+sphere stream against a pure-Python splitmix64 and Box-Muller reference.
 
 np.linalg is used here as an independent oracle only; the package itself
 computes the top singular pair by power iteration.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,9 +22,12 @@ from holoball import (
     vnorm,
 )
 from holoball.complexcore import (
+    _open_unit,
+    _stream_words,
     complex_to_pair,
     pair_to_complex,
     pairs_to_vector,
+    sphere_rows,
     vector_to_pairs,
 )
 
@@ -171,3 +177,119 @@ def test_pair_serialization_round_trip():
     assert pair_to_complex([1.0, 2.0]) == 1.0 + 2.0j
     v = np.array([0.25 - 0.5j, 3.0])
     assert np.array_equal(pairs_to_vector(vector_to_pairs(v)), v)
+
+
+# -- the counter-based sphere stream ------------------------------------------
+
+MASK64 = 2**64 - 1
+SM_GAMMA, SM_M1, SM_M2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def splitmix64_words(seed, k):
+    """The first k outputs of the splitmix64 generator seeded with ``seed``,
+    in Python integers."""
+    out, x = [], seed
+    for _ in range(k):
+        x = (x + SM_GAMMA) & MASK64
+        z = ((x ^ (x >> 30)) * SM_M1) & MASK64
+        z = ((z ^ (z >> 27)) * SM_M2) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def splitmix64_seed_for(word):
+    """The seed whose first splitmix64 output is ``word``: the output
+    function is a bijection of 64-bit words, inverted step by step."""
+    z = word ^ (word >> 31) ^ (word >> 62)
+    z = (z * pow(SM_M2, -1, 2**64)) & MASK64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = (z * pow(SM_M1, -1, 2**64)) & MASK64
+    z ^= (z >> 30) ^ (z >> 60)
+    return (z - SM_GAMMA) & MASK64
+
+
+def sphere_rows_reference(n, count, seed):
+    """One seed's rows entry by entry with the math module: entry (d, j)
+    uses words 2(dn + j) and 2(dn + j) + 1 as the Box-Muller uniforms."""
+    words = splitmix64_words(seed, 2 * count * n)
+    rows = []
+    for d in range(count):
+        row = []
+        for j in range(n):
+            c = 2 * (d * n + j)
+            u1, u2 = (((words[c + t] >> 12) + 0.5) / 2**52 for t in (0, 1))
+            theta = 2.0 * math.pi * u2
+            row.append(math.sqrt(-2.0 * math.log(u1)) * complex(math.cos(theta), math.sin(theta)))
+        norm = math.sqrt(sum(abs(z) ** 2 for z in row))
+        rows.append([z / norm for z in row])
+    return np.array(rows)
+
+
+def test_stream_words_equal_splitmix64_reference():
+    # output 0 of splitmix64 seeded with 0, as published with the generator
+    assert splitmix64_words(0, 1) == [0xE220A8397B1DCDAF]
+    seeds = [0, 1, 12345, 2**63, 2**64 - 1]
+    words = _stream_words(np.array(seeds, dtype=np.uint64), 9)
+    assert words.dtype == np.uint64
+    for i, seed in enumerate(seeds):
+        assert words[i].tolist() == splitmix64_words(seed, 9)
+
+
+@pytest.mark.parametrize("n,count", [(1, 3), (2, 4), (3, 2)])
+def test_sphere_rows_equal_box_muller_reference(n, count):
+    seeds = [0, 7, 2**64 - 1]
+    got = sphere_rows(n, count, seeds)
+    assert got.shape == (3, count, n)
+    for i, seed in enumerate(seeds):
+        assert np.abs(got[i] - sphere_rows_reference(n, count, seed)).max() <= 1e-15
+
+
+def test_sphere_rows_batch_independence():
+    seeds = np.array(splitmix64_words(99, 37), dtype=np.uint64)
+    for n, count in [(2, 64), (3, 5)]:
+        for size in range(1, 38):
+            batch = sphere_rows(n, count, seeds[:size])
+            for i in range(size):
+                assert np.array_equal(batch[i], sphere_rows(n, count, seeds[i : i + 1])[0])
+    # a list of ints and a uint64 array give the same rows
+    assert np.array_equal(sphere_rows(2, 8, seeds[:5].tolist()), sphere_rows(2, 8, seeds[:5]))
+
+
+def test_sphere_rows_radius_floor():
+    # the largest and the smallest top-52-bit value k of a word
+    top, bottom = MASK64, 0
+    u = _open_unit(np.array([top, bottom], dtype=np.uint64))
+    assert u.tolist() == [1.0 - 2.0**-53, 2.0**-53]
+    r = np.sqrt(-2.0 * np.log(u))
+    assert np.isfinite(r).all() and (r >= 1.4e-8).all()
+    # rows whose first entry takes those words as its radius uniform
+    for word in (top, bottom):
+        seed = splitmix64_seed_for(word)
+        assert splitmix64_words(seed, 1) == [word]
+        row = sphere_rows(2, 1, [seed])[0, 0]
+        assert np.isfinite(row).all()
+        assert abs(np.sqrt((np.abs(row) ** 2).sum()) - 1.0) <= 1e-15
+        assert np.abs(row - sphere_rows_reference(2, 1, seed)[0]).max() <= 1e-15
+    assert abs(sphere_rows(2, 1, [splitmix64_seed_for(top)])[0, 0, 0]) <= 1e-7
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_rows_distribution(n):
+    rows = sphere_rows(n, 100, range(200)).reshape(-1, n)
+    assert rows.shape == (20000, n)
+    assert np.abs(np.sqrt((np.abs(rows) ** 2).sum(axis=1)) - 1.0).max() <= 1e-12
+    assert np.abs(rows.mean(axis=0)).max() <= 0.02
+    assert np.abs((np.abs(rows) ** 2).mean(axis=0) - 1.0 / n).max() <= 0.02
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**64, np.int64(-3), "1"])
+def test_sphere_rows_seed_rejection(seed):
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        sphere_rows(2, 3, [0, seed])
+
+
+def test_sphere_rows_validation():
+    with pytest.raises(InputError):
+        sphere_rows(0, 1, [0])
+    with pytest.raises(InputError):
+        sphere_rows(1, 0, [0])

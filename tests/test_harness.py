@@ -23,7 +23,8 @@ from holoball import (
     sp_bound_many,
 )
 from holoball import harness
-from holoball.harness import FD_ANOMALY_TOL, _mix, _multi_indices
+from holoball.harness import FD_ANOMALY_TOL, _mix, _mix_range, _multi_indices, _record_lines
+from holoball.schwarzpick import _bound_batch
 
 
 def l1_certificate(f):
@@ -210,6 +211,54 @@ def test_mix_is_a_stable_hash():
     assert _mix(1, 2, 3) != _mix(1, 2, 4)
     assert _mix(0) != _mix(1)
     assert 0 <= _mix(20250817, 999, 2, 99) < 2**63
+
+
+def test_mix_range_equals_per_point_mix():
+    rng = np.random.default_rng(5)
+    cases = [(20250817, 999), (0, 0), (-7, -1), (2**64 + 3, 2**70)]
+    cases += [(int(rng.integers(0, 2**63)), int(rng.integers(0, 10**6))) for _ in range(8)]
+    for seed, trial in cases:
+        got = _mix_range((seed, trial, 2), 1000)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [_mix(seed, trial, 2, idx) for idx in range(1000)]
+
+
+def record_lines_reference(trial, b, fds):
+    """One ``json.dumps`` call per record, as the reference for the log."""
+    lines = []
+    for i in range(b.lhs.shape[0]):
+        fd = None if fds is None else float(fds[i])
+        rec = {
+            "trial": trial,
+            "point": [[float(z.real), float(z.imag)] for z in b.points[i]],
+            "lhs": float(b.lhs[i]),
+            "rhs": float(b.rhs[i]),
+            "slack": float(b.slack[i]),
+            "branch": "zero" if b.zero[i] else "nonzero",
+            "fd": fd,
+            "fd_dev": None if fd is None else abs(float(b.lhs[i]) - fd),
+        }
+        lines.append(json.dumps(rec) + "\n")
+    return "".join(lines)
+
+
+def test_record_lines_equal_per_record_dumps():
+    f = gen_random_polymap(2, 3, max_degree=3, margin=0.25, seed=4)
+    pts = sample_ball_points(2, 12, seed=6)
+    seeds = _mix_range((1, 2, 2), 12)
+    ce = counterexample_map()
+    zero = np.zeros((1, 1), dtype=np.complex128)
+    g = force_zero_at(f, pts[4], 0.25)
+    assert _bound_batch(g, pts, 1e-9).zero[4]
+    batches = [
+        (3, _bound_batch(g, pts, 1e-9), None),
+        (2, _bound_batch(g, pts, 1e-9), mod_grad_fd_many(g, pts, seeds)),
+        (0, _bound_batch(f, pts, 1e-9), mod_grad_fd_many(f, pts, seeds)),
+        (-1, _bound_batch(ce, zero, 1e-9), mod_grad_fd_many(ce, zero, [5])),
+        (-1, _bound_batch(ce, zero, 1e-9), None),
+    ]
+    for trial, b, fds in batches:
+        assert _record_lines(trial, b, fds) == record_lines_reference(trial, b, fds)
 
 
 # -- array-built maps and array-read campaigns against per-term references ---

@@ -26,6 +26,7 @@ from holoball import (
     parse_spec,
     sample_ball_points,
 )
+from holoball.holomap import MAX_DEGREE
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -316,6 +317,8 @@ def test_poly_document_sorted_lexicographically():
         ({"kind": "line_embed", "p": [[0.0, 0.0]], "q": [[0.0, 0.0]]}, "/q"),
         ({"kind": "poly", "n": 1, "m": 1, "terms": [{"alpha": [10**30], "coef": [[0.5, 0]]}]},
          "/terms/0/alpha"),
+        ({"kind": "poly", "n": 2, "m": 1, "terms": [{"alpha": [2**40, 0], "coef": [[0.5, 0]]}]},
+         "/terms/0/alpha"),
     ],
 )
 def test_schema_errors_carry_paths(doc, path):
@@ -354,12 +357,22 @@ def test_schema_error_message_names_path():
         (0, 1, {}, "n must be a positive integer"),
         (1, 0, {}, "m must be a positive integer"),
         (2.0, 1, {}, "n must be a positive integer"),
+        (2, 1, {(0, 1): [1.0], (MAX_DEGREE + 1, 0): [1.0]},
+         f"multi-index ({MAX_DEGREE + 1}, 0) has an entry above MAX_DEGREE = {MAX_DEGREE}"),
     ],
 )
 def test_poly_error_messages(n, m, terms, message):
     with pytest.raises(InputError) as exc:
         PolyMap(n, m, terms)
     assert str(exc.value) == message
+
+
+def test_max_degree_is_the_largest_exponent_accepted():
+    f = PolyMap(2, 1, {(MAX_DEGREE, 0): [0.5], (0, 1): [0.25]})
+    # 0.5 * 0.5**MAX_DEGREE is far below the rounding of 0.25 * 0.5
+    assert f.eval([0.5, 0.5])[0] == 0.125
+    with pytest.raises(InputError, match="MAX_DEGREE"):
+        PolyMap.from_arrays(2, 1, [[0, MAX_DEGREE + 1]], [[0.5]])
 
 
 def test_from_arrays_reports_the_same_errors():

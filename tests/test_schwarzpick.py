@@ -29,14 +29,13 @@ from holoball import (
     mod_grad_fd,
     mod_grad_fd_many,
     sample_ball_points,
-    sample_unit_sphere,
     sp_bound,
     sp_bound_many,
     sp_bound_slice,
     spectral_norm,
     vnorm,
 )
-from holoball import schwarzpick
+from holoball.complexcore import sphere_rows
 from holoball.schwarzpick import DEFAULT_FD_STEPS, ZERO_BRANCH_TOL, _extrapolate_to_zero
 
 S = 1.0 / np.sqrt(2.0)
@@ -145,6 +144,10 @@ def test_fd_validation():
         mod_grad_fd(f, 0.0, steps=(1e-4, -1e-5))
     with pytest.raises(InputError):
         mod_grad_fd(f, 0.0, dirs=8)
+    with pytest.raises(InputError):
+        mod_grad_fd(f, 0.0, dirs=64.0)
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        mod_grad_fd(f, 0.0, seed=-1)
 
 
 def test_one_dim_scalar_specialization():
@@ -400,7 +403,7 @@ def fd_reference(f, z, steps, dirs, seed):
     v, J = f.eval_many(z)[0], f.jac_many(z)[0]
     base = vnorm(v)
     A = J.T @ np.conj(v)
-    cands = [sample_unit_sphere(f.n, dirs, seed)]
+    cands = [sphere_rows(f.n, dirs, [seed])[0]]
     if vnorm(A) > 0:
         cands.append(np.conj(A)[None, :] / vnorm(A))
     if base <= ZERO_BRANCH_TOL:
@@ -419,34 +422,9 @@ def test_fd_many_equals_per_point_candidate_lists():
     got = mod_grad_fd_many(f, zs, seeds)
     for i, z in enumerate(zs):
         assert got[i] == fd_reference(f, z, DEFAULT_FD_STEPS, 64, seeds[i])
+    # the seeds may also come as one uint64 array
+    assert np.array_equal(mod_grad_fd_many(f, zs, np.array(seeds, dtype=np.uint64)), got)
     # A = 0 at the origin: no conjugate-gradient candidate
     for seed in range(3):
         got = mod_grad_fd_many(COUNTEREXAMPLE, [[0.0]], [seed], dirs=65)[0]
         assert got == fd_reference(COUNTEREXAMPLE, 0.0, DEFAULT_FD_STEPS, 65, seed)
-
-
-def test_fd_short_draw_falls_back_to_sphere_sampler(monkeypatch):
-    f = gen_random_polymap(2, 2, max_degree=3, margin=0.25, seed=9)
-    zs = sample_ball_points(2, 4, seed=10)
-    V, J = f.eval_many(zs), f.jac_many(zs)
-    A = np.stack([J[i].T @ np.conj(V[i]) for i in range(4)])
-    args = (A, np.array([vnorm(a) for a in A]), J, np.array([vnorm(v) for v in V]))
-    want = schwarzpick._fd_directions(2, 64, [1, 2, 3, 4], *args)
-    draws = schwarzpick._gaussian_rows
-
-    def short_row_for_seed_3(n, count, seed):
-        rng, z = draws(n, count, seed)
-        if seed == 3:
-            z[5] = 1e-13
-        return rng, z
-
-    monkeypatch.setattr(schwarzpick, "_gaussian_rows", short_row_for_seed_3)
-    got = schwarzpick._fd_directions(2, 64, [1, 2, 3, 4], *args)
-    # sample_unit_sphere redraws the short row; the other rows of seed 3
-    # come out as they do without it
-    assert np.array_equal(got, want)
-    assert np.array_equal(got[2, :64], sample_unit_sphere(2, 64, 3))
-    with pytest.raises(InputError):
-        mod_grad_fd_many(f, zs[:1], [1], dirs=64.0)
-    with pytest.raises(InputError):
-        mod_grad_fd_many(f, zs[:1], [-1])
