@@ -18,7 +18,6 @@ from .errors import (
     CertificationError,
     DomainError,
     InputError,
-    NumericalError,
     PreconditionError,
     SchemaError,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "DomainError",
     "PreconditionError",
     "CertificationError",
-    "NumericalError",
     "HoloMap",
     "PolyMap",
     "MobiusDisk",

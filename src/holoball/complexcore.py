@@ -15,11 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 
 __all__ = [
     "as_cvector",
-    "as_cmatrix",
     "herm_inner",
     "vnorm",
     "SpectralPair",
@@ -32,9 +31,6 @@ __all__ = [
     "pairs_to_vector",
 ]
 
-_RESTART_SEED = 0x5EED
-
-
 def as_cvector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D complex128 array."""
     a = np.asarray(x, dtype=np.complex128)
@@ -42,16 +38,6 @@ def as_cvector(x, name: str = "vector") -> np.ndarray:
         a = a.reshape(1)
     if a.ndim != 1 or a.size == 0:
         raise InputError(f"{name} must be a non-empty 1-D complex array")
-    if not np.isfinite(a).all():
-        raise InputError(f"{name} contains non-finite entries")
-    return a
-
-
-def as_cmatrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array."""
-    a = np.asarray(M, dtype=np.complex128)
-    if a.ndim != 2 or a.size == 0:
-        raise InputError(f"{name} must be a non-empty 2-D complex array")
     if not np.isfinite(a).all():
         raise InputError(f"{name} contains non-finite entries")
     return a
@@ -74,70 +60,36 @@ def vnorm(x) -> float:
 
 
 class SpectralPair(NamedTuple):
-    value: float
+    value: float | np.ndarray
     direction: np.ndarray
 
 
-def _power_run(H: np.ndarray, v0: np.ndarray, tol: float, max_iter: int, scale: float):
-    v = v0 / np.sqrt((np.abs(v0) ** 2).sum())
-    lam = 0.0
-    for _ in range(max_iter):
-        w = H @ v
-        lam = float(np.real(np.vdot(v, w)))
-        resid = w - lam * v
-        if float(np.sqrt((np.abs(resid) ** 2).sum())) <= tol * scale:
-            return lam, v, True
-        nw = float(np.sqrt((np.abs(w) ** 2).sum()))
-        if nw == 0.0:
-            # v lies in the null space; stationary at eigenvalue 0
-            return 0.0, v, True
-        v = w / nw
-    return lam, v, False
-
-
-def spectral_norm(M, tol: float = 1e-12, max_iter: int = 10_000) -> SpectralPair:
+def spectral_norm(M) -> SpectralPair:
     """Largest singular value of ``M`` with an attaining unit direction.
 
-    Power iteration on the Hermitian product ``M^H M``, started from the
-    all-ones vector, with one seeded random restart so a start vector that is
-    orthogonal to the top singular space cannot go unnoticed. Returns
-    ``(sigma, direction)`` where ``direction`` is a unit top right-singular
-    vector; ``M @ direction`` attains the norm.
+    ``M`` is one ``(m, n)`` matrix or a ``(k, m, n)`` stack; a 2-D input is
+    the k = 1 view of the stack. One ``np.linalg.svd`` call (LAPACK's
+    bidiagonal SVD, run once per matrix) gives ``sigma = s[..., 0]`` and the
+    direction ``conj(vh[..., 0, :])``, a unit top right-singular vector, so
+    ``M @ direction`` attains the norm. The direction is defined up to a unit
+    phase, and when the top singular value is repeated, up to a unit vector
+    of its singular space. A zero matrix gives sigma = 0 and e0. A stack
+    gives a float array of sigmas and a ``(k, n)`` array of directions; row
+    i of a stack equals the 2-D call on ``M[i]``.
     """
-    A = as_cmatrix(M, "M")
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    if max_iter < 1:
-        raise InputError("max_iter must be at least 1")
-    n = A.shape[1]
-    H = A.conj().T @ A
-    scale = float(np.sqrt((np.abs(H) ** 2).sum()))
-    if scale == 0.0:
-        e0 = np.zeros(n, dtype=np.complex128)
-        e0[0] = 1.0
-        return SpectralPair(0.0, e0)
-
-    rng = np.random.default_rng(_RESTART_SEED)
-    r0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    runs = [
-        _power_run(H, np.ones(n, dtype=np.complex128), tol, max_iter, scale),
-        _power_run(H, r0, tol, max_iter, scale),
-    ]
-    runs.sort(key=lambda t: t[0], reverse=True)
-    best_lam, best_v, best_ok = runs[0]
-    if not best_ok:
-        # accept a converged run whose Rayleigh quotient is within tolerance of the best
-        for lam, v, ok in runs[1:]:
-            if ok and lam >= best_lam - tol * scale:
-                best_lam, best_v, best_ok = lam, v, ok
-                break
-    if not best_ok:
-        raise NumericalError(
-            f"power iteration did not converge within {max_iter} iterations",
-            value=float(np.sqrt(max(best_lam, 0.0))),
-            witness=best_v,
-        )
-    return SpectralPair(float(np.sqrt(max(best_lam, 0.0))), best_v)
+    A = np.asarray(M, dtype=np.complex128)
+    if A.ndim not in (2, 3) or A.size == 0:
+        raise InputError("M must be a non-empty 2-D complex array or a stack of them")
+    if not np.isfinite(A).all():
+        raise InputError("M contains non-finite entries")
+    _, s, vh = np.linalg.svd(A if A.ndim == 3 else A[None], full_matrices=False)
+    sigma = s[:, 0]
+    direction = np.conj(vh[:, 0, :])
+    if not sigma.all():
+        direction[sigma == 0.0] = np.eye(1, A.shape[-1], dtype=np.complex128)
+    if A.ndim == 2:
+        return SpectralPair(float(sigma[0]), direction[0])
+    return SpectralPair(sigma, direction)
 
 
 def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:

@@ -8,7 +8,6 @@ __all__ = [
     "DomainError",
     "PreconditionError",
     "CertificationError",
-    "NumericalError",
 ]
 
 
@@ -34,12 +33,3 @@ class PreconditionError(InputError):
 
 class CertificationError(ValueError):
     """A map that must send the ball into the ball demonstrably fails to."""
-
-
-class NumericalError(RuntimeError):
-    """An iterative routine failed to converge. Carries the best iterate seen."""
-
-    def __init__(self, message: str, value: float | None = None, witness=None):
-        super().__init__(message)
-        self.value = value
-        self.witness = witness

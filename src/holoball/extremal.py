@@ -12,7 +12,9 @@ With ``u`` a unit vector collinear with p (any unit vector when p = 0) and
   / (1 + |a| e^{i theta} phi_z0(zeta))``.
 
 Collinearity of u with p is what makes |z0| = |p|; any other choice of u
-produces a strictly smaller gradient at p.
+produces a strictly smaller gradient at p. The stored unit vectors u, beta
+and a/|a| are rounded toward 0 until sum |v_j|^2 <= 1 holds exactly, so
+the stored witness maps the ball into the ball in binary too.
 
 ``diagnose_equality_form`` inverts the construction: given a map attaining
 equality at p and a second point q with q - p collinear with p, it restricts
@@ -87,6 +89,25 @@ class ExtremalSpec:
                    a=as_cvector(a, "a"), theta=float(theta))
 
 
+def _inside_unit_ball(v: np.ndarray) -> bool:
+    """Whether sum |v_j|^2 <= 1 holds exactly for the binary values of v:
+    each part is num/d with d a power of two, so over the largest d the
+    test is one integer comparison."""
+    ratios = [x.as_integer_ratio() for x in v.view(np.float64).tolist()]
+    den = max(d for _, d in ratios)
+    return sum((num * (den // d)) ** 2 for num, d in ratios) <= den * den
+
+
+def _round_inward(w: np.ndarray) -> np.ndarray:
+    """The float unit vector ``w`` with every real and imaginary part rounded
+    one ulp toward 0 at a time until sum |w_j|^2 <= 1 holds exactly, so the
+    stored witness maps the ball into the ball in binary, not only up to
+    rounding."""
+    while not _inside_unit_ball(w):
+        w = np.nextafter(w.view(np.float64), 0.0).view(np.complex128)
+    return w
+
+
 def _checked_direction(p: np.ndarray, u) -> np.ndarray:
     uv = as_cvector(u, "u")
     if uv.shape != p.shape:
@@ -94,7 +115,7 @@ def _checked_direction(p: np.ndarray, u) -> np.ndarray:
     nu = vnorm(uv)
     if abs(nu - 1.0) > UNIT_TOL:
         raise InputError(f"u must be a unit vector, |u| = {nu}")
-    uv = uv / nu
+    uv = _round_inward(uv / nu)
     npv = vnorm(p)
     if npv > 0.0:
         cosine = abs(herm_inner(uv, p)) / npv
@@ -126,7 +147,8 @@ def extremal_zero_case(spec: ExtremalSpec) -> Pipeline:
     if abs(nb - 1.0) > UNIT_TOL:
         raise InputError(f"beta must be a unit vector, |beta| = {nb}")
     z0 = herm_inner(p, u)
-    return Pipeline([LinearFunctional(u), MobiusDisk(z0), ScalarTimesVector(beta / nb)])
+    beta = _round_inward(beta / nb)
+    return Pipeline([LinearFunctional(u), MobiusDisk(z0), ScalarTimesVector(beta)])
 
 
 def extremal_nonzero_case(spec: ExtremalSpec) -> Pipeline:
@@ -153,7 +175,7 @@ def extremal_nonzero_case(spec: ExtremalSpec) -> Pipeline:
             LinearFunctional(u),
             MobiusDisk(z0),
             MobiusQuotient(na, theta),
-            ScalarTimesVector(a / na),
+            ScalarTimesVector(_round_inward(a / na)),
         ]
     )
 

@@ -571,7 +571,9 @@ class LinearFunctional(HoloMap):
 
     def eval_many(self, Z) -> np.ndarray:
         Z = _as_batch(Z, self.n)
-        return (Z @ self._cu)[:, None]
+        # one product per row, as in _eval_terms: ``Z @ cu`` switches kernels
+        # with the batch size, which changes the last bits of row i
+        return np.matmul(Z[:, None, :], self._cu[:, None])[:, 0, :]
 
     def jac_many(self, Z) -> np.ndarray:
         Z = _as_batch(Z, self.n)

@@ -71,8 +71,9 @@ _FD_MAX_ROWS = 1400
 class GradResult:
     """Value of |grad|f|| at a point, with the branch that produced it.
 
-    ``A`` is present exactly on the nonzero branch, ``top_dir`` (a maximizing
-    unit direction) exactly on the zero branch. ``ambiguous`` marks |f(z)|
+    ``A`` is present exactly on the nonzero branch, ``top_dir`` exactly on
+    the zero branch: a top right-singular vector of Df(z), a maximizing unit
+    direction defined up to a unit phase. ``ambiguous`` marks |f(z)|
     inside (tol/10, tol]; there the zero-branch value is reported as ``value``
     (an upper bound for the nonzero reading) and the nonzero-branch quotient
     |A|/|f(z)| as ``alt_value``.
@@ -155,20 +156,23 @@ class _GradBatch:
 
 def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray, zero_tol: float) -> _GradBatch:
     """Closed form for the batch ``f = V``, ``Df = J``, ``|f| = nv``: the
-    nonzero branch vectorised, zero and ambiguous rows one at a time."""
+    nonzero branch vectorised, the zero and ambiguous rows in one
+    ``spectral_norm`` call on their stacked Jacobians."""
     A = _contract(V, J)
     # rows at or below zero_tol/10 use only the zero branch; the floor just
     # keeps 0/0 out of their unused quotient
     value = _row_norms(A) / np.maximum(nv, zero_tol / 10.0)
     zero = {}
-    for i in np.flatnonzero(nv <= zero_tol).tolist():
-        sigma, top = spectral_norm(J[i])
-        g = GradResult(value=sigma, branch="zero", top_dir=top)
-        if nv[i] > zero_tol / 10.0:
-            g.ambiguous = True
-            g.alt_value = float(value[i])
-        value[i] = sigma
-        zero[i] = g
+    rows = np.flatnonzero(nv <= zero_tol)
+    if rows.size:
+        sigma, top = spectral_norm(J[rows])
+        for k, i in enumerate(rows.tolist()):
+            g = GradResult(value=float(sigma[k]), branch="zero", top_dir=top[k])
+            if nv[i] > zero_tol / 10.0:
+                g.ambiguous = True
+                g.alt_value = float(value[i])
+            zero[i] = g
+        value[rows] = sigma
     return _GradBatch(value, A, zero)
 
 
@@ -218,8 +222,9 @@ def _fd_directions(n, dirs, seeds, A, nA, J, base) -> np.ndarray:
     D[:, dirs:] = D[:, :1]
     has_a = nA > 0
     D[has_a, dirs] = np.conj(A[has_a]) / nA[has_a, None]
-    for k in np.flatnonzero(base <= ZERO_BRANCH_TOL).tolist():
-        D[k, dirs + 1] = spectral_norm(J[k]).direction
+    zero = np.flatnonzero(base <= ZERO_BRANCH_TOL)
+    if zero.size:
+        D[zero, dirs + 1] = spectral_norm(J[zero]).direction
     return D
 
 

@@ -4,6 +4,8 @@ Witness gradients are pinned by hand: the zero case attains
 1 / (1 - |p|^2) at p, the nonzero case (1 - |a|^2) / (1 - |p|^2).
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,71 @@ def test_witnesses_map_into_the_ball():
     for f in maps:
         vals = f.eval_many(pts)
         assert (np.sqrt((np.abs(vals) ** 2).sum(axis=1)) < 1.0).all()
+
+
+def random_witness_inputs(seed, count):
+    """``count`` (p, u, beta, a, theta) tuples, every third p with
+    |p| = 1 - 10^-k for k uniform in [2, 6]; u, beta and a/|a| are
+    normalized in float, as a caller would."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        d /= np.sqrt((np.abs(d) ** 2).sum())
+        r = 1.0 - 10.0 ** -rng.uniform(2, 6) if i % 3 == 0 else rng.uniform(0.0, 0.99)
+        p = r * d
+        u = p / np.sqrt((np.abs(p) ** 2).sum()) * np.exp(2j * np.pi * rng.random())
+        beta = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        beta /= np.sqrt((np.abs(beta) ** 2).sum())
+        a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        a *= rng.uniform(0.05, 0.95) / np.sqrt((np.abs(a) ** 2).sum())
+        out.append((p, u, beta, a, float(2 * np.pi * rng.random())))
+    return out
+
+
+def exact_sq_norm(v) -> Fraction:
+    """sum |v_j|^2 of the binary values of v, exactly."""
+    return sum(Fraction(x) ** 2 for z in np.asarray(v).tolist() for x in (z.real, z.imag))
+
+
+def test_stored_witness_vectors_lie_in_the_closed_ball_exactly():
+    # u is the LinearFunctional's vector; beta and a/|a| the last stage's
+    for k, (p, u, beta, a, theta) in enumerate(random_witness_inputs(71, 500)):
+        if k % 2:
+            f = extremal_nonzero_case(ExtremalSpec.nonzero(p, u, a, theta))
+        else:
+            f = extremal_zero_case(ExtremalSpec.zero(p, u, beta))
+        first, last = f.stages[0], f.stages[-1]
+        assert exact_sq_norm(first.u) <= 1
+        assert exact_sq_norm(last.beta) <= 1
+        # the inward rounding moves each part by a few ulps at most
+        assert np.abs(first.u - u / np.sqrt((np.abs(u) ** 2).sum())).max() <= 1e-15
+
+
+def test_stored_zero_witness_satisfies_the_bound_near_the_sphere():
+    # closed form of the stored map f(z) = beta phi_z0(<z, u>) at 50 digits:
+    # |grad|f||(z) = |phi_z0'(<z, u>)| |u| |beta|
+    mp = pytest.importorskip("mpmath")
+
+    def mpf(q: Fraction):
+        return mp.mpf(q.numerator) / q.denominator
+
+    rng = np.random.default_rng(73)
+    with mp.workdps(50):
+        for p, u, beta, _, _ in random_witness_inputs(72, 200):
+            f = extremal_zero_case(ExtremalSpec.zero(p, u, beta))
+            us, z0, bs = f.stages[0].u, f.stages[1].z0, f.stages[2].beta
+            # a probe on the equality slice, 1 - |z| log-uniform in [1e-12, 1e-3]
+            z = (1.0 - 10.0 ** rng.uniform(-12, -3)) * np.exp(2j * np.pi * rng.random()) * u
+            sq_u, sq_beta, sq_z = (mpf(exact_sq_norm(v)) for v in (us, bs, z))
+            zeta = mp.fsum(mp.mpc(x) * mp.conj(mp.mpc(y)) for x, y in zip(z.tolist(), us.tolist()))
+            a = mp.mpc(complex(z0))
+            den = 1 - mp.conj(a) * zeta
+            phi = (a - zeta) / den
+            lhs = (1 - abs(a) ** 2) / abs(den) ** 2 * mp.sqrt(sq_u * sq_beta)
+            rhs = (1 - abs(phi) ** 2 * sq_beta) / (1 - sq_z)
+            assert rhs - lhs >= 0
 
 
 def test_projection_identity_along_slice():

@@ -124,6 +124,8 @@ BATCH_MAPS = [
     for m in range(1, 5)
 ] + [
     Pipeline([gen_random_polymap(2, 3, 3, 0.25, seed=5), gen_random_polymap(3, 2, 2, 0.25, seed=6)]),
+    Pipeline([LinearFunctional([0.6, 0.8j]), MobiusDisk(0.3 - 0.2j), ScalarTimesVector([0.6, 0.8j])]),
+    LinearFunctional([0.5, -0.5j, 0.5 + 0.5j]),
 ]
 
 

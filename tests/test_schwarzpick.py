@@ -36,7 +36,13 @@ from holoball import (
     vnorm,
 )
 from holoball.complexcore import sphere_rows
-from holoball.schwarzpick import DEFAULT_FD_STEPS, ZERO_BRANCH_TOL, _extrapolate_to_zero
+from holoball.schwarzpick import (
+    DEFAULT_FD_STEPS,
+    ZERO_BRANCH_TOL,
+    _extrapolate_to_zero,
+    _grad_many,
+    _row_norms,
+)
 
 S = 1.0 / np.sqrt(2.0)
 HALFSUM = PolyMap(2, 1, {(1, 0): [0.5], (0, 1): [0.5]})
@@ -369,6 +375,54 @@ def test_fd_many_rows_equal_single_point():
     got = mod_grad_fd_many(g, ws, range(25), steps=(1e-4, 5e-5, 2.5e-5), dirs=70)
     for i, w in enumerate(ws):
         assert got[i] == mod_grad_fd(g, w, steps=(1e-4, 5e-5, 2.5e-5), dirs=70, seed=i)
+
+
+def several_zeros_batch(case):
+    """A batch with several zero-branch rows, an ambiguous-band row and
+    nonzero rows. "tied": a polynomial map vanishing at 0 and at (c, 0),
+    with tied singular values |c|/4 there. "witness": a zero witness, which
+    vanishes on the whole hyperplane <w, u> = <p, u>."""
+    if case == "tied":
+        c = 0.5 + 0.3j
+        f = PolyMap(2, 2, {(2, 0): [0.25, 0.0], (1, 0): [-c / 4, 0.0], (0, 1): [0.0, abs(c) / 4]})
+        zeros = np.array([[0.0, 0.0], [c, 0.0]])
+    else:
+        p = np.array([0.3 - 0.1j, 0.2j])
+        u = p / vnorm(p)
+        f = extremal_zero_case(ExtremalSpec.zero(p, u, [0.6, 0.8j]))
+        v = np.array([np.conj(u[1]), -np.conj(u[0])])  # orthogonal to u
+        zeros = np.array([p, p + 0.3 * v, p - 0.2j * v])
+    d = np.array([0.6, 0.8j])
+    near = zeros[0] + 5e-14 / vnorm(f.jacobian(zeros[0]) @ d) * d
+    zs = np.concatenate([sample_ball_points(2, 2, seed=3), zeros[:1], [near],
+                         zeros[1:], sample_ball_points(2, 2, seed=4)])
+    return f, zs, len(zeros)
+
+
+@pytest.mark.parametrize("case", ["tied", "witness"])
+def test_batches_with_several_zero_rows_match_single_points(case):
+    f, zs, zero_count = several_zeros_batch(case)
+    V = f.eval_many(zs)
+    g = _grad_many(V, f.jac_many(zs), _row_norms(V), ZERO_BRANCH_TOL)
+    singles = [mod_grad(f, z) for z in zs]
+    assert [s.branch for s in singles].count("zero") == zero_count + 1
+    assert [s.ambiguous for s in singles] == [False] * 3 + [True] + [False] * (zero_count + 1)
+    for i, (z, single) in enumerate(zip(zs, singles)):
+        batched = g.result(i)
+        assert (batched.value, batched.branch, batched.ambiguous, batched.alt_value) == (
+            single.value, single.branch, single.ambiguous, single.alt_value)
+        if single.branch == "zero":
+            # a top singular direction is fixed only up to a unit phase
+            J = f.jacobian(z)
+            for d in (batched.top_dir, single.top_dir):
+                assert abs(vnorm(d) - 1.0) <= 1e-14
+                assert abs(vnorm(J @ d) - single.value) <= 1e-13 * single.value
+    for rep, z in zip(sp_bound_many(f, zs), zs):
+        assert_same_report(rep, sp_bound(f, z))
+    seeds = [5 * i + 3 for i in range(zs.shape[0])]
+    got = mod_grad_fd_many(f, zs, seeds)
+    for i, z in enumerate(zs):
+        assert got[i] == mod_grad_fd(f, z, seed=seeds[i])
 
 
 def raised(fn, *args):
