@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcore import as_cvector, herm_inner, vector_to_pairs, vnorm
+from .complexcore import _row_norms, as_cvector, herm_inner, vector_to_pairs, vnorm
 from .errors import InputError, PreconditionError
-from .geometry import bound_factor, disk_slice
+from .geometry import _ball_point, bound_factor, disk_slice
 from .holomap import (
     AffineScalar,
     HoloMap,
@@ -47,7 +47,7 @@ from .holomap import (
     Pipeline,
     ScalarTimesVector,
 )
-from .schwarzpick import ZERO_BRANCH_TOL, equality_gap
+from .schwarzpick import DEFAULT_BOUND_TOL, ZERO_BRANCH_TOL, _bound_batch
 
 __all__ = [
     "ExtremalSpec",
@@ -127,20 +127,13 @@ def _checked_direction(p: np.ndarray, u) -> np.ndarray:
     return uv
 
 
-def _checked_p(spec: ExtremalSpec) -> np.ndarray:
-    p = as_cvector(spec.p, "p")
-    if vnorm(p) >= 1.0:
-        raise InputError("p must lie strictly inside the unit ball")
-    return p
-
-
 def extremal_zero_case(spec: ExtremalSpec) -> Pipeline:
     """Equality witness with f(p) = 0; |grad|f||(p) = 1 / (1 - |p|^2)."""
     if spec.case != "zero":
         raise InputError(f"spec.case must be 'zero', got {spec.case!r}")
     if spec.beta is None:
         raise InputError("zero case requires beta")
-    p = _checked_p(spec)
+    p = _ball_point(spec.p, "p")
     u = _checked_direction(p, spec.u)
     beta = as_cvector(spec.beta, "beta")
     nb = vnorm(beta)
@@ -158,7 +151,7 @@ def extremal_nonzero_case(spec: ExtremalSpec) -> Pipeline:
         raise InputError(f"spec.case must be 'nonzero', got {spec.case!r}")
     if spec.a is None or spec.theta is None:
         raise InputError("nonzero case requires a and theta")
-    p = _checked_p(spec)
+    p = _ball_point(spec.p, "p")
     u = _checked_direction(p, spec.u)
     a = as_cvector(spec.a, "a")
     na = vnorm(a)
@@ -166,15 +159,12 @@ def extremal_nonzero_case(spec: ExtremalSpec) -> Pipeline:
         raise InputError("a must be nonzero; use the zero case for f(p) = 0")
     if na >= 1.0:
         raise InputError(f"|a| must be < 1, got {na}")
-    theta = float(spec.theta)
-    if not np.isfinite(theta):
-        raise InputError("theta must be finite")
     z0 = herm_inner(p, u)
     return Pipeline(
         [
             LinearFunctional(u),
             MobiusDisk(z0),
-            MobiusQuotient(na, theta),
+            MobiusQuotient(na, spec.theta),  # which checks theta
             ScalarTimesVector(_round_inward(a / na)),
         ]
     )
@@ -228,7 +218,9 @@ def diagnose_equality_form(
     qv = as_cvector(q, "q")
     if pv.shape[0] != f.n or qv.shape[0] != f.n:
         raise InputError(f"p and q must have dimension {f.n}")
-    gap = equality_gap(f, pv)
+    # the equality gap, f(p) and Df(p) from one pass over p
+    at_p = _bound_batch(f, pv, DEFAULT_BOUND_TOL)
+    gap = at_p.slack.item()
     if abs(gap) > tol:
         raise PreconditionError(
             f"equality hypothesis fails at p: |gap| = {abs(gap)} > tol = {tol}"
@@ -239,43 +231,32 @@ def diagnose_equality_form(
     ds = disk_slice(pv, qv)
     g = Pipeline([LineEmbed(pv, qv), f])
     # canonical disk factor on the slice: w(z) = phi_{-c/r}((z - c)/r)
-    canonical = Pipeline(
-        [AffineScalar(1.0 / ds.r, -ds.c / ds.r), MobiusDisk(-ds.c / ds.r)]
-    )
+    canonical = Pipeline([AffineScalar(1.0 / ds.r, -ds.c / ds.r), MobiusDisk(-ds.c / ds.r)])
     zs = ds.c + 0.9 * ds.r * np.exp(2j * np.pi * np.arange(samples) / samples)
     W = canonical.eval_many(zs[:, None])[:, 0]
     G = g.eval_many(zs[:, None])
 
-    fp = f.eval(pv)
+    fp = at_p.values[0]
     nfp = vnorm(fp)
     if nfp <= ZERO_BRANCH_TOL:
         k = int(np.argmax(np.abs(W)))
-        beta_fit = G[k] / W[k]
-        resid = float(np.sqrt((np.abs(G - W[:, None] * beta_fit[None, :]) ** 2).sum(axis=1)).max())
-        return Diagnosis(
-            matches=bool(resid <= tol),
-            max_residual=resid,
-            points_tested=int(samples),
-            fitted_beta=beta_fit,
-        )
-
-    unit_a = fp / nfp
-    h = G @ np.conj(unit_a)
-    gprime = g.jac_many(np.array([[0.0 + 0.0j]]))[0][:, 0]
-    hprime = complex(gprime @ np.conj(unit_a))
-    wprime = -ds.r / ((ds.r - abs(ds.c)) * (ds.r + abs(ds.c)))
-    efit = hprime / (((1.0 - nfp) * (1.0 + nfp)) * wprime)
-    theta_fit = float(np.angle(efit))
-    rot = complex(np.exp(1j * theta_fit))
-    model = (nfp + rot * W) / (1.0 + nfp * rot * W)
-    resid = float(np.abs(h - model).max())
-    orth_sq = (np.abs(G) ** 2).sum(axis=1) - np.abs(h) ** 2
-    orth = float(np.sqrt(np.maximum(orth_sq, 0.0)).max())
+        fit = {"fitted_beta": G[k] / W[k]}
+        resid = float(_row_norms(G - W[:, None] * fit["fitted_beta"][None, :]).max())
+    else:
+        unit_a = fp / nfp
+        h = G @ np.conj(unit_a)
+        # g'(0) = Df(p) (q - p), the chain rule of g at its origin
+        gprime = np.matmul(at_p.jacobians, (qv - pv)[None, :, None])[0][:, 0]
+        hprime = complex(gprime @ np.conj(unit_a))
+        wprime = -ds.r / ((ds.r - abs(ds.c)) * (ds.r + abs(ds.c)))
+        efit = hprime / (((1.0 - nfp) * (1.0 + nfp)) * wprime)
+        theta_fit = float(np.angle(efit))
+        rot = complex(np.exp(1j * theta_fit))
+        model = (nfp + rot * W) / (1.0 + nfp * rot * W)
+        resid = float(np.abs(h - model).max())
+        orth_sq = (np.abs(G) ** 2).sum(axis=1) - np.abs(h) ** 2
+        orth = float(np.sqrt(np.maximum(orth_sq, 0.0)).max())
+        fit = {"fitted_theta": theta_fit, "fitted_a": fp, "orthogonal_max": orth}
     return Diagnosis(
-        matches=bool(resid <= tol),
-        max_residual=resid,
-        points_tested=int(samples),
-        fitted_theta=theta_fit,
-        fitted_a=fp,
-        orthogonal_max=orth,
+        matches=bool(resid <= tol), max_residual=resid, points_tested=int(samples), **fit
     )

@@ -169,8 +169,7 @@ def sample_ball_points(n: int, count: int, seed: int) -> np.ndarray:
     dirs = sample_unit_sphere(n, count, _mix(seed, 0xD12))
     rng = np.random.default_rng(_mix(seed, 0x2AD))
     radii = rng.random(count) ** (1.0 / (2 * n))
-    while (radii > _RADIUS_CAP).any():
-        bad = radii > _RADIUS_CAP
+    while (bad := radii > _RADIUS_CAP).any():
         radii[bad] = rng.random(int(bad.sum())) ** (1.0 / (2 * n))
     return dirs * radii[:, None]
 
@@ -320,7 +319,7 @@ def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> Campai
             ce = counterexample_map()
             zero = np.zeros((1, 1), dtype=np.complex128)
             b, fds = check(ce, zero, lambda: [_mix(cfg.seed, 0xCE)])
-            classical = spectral_norm(ce.jacobian(zero[0])).value
+            classical = spectral_norm(b.jacobians[0]).value
             rhs = b.rhs.item()
             report.counterexample = {
                 "classical_lhs": float(classical),

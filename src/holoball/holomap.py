@@ -2,10 +2,11 @@
 
 Every map kind evaluates by plain arithmetic on its description and
 differentiates exactly: term by term for polynomials, rational-derivative
-formulas for the Moebius kinds, chain rule for pipelines. No numerical
-differentiation happens in this module. A polynomial builds one table of
-powers per variable for a batch of points; the n columns of its Jacobian
-share that table.
+formulas for the Moebius kinds, chain rule for pipelines, with no numerical
+differentiation. A kind implements the kernels ``_value`` and ``_value_jac``
+(see ``HoloMap``) on points the public entries have already validated. A
+polynomial's value and Jacobian columns read one table of powers per
+variable; a pipeline threads values and Jacobians through its stages at once.
 
 Maps are immutable after construction. Domain membership is not enforced at
 evaluation time; a map may be evaluated anywhere its poles permit (slices of
@@ -81,7 +82,12 @@ def _as_batch(Z, n: int) -> np.ndarray:
             raise InputError(f"point has dimension {A.shape[0]}, map expects {n}")
     if A.ndim != 2 or A.shape[1] != n:
         raise InputError(f"points must have shape (B, {n}), got {A.shape}")
-    if not np.isfinite(A).all():
+    return _finite(A)
+
+
+def _finite(A: np.ndarray) -> np.ndarray:
+    """``A`` itself; raises ``InputError`` when it has a non-finite entry."""
+    if np.count_nonzero(np.isfinite(A)) != A.size:
         raise InputError("points contain non-finite entries")
     return A
 
@@ -166,6 +172,12 @@ _STAGES = (_stages, lambda stages: [s.to_spec() for s in stages])
 class HoloMap:
     """Base class: a holomorphic map C^n -> C^m given by exact formulas.
 
+    A map kind implements two kernels on a finite ``(B, n)`` complex128
+    batch X, row i of each result depending on row i of X alone:
+    ``_value(X)``, the ``(B, m)`` values, and ``_value_jac(X)``, the values
+    with the ``(B, m, n)`` Jacobians from one pass. The public entries below
+    validate the points once, with ``_as_batch``, and a kernel coerces nothing.
+
     A class with a document format is listed in ``_KINDS`` under its
     ``kind``. Its ``_fields`` are the document's fields after ``kind``, each
     with its reader and writer, in the order of the constructor's arguments;
@@ -179,20 +191,24 @@ class HoloMap:
 
     def eval_many(self, Z) -> np.ndarray:
         """Evaluate at a batch of points, ``(B, n) -> (B, m)``."""
-        raise NotImplementedError
+        return self._value(_as_batch(Z, self.n))
 
     def jac_many(self, Z) -> np.ndarray:
         """Complex Jacobians at a batch of points, ``(B, n) -> (B, m, n)``;
         column j holds the partial derivatives with respect to z_j."""
-        raise NotImplementedError
+        return self._value_jac(_as_batch(Z, self.n))[1]
+
+    def eval_jac_many(self, Z) -> tuple[np.ndarray, np.ndarray]:
+        """``(eval_many(Z), jac_many(Z))``, computed in one pass."""
+        return self._value_jac(_as_batch(Z, self.n))
 
     def eval(self, z) -> np.ndarray:
         """Evaluate at one point, returns a vector of length m."""
-        return self.eval_many(_as_batch(z, self.n))[0]
+        return self.eval_many(z)[0]
 
     def jacobian(self, z) -> np.ndarray:
         """Complex Jacobian at one point, shape ``(m, n)``."""
-        return self.jac_many(_as_batch(z, self.n))[0]
+        return self.jac_many(z)[0]
 
     def frechet_apply(self, z, beta) -> np.ndarray:
         """Directional derivative ``Df(z) . beta``."""
@@ -237,9 +253,12 @@ def _eval_terms(tables, B: int, alphas: np.ndarray, coefs: np.ndarray) -> np.nda
     exponent of each variable in ``alphas``."""
     if alphas.shape[0] == 0:
         return np.zeros((B, coefs.shape[1]), dtype=np.complex128)
-    mono = np.ones((B, alphas.shape[0]), dtype=np.complex128)
+    # one block for both (B, T) arrays: glibc trims the heap top only above twice
+    # its largest freed block, so large batches then stop re-faulting fresh pages
+    mono, factor = np.empty((2, B, alphas.shape[0]), dtype=np.complex128)
+    mono[...] = 1.0
     for j in np.flatnonzero(alphas.max(axis=0)).tolist():
-        mono *= tables[j][:, alphas[:, j]]
+        mono *= np.take(tables[j], alphas[:, j], axis=1, out=factor)
     # one vector-matrix product per row: ``mono @ coefs`` switches kernels
     # with the batch size, which changes the last bits of row i
     return np.matmul(mono[:, None, :], coefs)[:, 0, :]
@@ -389,14 +408,7 @@ class PolyMap(HoloMap):
 
     @classmethod
     def identity(cls, n: int) -> "PolyMap":
-        terms = {}
-        for j in range(n):
-            alpha = [0] * n
-            alpha[j] = 1
-            coef = np.zeros(n, dtype=np.complex128)
-            coef[j] = 1.0
-            terms[tuple(alpha)] = coef
-        return cls(n, n, terms)
+        return cls.from_arrays(n, n, np.eye(n, dtype=np.int64), np.eye(n))
 
     @classmethod
     def from_scalar_coeffs(cls, coeffs) -> "PolyMap":
@@ -405,42 +417,31 @@ class PolyMap(HoloMap):
 
     @property
     def terms(self) -> dict:
-        return {
-            tuple(int(a) for a in alpha): self._coefs[i].copy()
-            for i, alpha in enumerate(self._alphas)
-        }
+        return {tuple(a): c.copy() for a, c in zip(self._alphas.tolist(), self._coefs)}
 
     def __repr__(self):
         return f"PolyMap(n={self.n}, m={self.m}, terms={self._alphas.shape[0]})"
 
-    def eval_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, self.n)
-        return _eval_terms(_powers(Z, self._degrees), Z.shape[0], self._alphas, self._coefs)
+    def _value(self, X: np.ndarray) -> np.ndarray:
+        return _eval_terms(_powers(X, self._degrees), X.shape[0], self._alphas, self._coefs)
 
     def _deriv_arrays(self, j: int):
-        cached = self._derivs.get(j)
-        if cached is not None:
-            return cached
-        rows = self._alphas[:, j] >= 1
-        alphas = self._alphas[rows].copy()
-        coefs = self._coefs[rows] * alphas[:, j][:, None]
-        alphas[:, j] -= 1
-        pair = (_freeze(alphas), _freeze(coefs))
-        self._derivs[j] = pair
-        return pair
+        """The terms of the partial derivative along z_j, cached."""
+        if j not in self._derivs:
+            rows = self._alphas[:, j] >= 1
+            alphas = self._alphas[rows].copy()
+            coefs = self._coefs[rows] * alphas[:, j][:, None]
+            alphas[:, j] -= 1
+            self._derivs[j] = (_freeze(alphas), _freeze(coefs))
+        return self._derivs[j]
 
-    def jac_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, self.n)
-        # the derivative terms never exceed the map's own degrees, so every
-        # column reads the same tables
-        tables = _powers(Z, self._degrees)
-        return np.stack(
-            [
-                _eval_terms(tables, Z.shape[0], *self._deriv_arrays(j))
-                for j in range(self.n)
-            ],
-            axis=2,
-        )
+    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the derivative terms never exceed the map's own degrees, so the
+        # value and every Jacobian column read the same tables
+        B = X.shape[0]
+        tables = _powers(X, self._degrees)
+        cols = [_eval_terms(tables, B, *self._deriv_arrays(j)) for j in range(self.n)]
+        return _eval_terms(tables, B, self._alphas, self._coefs), np.stack(cols, axis=2)
 
 
 class MobiusDisk(HoloMap):
@@ -473,14 +474,12 @@ class MobiusDisk(HoloMap):
             raise DomainError(f"evaluation at a pole of the Moebius factor z0={self.z0}")
         return den
 
-    def eval_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, 1)
-        return (self.z0 - Z) / self._den(Z)
+    def _value(self, X: np.ndarray) -> np.ndarray:
+        return (self.z0 - X) / self._den(X)
 
-    def jac_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, 1)
-        den = self._den(Z)
-        return ((abs(self.z0) ** 2 - 1.0) / den**2)[:, :, None]
+    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        den = self._den(X)
+        return (self.z0 - X) / den, ((abs(self.z0) ** 2 - 1.0) / den**2)[:, :, None]
 
 
 class MobiusQuotient(HoloMap):
@@ -514,14 +513,15 @@ class MobiusQuotient(HoloMap):
             raise DomainError("evaluation at a pole of the Moebius quotient")
         return den
 
-    def eval_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, 1)
-        return (self.a_abs + self._rot * Z) / self._den(Z)
+    def _value(self, X: np.ndarray) -> np.ndarray:
+        return (self.a_abs + self._rot * X) / self._den(X)
 
-    def jac_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, 1)
-        den = self._den(Z)
-        return (self._rot * (1.0 - self.a_abs**2) / den**2)[:, :, None]
+    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        den = self._den(X)
+        return (
+            (self.a_abs + self._rot * X) / den,
+            (self._rot * (1.0 - self.a_abs**2) / den**2)[:, :, None],
+        )
 
 
 class LineEmbed(HoloMap):
@@ -537,7 +537,8 @@ class LineEmbed(HoloMap):
         self.q = _freeze(as_cvector(q, "q").copy())
         if self.p.shape != self.q.shape:
             raise _FieldError("q", "p and q must have the same dimension")
-        self._d = _freeze(self.q - self.p)
+        with np.errstate(over="ignore"):  # a q - p past the float range is refused
+            self._d = _freeze(as_cvector(self.q - self.p, "q - p"))
         if vnorm(self._d) < 1e-14:
             raise _FieldError("q", "q must differ from p")
         self.m = self.p.shape[0]
@@ -545,13 +546,11 @@ class LineEmbed(HoloMap):
     def __repr__(self):
         return f"LineEmbed(dim={self.m})"
 
-    def eval_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, 1)
-        return self.p[None, :] + Z * self._d[None, :]
+    def _value(self, X: np.ndarray) -> np.ndarray:
+        return self.p[None, :] + X * self._d[None, :]
 
-    def jac_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, 1)
-        return np.broadcast_to(self._d[None, :, None], (Z.shape[0], self.m, 1)).copy()
+    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._value(X), np.full((X.shape[0], self.m, 1), self._d[:, None])
 
 
 class LinearFunctional(HoloMap):
@@ -569,15 +568,13 @@ class LinearFunctional(HoloMap):
     def __repr__(self):
         return f"LinearFunctional(dim={self.n})"
 
-    def eval_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, self.n)
-        # one product per row, as in _eval_terms: ``Z @ cu`` switches kernels
+    def _value(self, X: np.ndarray) -> np.ndarray:
+        # one product per row, as in _eval_terms: ``X @ cu`` switches kernels
         # with the batch size, which changes the last bits of row i
-        return np.matmul(Z[:, None, :], self._cu[:, None])[:, 0, :]
+        return np.matmul(X[:, None, :], self._cu[:, None])[:, 0, :]
 
-    def jac_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, self.n)
-        return np.broadcast_to(self._cu[None, None, :], (Z.shape[0], 1, self.n)).copy()
+    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._value(X), np.full((X.shape[0], 1, self.n), self._cu)
 
 
 class ScalarTimesVector(HoloMap):
@@ -594,13 +591,11 @@ class ScalarTimesVector(HoloMap):
     def __repr__(self):
         return f"ScalarTimesVector(dim={self.m})"
 
-    def eval_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, 1)
-        return Z * self.beta[None, :]
+    def _value(self, X: np.ndarray) -> np.ndarray:
+        return X * self.beta[None, :]
 
-    def jac_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, 1)
-        return np.broadcast_to(self.beta[None, :, None], (Z.shape[0], self.m, 1)).copy()
+    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._value(X), np.full((X.shape[0], self.m, 1), self.beta[:, None])
 
 
 class AffineScalar(HoloMap):
@@ -623,18 +618,17 @@ class AffineScalar(HoloMap):
     def __repr__(self):
         return f"AffineScalar(r={self.r}, c={self.c})"
 
-    def eval_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, 1)
-        return self.r * Z + self.c
+    def _value(self, X: np.ndarray) -> np.ndarray:
+        return self.r * X + self.c
 
-    def jac_many(self, Z) -> np.ndarray:
-        Z = _as_batch(Z, 1)
-        return np.full((Z.shape[0], 1, 1), self.r, dtype=np.complex128)
+    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._value(X), np.full((X.shape[0], 1, 1), self.r, dtype=np.complex128)
 
 
 class Pipeline(HoloMap):
     """Composition of maps, applied first to last; the Jacobian is the
-    (batched) chain-rule product of the stage Jacobians."""
+    (batched) chain-rule product of the stage Jacobians. A non-finite value
+    between two stages raises ``InputError``."""
 
     kind = "pipeline"
     _fields = (("stages", _STAGES),)
@@ -660,20 +654,18 @@ class Pipeline(HoloMap):
         inner = ", ".join(repr(s) for s in self.stages)
         return f"Pipeline([{inner}])"
 
-    def eval_many(self, Z) -> np.ndarray:
-        X = _as_batch(Z, self.n)
-        for stage in self.stages:
-            X = stage.eval_many(X)
+    def _value(self, X: np.ndarray) -> np.ndarray:
+        X = self.stages[0]._value(X)
+        for stage in self.stages[1:]:
+            X = stage._value(_finite(X))
         return X
 
-    def jac_many(self, Z) -> np.ndarray:
-        X = _as_batch(Z, self.n)
-        J = None
-        for stage in self.stages:
-            Ji = stage.jac_many(X)
-            J = Ji if J is None else np.matmul(Ji, J)
-            X = stage.eval_many(X)
-        return J
+    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        X, J = self.stages[0]._value_jac(X)
+        for stage in self.stages[1:]:
+            X, Ji = stage._value_jac(_finite(X))
+            J = np.matmul(Ji, J)
+        return X, J
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcore import _seed_words, spectral_norm, sphere_rows, vector_to_pairs
+from .complexcore import _row_norms, _seed_words, spectral_norm, sphere_rows, vector_to_pairs
 from .errors import CertificationError, InputError
 from .holomap import HoloMap, _as_batch
 
@@ -120,11 +120,6 @@ class BoundReport:
         }
 
 
-def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D batch; row i equals ``vnorm(X[i])``."""
-    return np.sqrt((np.abs(X) ** 2).sum(axis=1))
-
-
 def _contract(V: np.ndarray, J: np.ndarray) -> np.ndarray:
     """``A = conj(f(z)) . Df(z)`` per row. One vector-matrix product per row
     keeps ``A[i] == J[i].T @ conj(V[i])`` bit for bit at any batch size."""
@@ -180,9 +175,8 @@ def mod_grad(f: HoloMap, z, zero_tol: float = ZERO_BRANCH_TOL) -> GradResult:
     """Closed-form |grad|f||(z) with branch selection on |f(z)|."""
     if zero_tol <= 0:
         raise InputError("zero_tol must be positive")
-    Z = _one_point(z, f.n, "mod_grad")
-    V = f.eval_many(Z)
-    return _grad_many(V, f.jac_many(Z), _row_norms(V), zero_tol).result(0)
+    V, J = f.eval_jac_many(_one_point(z, f.n, "mod_grad"))
+    return _grad_many(V, J, _row_norms(V), zero_tol).result(0)
 
 
 def _extrapolate_to_zero(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -254,8 +248,7 @@ def mod_grad_fd_many(
     if len(seeds) != count:
         raise InputError(f"{len(seeds)} seeds for {count} points")
 
-    V = f.eval_many(Z)
-    J = f.jac_many(Z)
+    V, J = f.eval_jac_many(Z)
     base = _row_norms(V)
     A = _contract(V, J)
     nA = _row_norms(A)
@@ -314,10 +307,12 @@ def _image_norms(V: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _BoundBatch:
-    """The bound at every row of a batch, as arrays: ``zero`` marks the rows
-    whose gradient came from the zero branch."""
+    """The bound at every row of a batch, as arrays, with the map's values and
+    Jacobians there; ``zero`` marks the rows whose gradient took the zero branch."""
 
     points: np.ndarray
+    values: np.ndarray
+    jacobians: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     slack: np.ndarray
@@ -360,14 +355,14 @@ def _bound_batch(f: HoloMap, Z, tol: float, c: complex = 0.0, r: float = 1.0) ->
         raise InputError(
             f"point must lie strictly inside |z - c| < r = {r}, c = {c}: |z - c| = {float(dist[k])}"
         )
-    V = f.eval_many(Z)
+    V, J = f.eval_jac_many(Z)
     nv = _image_norms(V)
-    g = _grad_many(V, f.jac_many(Z), nv, ZERO_BRANCH_TOL)
+    g = _grad_many(V, J, nv, ZERO_BRANCH_TOL)
     rhs = r * _one_minus_sq(nv) / ((r - dist) * (r + dist))
     slack = rhs - g.value
     zero = np.zeros(Z.shape[0], dtype=bool)
     zero[list(g.zero)] = True
-    return _BoundBatch(Z.copy(), g.value, rhs, slack, slack >= -tol, zero, float(tol))
+    return _BoundBatch(Z.copy(), V, J, g.value, rhs, slack, slack >= -tol, zero, float(tol))
 
 
 def sp_bound_many(f: HoloMap, Z, tol: float = DEFAULT_BOUND_TOL) -> list[BoundReport]:

@@ -5,7 +5,9 @@ pure-Python splitmix64 and Box-Muller reference.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from holoball import (
 )
 from holoball.complexcore import (
     _open_unit,
+    _row_norms,
     _stream_words,
     complex_to_pair,
     pair_to_complex,
@@ -72,6 +75,48 @@ def test_vnorm_matches_inner_product():
     v = np.array([3.0, 4.0j])
     assert vnorm(v) == pytest.approx(5.0)
     assert vnorm(v) == pytest.approx(np.sqrt(herm_inner(v, v).real))
+
+
+def test_vnorm_survives_overflow_and_underflow_of_the_squares():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big, small = vnorm([3e200, 4e200j]), vnorm([3e-200, 4e-200])
+        # past the float range the norm itself is inf, still without a warning
+        assert vnorm([1.7e308, 1.7e308]) == np.inf
+    assert big == pytest.approx(5e200, rel=1e-15)
+    assert small == pytest.approx(5e-200, rel=1e-15)
+    assert vnorm([0.0, 0.0]) == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_norms_equal_the_plain_formula_in_range(n):
+    rng = np.random.default_rng(n)
+    for B in (0, 1, 3, 1320):
+        X = _rand_cvec(rng, B * n).reshape(B, n) * 10.0 ** rng.uniform(-5, 5, (B, 1))
+        plain = np.sqrt((np.abs(X) ** 2).sum(axis=1))
+        assert np.array_equal(_row_norms(X), plain)
+        assert [vnorm(x) for x in X[:3]] == plain[:3].tolist()
+
+
+def test_row_norms_rescale_only_the_rows_out_of_range():
+    rng = np.random.default_rng(8)
+    X = _rand_cvec(rng, 30).reshape(10, 3)
+    X[2] *= 1e250
+    X[5] *= 1e-250
+    X[7] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _row_norms(X)
+    plain = [2, 5]
+    ok = np.setdiff1d(np.arange(10), plain)
+    # in-range rows keep the plain formula bit for bit
+    assert np.array_equal(got[ok], np.sqrt((np.abs(X[ok]) ** 2).sum(axis=1)))
+    for i in plain:
+        with mpmath.workprec(200):
+            exact = float(mpmath.sqrt(sum(mpmath.mpf(float(abs(x))) ** 2 for x in X[i])))
+        assert got[i] == pytest.approx(exact, rel=1e-15)
+    assert got[7] == 0.0
+    assert np.array_equal(_row_norms(np.zeros((0, 3), dtype=np.complex128)), np.zeros(0))
 
 
 def test_non_finite_rejected():

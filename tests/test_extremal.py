@@ -13,6 +13,7 @@ from holoball import (
     Diagnosis,
     ExtremalSpec,
     InputError,
+    LineEmbed,
     LinearFunctional,
     MobiusDisk,
     MobiusQuotient,
@@ -27,6 +28,7 @@ from holoball import (
     extremal_zero_case,
     mod_grad,
     sp_bound,
+    vnorm,
 )
 
 E1 = np.array([1.0, 0.0])
@@ -236,6 +238,9 @@ def test_spec_validation():
         extremal_nonzero_case(ExtremalSpec.zero(P_HALF, E1, [1.0]))  # wrong case
     with pytest.raises(InputError):
         extremal_zero_case(ExtremalSpec(case="zero", p=P_HALF, u=E1))  # beta missing
+    # a huge direction is reported with its finite length
+    with pytest.raises(InputError, match=r"\|u\| = 1e\+200"):
+        extremal_zero_case(ExtremalSpec.zero([0.1], [1e200], [1.0]))
 
 
 def test_diagnose_zero_case_round_trip():
@@ -266,6 +271,20 @@ def test_diagnose_vector_nonzero_case():
     assert np.abs(d.fitted_a - a).max() <= 1e-14
     # square root of a cancelling difference of squares: sqrt(eps) scale
     assert d.orthogonal_max <= 1e-7
+
+
+def test_diagnose_reads_f_and_its_slice_derivative_at_p_from_one_pass():
+    # f(p) and g'(0) = Df(p) (q - p) equal what the slice map g = f o L gives
+    p, q = np.array([0.3, 0.4j]), np.array([0.45, 0.6j])
+    f = extremal_nonzero_case(ExtremalSpec.nonzero(p, [0.6, 0.8j], [0.3, -0.4j], 0.9))
+    d = diagnose_equality_form(f, p, q)
+    assert np.array_equal(d.fitted_a, f.eval(p))
+    g = Pipeline([LineEmbed(p, q), f])
+    ds = disk_slice(p, q)
+    nfp = vnorm(d.fitted_a)
+    hprime = complex(g.jacobian([0.0])[:, 0] @ np.conj(d.fitted_a / nfp))
+    wprime = -ds.r / ((ds.r - abs(ds.c)) * (ds.r + abs(ds.c)))
+    assert d.fitted_theta == float(np.angle(hprime / (((1.0 - nfp) * (1.0 + nfp)) * wprime)))
 
 
 def test_diagnose_rejects_broken_hypothesis():

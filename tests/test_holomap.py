@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from holoball import (
     AffineScalar,
     DomainError,
+    ExtremalSpec,
     InputError,
     LineEmbed,
     LinearFunctional,
@@ -22,11 +23,15 @@ from holoball import (
     ScalarTimesVector,
     SchemaError,
     emit_spec,
+    extremal_nonzero_case,
+    extremal_zero_case,
     gen_random_polymap,
     parse_spec,
     sample_ball_points,
+    sp_bound,
 )
-from holoball.holomap import MAX_DEGREE
+from holoball import holomap
+from holoball.holomap import _KINDS, MAX_DEGREE
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -139,6 +144,79 @@ def test_batch_rows_are_bit_identical_to_one_row_calls(f):
         assert np.array_equal(V[i], f.eval_many(zs[i : i + 1])[0])
         assert np.array_equal(J[i], f.jac_many(zs[i : i + 1])[0])
     assert np.array_equal(V[:40], f.eval_many(zs[:40]))
+
+
+FUSED_MAPS = [f for f, _ in CASES] + [
+    gen_random_polymap(n, m, max_degree=4, margin=0.25, seed=500 + 10 * n + m)
+    for n in range(1, 5)
+    for m in range(1, 5)
+] + [
+    extremal_zero_case(ExtremalSpec.zero([0.3, 0.4j], [0.6, 0.8j], [0.6, -0.8j])),
+    extremal_nonzero_case(ExtremalSpec.nonzero([0.3, 0.4j], [0.6, 0.8j], [0.3, 0.4j], 0.7)),
+]
+
+
+@pytest.mark.parametrize("f", FUSED_MAPS, ids=repr)
+@pytest.mark.parametrize("B", [1, 7])
+def test_eval_jac_many_equals_the_separate_entries(f, B):
+    zs = 0.9 * sample_ball_points(f.n, B, seed=60 + B + f.n)
+    V, J = f.eval_jac_many(zs)
+    assert V.shape == (B, f.m) and J.shape == (B, f.m, f.n)
+    assert np.array_equal(V, f.eval_many(zs))
+    assert np.array_equal(J, f.jac_many(zs))
+    # a fresh, writable Jacobian per row, also for the constant-Jacobian kinds
+    assert J.flags.writeable
+    J[0] += 1.0
+    assert np.array_equal(J[1:], f.jac_many(zs)[1:])
+
+
+def test_map_kinds_implement_only_the_kernels():
+    for cls in _KINDS.values():
+        assert {"_value", "_value_jac"} <= set(vars(cls))
+        assert not {"eval_many", "jac_many", "eval_jac_many"} & set(vars(cls))
+
+
+def test_pipeline_rejects_a_non_finite_intermediate():
+    # 5e199 * 1e200 overflows inside the pipeline; the next stage refuses it
+    pipe = Pipeline([AffineScalar(1e200, 0.0), AffineScalar(1e200, 0.0), MobiusDisk(0.1)])
+    z = np.array([[0.5 + 0.0j]])
+    for entry in (pipe.eval_many, pipe.jac_many, pipe.eval_jac_many,
+                  lambda Z: sp_bound(pipe, Z[0])):
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="non-finite"):
+            entry(z)
+
+
+@pytest.mark.parametrize(
+    "f,z",
+    [
+        (MobiusDisk(0.5), 2.0),
+        (MobiusQuotient(0.5, 0.0), -2.0),
+        (Pipeline([AffineScalar(4.0, 0.0), MobiusDisk(0.5)]), 0.5),
+    ],
+    ids=["disk", "quotient", "pipeline"],
+)
+def test_pole_raises_on_every_entry(f, z):
+    for entry in (f.eval_many, f.jac_many, f.eval_jac_many):
+        with pytest.raises(DomainError):
+            entry([[z]])
+
+
+def test_one_public_call_validates_once(monkeypatch):
+    calls = []
+
+    def counting(Z, n):
+        calls.append(n)
+        return as_batch(Z, n)
+
+    as_batch = holomap._as_batch
+    monkeypatch.setattr(holomap, "_as_batch", counting)
+    pipe = Pipeline([LinearFunctional([0.6, 0.8j]), MobiusDisk(0.3 - 0.2j),
+                     MobiusQuotient(0.4, 1.0), ScalarTimesVector([0.6, 0.8j])])
+    zs = sample_ball_points(2, 5, seed=3)
+    for entry in (pipe.eval_many, pipe.jac_many, pipe.eval_jac_many, pipe.eval, pipe.jacobian):
+        calls.clear()
+        entry(zs)
+        assert calls == [2]
 
 
 def test_mobius_involution():

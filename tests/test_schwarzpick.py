@@ -104,6 +104,22 @@ def test_ambiguous_band_reports_both_branches():
     assert above.branch == "nonzero" and not above.ambiguous
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 4), (4, 2)])
+def test_ambiguous_band_agrees_with_the_fd_oracle(n, m):
+    # a forced zero at p, then a step along the top singular direction that
+    # puts |f| inside the ambiguous band (tol/10, tol]
+    seed = 700 + 10 * n + m
+    p = 0.5 * sample_ball_points(n, 1, seed=seed)[0]
+    f = force_zero_at(gen_random_polymap(n, m, 3, 0.25, seed=seed), p, 0.25)
+    sigma, d = spectral_norm(f.jacobian(p))
+    for target in (2e-14, 5e-14, 9e-14):
+        z = p + target / sigma * d
+        assert ZERO_BRANCH_TOL / 10.0 < vnorm(f.eval(z)) <= ZERO_BRANCH_TOL
+        g = mod_grad(f, z)
+        assert g.branch == "zero" and g.ambiguous
+        assert abs(g.value - mod_grad_fd(f, z, seed=seed)) <= 1e-4
+
+
 def test_grad_result_serialization():
     d = mod_grad(COUNTEREXAMPLE, 0.0).to_dict()
     assert d["branch"] == "nonzero"
