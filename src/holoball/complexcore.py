@@ -75,7 +75,8 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
         q = a * a
         many_short = q.shape[0] >= 64 and q.shape[1] < 8
         s = functools.reduce(np.add, q.T) if many_short else np.add.reduce(q, axis=1)
-        if top == 0.0 or np.minimum.reduce(s, initial=_TINY) >= _TINY:
+        # rows below the normal range need rescaling unless they are zero
+        if np.minimum.reduce(s, initial=_TINY) >= _TINY or not a[s < _TINY].any():
             return np.sqrt(s)
     with np.errstate(over="ignore"):
         s = np.add.reduce(a * a, axis=1)

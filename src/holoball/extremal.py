@@ -36,7 +36,7 @@ import numpy as np
 
 from .complexcore import _row_norms, as_cvector, herm_inner, vector_to_pairs, vnorm
 from .errors import InputError, PreconditionError
-from .geometry import _ball_point, bound_factor, disk_slice
+from .geometry import _ball_point, disk_slice
 from .holomap import (
     AffineScalar,
     HoloMap,
@@ -212,23 +212,22 @@ def diagnose_equality_form(
     """
     if samples < 2:
         raise InputError("samples must be at least 2")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise InputError("tol must be a positive real")
     pv = as_cvector(p, "p")
     qv = as_cvector(q, "q")
     if pv.shape[0] != f.n or qv.shape[0] != f.n:
         raise InputError(f"p and q must have dimension {f.n}")
     # the equality gap, f(p) and Df(p) from one pass over p
-    at_p = _bound_batch(f, pv, DEFAULT_BOUND_TOL)
+    at_p = _bound_batch(f, pv[None, :], DEFAULT_BOUND_TOL)
     gap = at_p.slack.item()
     if abs(gap) > tol:
         raise PreconditionError(
             f"equality hypothesis fails at p: |gap| = {abs(gap)} > tol = {tol}"
         )
-    bf = bound_factor(pv, qv)
-    if not bf.collinear:
-        raise InputError("q - p must be collinear with p for a diagnosable slice")
     ds = disk_slice(pv, qv)
+    if not ds.collinear:
+        raise InputError("q - p must be collinear with p for a diagnosable slice")
     g = Pipeline([LineEmbed(pv, qv), f])
     # canonical disk factor on the slice: w(z) = phi_{-c/r}((z - c)/r)
     canonical = Pipeline([AffineScalar(1.0 / ds.r, -ds.c / ds.r), MobiusDisk(-ds.c / ds.r)])

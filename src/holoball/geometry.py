@@ -30,12 +30,15 @@ COLLINEAR_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DiskSlice:
-    """Parameter disk D(c, r) of the line through p and q inside the ball."""
+    """Parameter disk D(c, r) of the line through p and q inside the ball;
+    ``collinear`` tells whether q - p is a complex multiple of p (p = 0
+    counts as collinear with every direction)."""
 
     c: complex
     r: float
     p: np.ndarray
     q: np.ndarray
+    collinear: bool
 
     def line(self) -> LineEmbed:
         """The embedding ``z -> p + z (q - p)`` as a map node."""
@@ -62,9 +65,12 @@ def disk_slice(p, q) -> DiskSlice:
     nd = vnorm(d)
     if nd < 1e-14:
         raise InputError("q must differ from p")
-    c = -herm_inner(pv, d) / nd**2
-    r = float(np.sqrt((1.0 - vnorm(pv) ** 2) / nd**2 + abs(c) ** 2))
-    return DiskSlice(c=c, r=r, p=pv.copy(), q=qv.copy())
+    pd = herm_inner(pv, d)
+    npv = vnorm(pv)
+    c = -pd / nd**2
+    r = float(np.sqrt((1.0 - npv**2) / nd**2 + abs(c) ** 2))
+    collinear = npv == 0.0 or abs(pd) >= (1.0 - COLLINEAR_TOL) * npv * nd
+    return DiskSlice(c=c, r=r, p=pv.copy(), q=qv.copy(), collinear=bool(collinear))
 
 
 class BoundFactor(NamedTuple):
@@ -82,12 +88,8 @@ def bound_factor(p, q) -> BoundFactor:
     """
     ds = disk_slice(p, q)
     factor = ds.r / (ds.r**2 - abs(ds.c) ** 2)
-    d = ds.q - ds.p
-    nd = vnorm(d)
-    npv = vnorm(ds.p)
-    rhs = nd / (1.0 - npv**2)
-    collinear = npv == 0.0 or abs(herm_inner(ds.p, d)) >= (1.0 - COLLINEAR_TOL) * npv * nd
-    return BoundFactor(factor=float(factor), rhs=float(rhs), collinear=bool(collinear))
+    rhs = vnorm(ds.q - ds.p) / (1.0 - vnorm(ds.p) ** 2)
+    return BoundFactor(factor=float(factor), rhs=float(rhs), collinear=ds.collinear)
 
 
 def in_ball(z, eps: float = 0.0) -> bool:

@@ -10,10 +10,11 @@ Campaigns derive one sub-seed per (trial, purpose, point) by splitmix64
 hashing of the config seed, so trials are independent and the whole run is
 reproducible; identical configs produce byte-identical JSONL (the summary's
 ``runtime_ms`` is the only non-deterministic output). A trial is checked in
-one batch: the array core of ``sp_bound_many`` over its points, and one
-``mod_grad_fd_many`` call when the oracle is on, each point keeping its own
-direction seed ``_mix(seed, trial, 2, idx)`` (derived for the whole trial
-as one uint64 array) that keys its directions in
+one batch: the array core of ``sp_bound_many`` over its sampled points,
+which pass in without a second validation, and one ``mod_grad_fd_many``
+call (at the steps ``schwarzpick.FD_STEPS``) when the oracle is on, each
+point keeping its own direction seed ``_mix(seed, trial, 2, idx)`` (derived
+for the whole trial as one uint64 array) that keys its directions in
 ``complexcore.sphere_rows``; the aggregate and the log lines are read off
 the result arrays, and a trial's lines are encoded with one ``json.dumps``
 call. Since row i of a batch equals the point checked alone, every record
@@ -42,14 +43,7 @@ import numpy as np
 from .complexcore import _GOLDEN, _splitmix64, sample_unit_sphere, spectral_norm
 from .errors import InputError
 from .holomap import PolyMap
-from .schwarzpick import (
-    DEFAULT_FD_STEPS,
-    BoundReport,
-    _bound_batch,
-    _BoundBatch,
-    _fd_steps,
-    mod_grad_fd_many,
-)
+from .schwarzpick import BoundReport, _bound_batch, _BoundBatch, mod_grad_fd_many
 
 __all__ = [
     "FuzzConfig",
@@ -195,7 +189,6 @@ class FuzzConfig:
     seed: int = 20250817
     tol: float = 1e-9
     fd_dirs: int = 64
-    fd_steps: tuple = DEFAULT_FD_STEPS
     pin_counterexample: bool = False
 
     def validate(self) -> None:
@@ -214,12 +207,10 @@ class FuzzConfig:
             raise InputError("max_degree must be non-negative")
         if not (0.0 < self.margin < 1.0):
             raise InputError("margin must lie in (0, 1)")
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
-        if self.fd_dirs != 0:
-            if self.fd_dirs < 64:
-                raise InputError("fd_dirs must be 0 (disabled) or at least 64")
-            _fd_steps(self.fd_steps)
+        if not 0.0 < self.tol < np.inf:
+            raise InputError("tol must be a positive real")
+        if self.fd_dirs != 0 and self.fd_dirs < 64:
+            raise InputError("fd_dirs must be 0 (disabled) or at least 64")
 
 
 @dataclass
@@ -311,7 +302,7 @@ def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> Campai
         b = _bound_batch(f, points, cfg.tol)
         if not cfg.fd_dirs:
             return b, None
-        return b, mod_grad_fd_many(f, points, seeds(), cfg.fd_steps, cfg.fd_dirs)
+        return b, mod_grad_fd_many(f, points, seeds(), cfg.fd_dirs)
 
     out = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     try:

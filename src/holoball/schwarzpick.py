@@ -19,17 +19,20 @@ D(c, r) the bound scales to ``r (1 - |g|^2) / (r^2 - |z - c|^2)``.
 
 ``mod_grad_fd`` realizes the directional definition numerically and serves
 as an independent oracle for the closed form: one-sided difference
-quotients, Richardson-extrapolated to step 0, maximized over sampled unit
-directions plus the analytic maximizer candidates. The sampled directions
-of a point come from ``complexcore.sphere_rows``, a counter-based
-splitmix64 stream keyed by the point's seed, so a batch draws the
-directions of all its points in a few array operations.
+quotients at the two steps ``FD_STEPS``, Richardson-extrapolated to step 0,
+maximized over sampled unit directions plus the analytic maximizer
+candidates. The sampled directions of a point come from
+``complexcore.sphere_rows``, a counter-based splitmix64 stream keyed by the
+point's seed, so a batch draws the directions of all its points in a few
+array operations.
 
 Every check runs on a ``(B, n)`` batch of points: ``sp_bound_many`` and
 ``mod_grad_fd_many`` evaluate the map once per batch and vectorise the
 nonzero branch. Row i of a batch is bit for bit the same point checked
 alone; ``mod_grad``, ``mod_grad_fd``, ``sp_bound``, ``sp_bound_slice`` and
-``equality_gap`` run the same code at B = 1.
+``equality_gap`` run the same code at B = 1. Each public entry validates
+its points once; the cores below it take the validated batch and call the
+map's kernels ``_value`` and ``_value_jac`` directly.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .holomap import HoloMap, _as_batch
 
 __all__ = [
     "ZERO_BRANCH_TOL",
+    "FD_STEPS",
     "GradResult",
     "BoundReport",
     "mod_grad",
@@ -59,11 +63,12 @@ __all__ = [
 # is reported as ambiguous
 ZERO_BRANCH_TOL = 1e-13
 
-DEFAULT_FD_STEPS = (1e-4, 5e-5)
+# the FD oracle's two steps; its quotients are extrapolated to step 0 from them
+FD_STEPS = (1e-4, 5e-5)
 DEFAULT_FD_DIRS = 64
 DEFAULT_BOUND_TOL = 1e-9
-# rows per eval_many call in the FD oracle: about ten points at the default
-# steps and directions, which keeps the oracle's peak memory small
+# rows per kernel call in the FD oracle: about ten points at the default
+# directions, which keeps the oracle's peak memory small
 _FD_MAX_ROWS = 1400
 
 
@@ -73,10 +78,10 @@ class GradResult:
 
     ``A`` is present exactly on the nonzero branch, ``top_dir`` exactly on
     the zero branch: a top right-singular vector of Df(z), a maximizing unit
-    direction defined up to a unit phase. ``ambiguous`` marks |f(z)|
-    inside (tol/10, tol]; there the zero-branch value is reported as ``value``
-    (an upper bound for the nonzero reading) and the nonzero-branch quotient
-    |A|/|f(z)| as ``alt_value``.
+    direction defined up to a unit phase. ``ambiguous`` marks |f(z)| inside
+    (ZERO_BRANCH_TOL/10, ZERO_BRANCH_TOL]; there the zero-branch value is
+    reported as ``value`` (an upper bound for the nonzero reading) and the
+    nonzero-branch quotient |A|/|f(z)| as ``alt_value``.
     """
 
     value: float
@@ -149,21 +154,21 @@ class _GradBatch:
         return g
 
 
-def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray, zero_tol: float) -> _GradBatch:
+def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray) -> _GradBatch:
     """Closed form for the batch ``f = V``, ``Df = J``, ``|f| = nv``: the
     nonzero branch vectorised, the zero and ambiguous rows in one
     ``spectral_norm`` call on their stacked Jacobians."""
     A = _contract(V, J)
-    # rows at or below zero_tol/10 use only the zero branch; the floor just
-    # keeps 0/0 out of their unused quotient
-    value = _row_norms(A) / np.maximum(nv, zero_tol / 10.0)
+    # rows at or below ZERO_BRANCH_TOL/10 use only the zero branch; the
+    # floor just keeps 0/0 out of their unused quotient
+    value = _row_norms(A) / np.maximum(nv, ZERO_BRANCH_TOL / 10.0)
     zero = {}
-    rows = np.flatnonzero(nv <= zero_tol)
+    rows = np.flatnonzero(nv <= ZERO_BRANCH_TOL)
     if rows.size:
         sigma, top = spectral_norm(J[rows])
         for k, i in enumerate(rows.tolist()):
             g = GradResult(value=float(sigma[k]), branch="zero", top_dir=top[k])
-            if nv[i] > zero_tol / 10.0:
+            if nv[i] > ZERO_BRANCH_TOL / 10.0:
                 g.ambiguous = True
                 g.alt_value = float(value[i])
             zero[i] = g
@@ -171,37 +176,11 @@ def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray, zero_tol: float) ->
     return _GradBatch(value, A, zero)
 
 
-def mod_grad(f: HoloMap, z, zero_tol: float = ZERO_BRANCH_TOL) -> GradResult:
-    """Closed-form |grad|f||(z) with branch selection on |f(z)|."""
-    if zero_tol <= 0:
-        raise InputError("zero_tol must be positive")
-    V, J = f.eval_jac_many(_one_point(z, f.n, "mod_grad"))
-    return _grad_many(V, J, _row_norms(V), zero_tol).result(0)
-
-
-def _extrapolate_to_zero(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Neville polynomial extrapolation of ``ys`` (last axis indexed by the
-    steps ``ts``) to step 0."""
-    p = [ys[..., i] for i in range(ts.shape[0])]
-    t = list(ts)
-    for level in range(1, len(t)):
-        nxt = []
-        for i in range(len(t) - level):
-            ti, tj = t[i], t[i + level]
-            nxt.append((ti * p[i + 1] - tj * p[i]) / (ti - tj))
-        p = nxt
-    return p[0]
-
-
-def _fd_steps(steps) -> np.ndarray:
-    """The FD oracle's steps as a float array; raises unless they are
-    positive and strictly decreasing."""
-    ts = np.asarray(steps, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise InputError("steps must be a non-empty sequence")
-    if (ts <= 0).any() or (np.diff(ts) >= 0).any():
-        raise InputError("steps must be positive and strictly decreasing")
-    return ts
+def mod_grad(f: HoloMap, z) -> GradResult:
+    """Closed-form |grad|f||(z) with branch selection on |f(z)| against
+    ``ZERO_BRANCH_TOL``."""
+    V, J = f._value_jac(_one_point(z, f.n, "mod_grad"))
+    return _grad_many(V, J, _row_norms(V)).result(0)
 
 
 def _fd_directions(n, dirs, seeds, A, nA, J, base) -> np.ndarray:
@@ -222,22 +201,15 @@ def _fd_directions(n, dirs, seeds, A, nA, J, base) -> np.ndarray:
     return D
 
 
-def mod_grad_fd_many(
-    f: HoloMap,
-    Z,
-    seeds,
-    steps=DEFAULT_FD_STEPS,
-    dirs: int = DEFAULT_FD_DIRS,
-) -> np.ndarray:
+def mod_grad_fd_many(f: HoloMap, Z, seeds, dirs: int = DEFAULT_FD_DIRS) -> np.ndarray:
     """``mod_grad_fd`` at every row of a ``(B, n)`` batch, row i with direction
     seed ``seeds[i]`` (a uint64 array or any iterable of integers in
-    [0, 2^64)); entry i is bit for bit
-    ``mod_grad_fd(f, Z[i], steps, dirs, seeds[i])``.
+    [0, 2^64)); entry i is bit for bit ``mod_grad_fd(f, Z[i], dirs, seeds[i])``.
 
     The (point, direction, step) evaluations of up to ``_FD_MAX_ROWS`` rows
-    go to ``f.eval_many`` together.
+    go to the map's kernel ``f._value`` together: the batch is validated
+    once here, and a row ``z + t d`` with finite z and unit d is finite.
     """
-    ts = _fd_steps(steps)
     if not isinstance(dirs, (int, np.integer)):
         raise InputError("dirs must be an integer")
     if dirs < 64:
@@ -248,33 +220,31 @@ def mod_grad_fd_many(
     if len(seeds) != count:
         raise InputError(f"{len(seeds)} seeds for {count} points")
 
-    V, J = f.eval_jac_many(Z)
+    V, J = f._value_jac(Z)
     base = _row_norms(V)
     A = _contract(V, J)
     nA = _row_norms(A)
     out = np.empty(count)
+    ts = np.array(FD_STEPS)
+    t0, t1 = FD_STEPS
     chunk = max(1, _FD_MAX_ROWS // ((dirs + 2) * ts.size))
     for lo in range(0, count, chunk):
         hi = min(count, lo + chunk)
         D = _fd_directions(f.n, dirs, seeds[lo:hi], A[lo:hi], nA[lo:hi], J[lo:hi], base[lo:hi])
         # all (point, direction, step) evaluations of the chunk in one batch
         pts = Z[lo:hi, None, None, :] + ts[None, None, :, None] * D[:, :, None, :]
-        mods = _row_norms(f.eval_many(pts.reshape(-1, f.n))).reshape(D.shape[:2] + ts.shape)
-        quotients = (mods - base[lo:hi, None, None]) / ts
-        out[lo:hi] = _extrapolate_to_zero(ts, quotients).max(axis=1)
+        mods = _row_norms(f._value(pts.reshape(-1, f.n))).reshape(D.shape[:2] + ts.shape)
+        q = (mods - base[lo:hi, None, None]) / ts
+        # Richardson extrapolation of the two quotients to step 0
+        out[lo:hi] = ((t0 * q[..., 1] - t1 * q[..., 0]) / (t0 - t1)).max(axis=1)
     return out
 
 
-def mod_grad_fd(
-    f: HoloMap,
-    z,
-    steps=DEFAULT_FD_STEPS,
-    dirs: int = DEFAULT_FD_DIRS,
-    seed: int = 0,
-) -> float:
+def mod_grad_fd(f: HoloMap, z, dirs: int = DEFAULT_FD_DIRS, seed: int = 0) -> float:
     """Finite-difference realization of the directional definition of
     |grad|f||(z): the maximum over unit directions of the one-sided
-    difference quotient of ``|f|``, Richardson-extrapolated over ``steps``.
+    difference quotient of ``|f|``, taken at the steps ``FD_STEPS`` and
+    Richardson-extrapolated to step 0.
 
     Directions are ``dirs`` uniform samples of the unit sphere, the rows of
     ``sphere_rows(f.n, dirs, [seed])``, plus the analytic maximizer
@@ -283,7 +253,7 @@ def mod_grad_fd(
     branch is in play.
     """
     Z = _one_point(z, f.n, "mod_grad_fd")
-    return float(mod_grad_fd_many(f, Z, [seed], steps, dirs)[0])
+    return float(mod_grad_fd_many(f, Z, [seed], dirs)[0])
 
 
 def _one_minus_sq(x):
@@ -340,24 +310,24 @@ class _BoundBatch:
 
 
 def _bound_batch(f: HoloMap, Z, tol: float, c: complex = 0.0, r: float = 1.0) -> _BoundBatch:
-    """The array core of ``sp_bound_many`` and ``sp_bound_slice``: the bound
+    """The array core of the bound checks: the bound
     ``|grad|f||(z) <= r (1 - |f(z)|^2) / (r^2 - |z - c|^2)`` on the ball
-    |z - c| < r; the unit ball is c = 0, r = 1."""
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    Z = _as_batch(Z, f.n)
+    |z - c| < r (the unit ball is c = 0, r = 1) at every row of ``Z``, a
+    finite ``(B, n)`` complex batch its caller has validated."""
+    if not 0.0 < tol < np.inf:
+        raise InputError("tol must be a positive real")
     dist = _row_norms(Z - c)
     outside = dist >= r
     if outside.any():
         k = int(outside.argmax())
         if k:
-            _image_norms(f.eval_many(Z[:k]))
+            _image_norms(f._value(Z[:k]))
         raise InputError(
             f"point must lie strictly inside |z - c| < r = {r}, c = {c}: |z - c| = {float(dist[k])}"
         )
-    V, J = f.eval_jac_many(Z)
+    V, J = f._value_jac(Z)
     nv = _image_norms(V)
-    g = _grad_many(V, J, nv, ZERO_BRANCH_TOL)
+    g = _grad_many(V, J, nv)
     rhs = r * _one_minus_sq(nv) / ((r - dist) * (r + dist))
     slack = rhs - g.value
     zero = np.zeros(Z.shape[0], dtype=bool)
@@ -369,13 +339,13 @@ def sp_bound_many(f: HoloMap, Z, tol: float = DEFAULT_BOUND_TOL) -> list[BoundRe
     """Check the bound at every row of a ``(B, n)`` batch; report i is bit for
     bit ``sp_bound(f, Z[i], tol)``. A row outside the ball, or one whose
     image leaves it, raises what ``sp_bound`` raises for the first such row."""
-    b = _bound_batch(f, Z, tol)
+    b = _bound_batch(f, _as_batch(Z, f.n), tol)
     return b.reports(np.arange(b.lhs.shape[0]))
 
 
 def sp_bound(f: HoloMap, z, tol: float = DEFAULT_BOUND_TOL) -> BoundReport:
     """Check the bound |grad|f||(z) <= (1 - |f(z)|^2) / (1 - |z|^2)."""
-    return sp_bound_many(f, _one_point(z, f.n, "sp_bound"), tol)[0]
+    return _bound_batch(f, _one_point(z, f.n, "sp_bound"), tol).reports(np.arange(1))[0]
 
 
 def sp_bound_slice(g: HoloMap, xi, c, r: float, tol: float = DEFAULT_BOUND_TOL) -> BoundReport:

@@ -86,6 +86,17 @@ def test_bound_outside_target_ball_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_tol_outside_the_positive_reals_is_an_error(tmp_path, capsys, tol):
+    # a NaN tol once passed the check and read every point as violated
+    path = write_map(tmp_path, PolyMap.from_scalar_coeffs([0.0, 0.5]))
+    for argv in (["bound", "--map", path, "--point", "0.1,0"],
+                 ["diagnose", "--map", path, "--p", "0,0", "--q", "0.5,0"],
+                 ["fuzz", "--trials", "1"]):
+        assert run(argv + ["--tol", tol]) == 2
+        assert "tol must be a positive real" in capsys.readouterr().err
+
+
 def test_bad_map_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

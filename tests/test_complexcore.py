@@ -119,6 +119,34 @@ def test_row_norms_rescale_only_the_rows_out_of_range():
     assert np.array_equal(_row_norms(np.zeros((0, 3), dtype=np.complex128)), np.zeros(0))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-310, 1e250])
+def test_row_norms_with_zero_rows(scale, monkeypatch):
+    # exact-zero rows mixed with ordinary, subnormal-range or huge rows: the
+    # zero rows read 0, the others as in a batch without them; a batch whose
+    # only rows below the normal range are zero skips the rescaling
+    rng = np.random.default_rng(9)
+    X = _rand_cvec(rng, 24).reshape(8, 3) * scale
+    X[[1, 4, 5]] = 0.0
+    rest = [0, 2, 3, 6, 7]
+    alone = np.array([_row_norms(X[i : i + 1])[0] for i in rest])
+    rescaled = []
+
+    def counting(**kw):
+        # the rescaling path is the only caller of np.errstate
+        rescaled.append(kw)
+        return errstate(**kw)
+
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", counting)
+    got = _row_norms(X)
+    assert np.array_equal(got[rest], alone)
+    assert np.array_equal(_row_norms(X[rest]), alone)
+    assert (got[[1, 4, 5]] == 0.0).all()
+    if scale == 1.0:
+        assert np.array_equal(got, np.sqrt((np.abs(X) ** 2).sum(axis=1)))
+        assert not rescaled
+
+
 def test_non_finite_rejected():
     with pytest.raises(InputError):
         vnorm([np.nan, 1.0])

@@ -30,6 +30,7 @@ from holoball import (
     sp_bound,
     vnorm,
 )
+from holoball import extremal, geometry
 
 E1 = np.array([1.0, 0.0])
 P_HALF = np.array([0.5, 0.0])
@@ -287,6 +288,21 @@ def test_diagnose_reads_f_and_its_slice_derivative_at_p_from_one_pass():
     assert d.fitted_theta == float(np.angle(hprime / (((1.0 - nfp) * (1.0 + nfp)) * wprime)))
 
 
+def test_diagnose_builds_one_disk_slice(monkeypatch):
+    slices = []
+
+    def counting(p, q):
+        slices.append(build(p, q))
+        return slices[-1]
+
+    build = geometry.disk_slice
+    monkeypatch.setattr(extremal, "disk_slice", counting)
+    monkeypatch.setattr(geometry, "disk_slice", counting)
+    f = extremal_zero_case(ExtremalSpec.zero(P_HALF, E1, [1.0]))
+    assert diagnose_equality_form(f, P_HALF, [0.75, 0.0]).matches
+    assert len(slices) == 1
+
+
 def test_diagnose_rejects_broken_hypothesis():
     square = PolyMap.from_scalar_coeffs([0.0, 0.0, 1.0])
     with pytest.raises(PreconditionError):
@@ -312,8 +328,9 @@ def test_diagnose_validation():
     f = extremal_zero_case(ExtremalSpec.zero([0.0], [1.0], [1.0]))
     with pytest.raises(InputError):
         diagnose_equality_form(f, [0.0], [0.5], samples=1)
-    with pytest.raises(InputError):
-        diagnose_equality_form(f, [0.0], [0.5], tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="tol must be a positive real"):
+            diagnose_equality_form(f, [0.0], [0.5], tol=tol)
     with pytest.raises(InputError):
         diagnose_equality_form(f, [0.0, 0.0], [0.5, 0.0])
 

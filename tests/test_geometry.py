@@ -145,6 +145,15 @@ def test_defective_pairs_stay_strict():
         checked += 1
 
 
+def test_slice_records_the_collinearity_of_bound_factor():
+    rng = np.random.default_rng(43)
+    pairs = [([0.0, 0.0], [0.3, 0.4j]), ([0.5, 0.0], [0.0, 0.5])]
+    pairs += [random_pair(rng, n) for n in (1, 2, 3) for _ in range(10)]
+    for p, q in pairs:
+        assert disk_slice(p, q).collinear is bound_factor(p, q).collinear
+    assert set(disk_slice([0.5], [0.75]).to_dict()) == {"c", "r"}
+
+
 def test_collinear_tolerance_is_tight():
     assert COLLINEAR_TOL == 1e-12
 

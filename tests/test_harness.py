@@ -160,7 +160,7 @@ def test_fd_campaign_records_are_replayable(tmp_path):
         pts = sample_ball_points(cfg.n, cfg.points_per_trial, _mix(cfg.seed, trial, 1))
         for idx in range(cfg.points_per_trial):
             rec = records[trial * cfg.points_per_trial + idx]
-            fd = mod_grad_fd(f, pts[idx], cfg.fd_steps, cfg.fd_dirs, seed=_mix(cfg.seed, trial, 2, idx))
+            fd = mod_grad_fd(f, pts[idx], cfg.fd_dirs, seed=_mix(cfg.seed, trial, 2, idx))
             check = sp_bound(f, pts[idx], cfg.tol)
             assert rec["trial"] == trial
             assert rec["fd"] == fd
@@ -363,7 +363,7 @@ def test_campaign_report_equals_per_point_loop(monkeypatch, fd_dirs):
     zero = np.zeros(1, dtype=np.complex128)
     fd = None
     if fd_dirs:
-        fd = mod_grad_fd(ce, zero, cfg.fd_steps, cfg.fd_dirs, seed=_mix(cfg.seed, 0xCE))
+        fd = mod_grad_fd(ce, zero, cfg.fd_dirs, seed=_mix(cfg.seed, 0xCE))
     ce_rep = sp_bound(ce, zero, cfg.tol)
     absorb_reference(want, ce_rep, fd)
     for trial in range(cfg.trials):
@@ -371,7 +371,7 @@ def test_campaign_report_equals_per_point_loop(monkeypatch, fd_dirs):
         f = gen(cfg.n, cfg.m, cfg.max_degree, cfg.margin, seed)
         pts = sample_ball_points(cfg.n, cfg.points_per_trial, _mix(cfg.seed, trial, 1))
         seeds = [_mix(cfg.seed, trial, 2, idx) for idx in range(cfg.points_per_trial)]
-        fds = mod_grad_fd_many(f, pts, seeds, cfg.fd_steps, cfg.fd_dirs) if fd_dirs else None
+        fds = mod_grad_fd_many(f, pts, seeds, cfg.fd_dirs) if fd_dirs else None
         for idx, rep in enumerate(sp_bound_many(f, pts, cfg.tol)):
             absorb_reference(want, rep, None if fds is None else float(fds[idx]))
 
@@ -392,8 +392,9 @@ def test_campaign_report_equals_per_point_loop(monkeypatch, fd_dirs):
 @pytest.mark.parametrize(
     "bad",
     [
-        {"fd_steps": (1e-4, 1e-4)},
-        {"fd_steps": ()},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": 0.0},
         {"n": 2.0},
         {"m": 2.0},
         {"points_per_trial": 2.5},
@@ -410,7 +411,3 @@ def test_bad_config_raises_before_the_log_is_touched(tmp_path, bad):
     with pytest.raises(InputError):
         fuzz_campaign(FuzzConfig(**{"trials": 2, "points_per_trial": 5, **bad}), log)
     assert log.read_bytes() == b"earlier run\n"
-
-
-def test_fd_steps_unchecked_with_the_oracle_off():
-    FuzzConfig(fd_dirs=0, fd_steps=(1e-4, 1e-4)).validate()

@@ -35,14 +35,9 @@ from holoball import (
     spectral_norm,
     vnorm,
 )
+from holoball import holomap, schwarzpick
 from holoball.complexcore import sphere_rows
-from holoball.schwarzpick import (
-    DEFAULT_FD_STEPS,
-    ZERO_BRANCH_TOL,
-    _extrapolate_to_zero,
-    _grad_many,
-    _row_norms,
-)
+from holoball.schwarzpick import FD_STEPS, ZERO_BRANCH_TOL, _grad_many, _row_norms
 
 S = 1.0 / np.sqrt(2.0)
 HALFSUM = PolyMap(2, 1, {(1, 0): [0.5], (0, 1): [0.5]})
@@ -51,7 +46,7 @@ COUNTEREXAMPLE = PolyMap(1, 2, {(0,): [0.0, S], (1,): [S, 0.0]})
 
 def test_defaults_pinned():
     assert ZERO_BRANCH_TOL == 1e-13
-    assert DEFAULT_FD_STEPS == (1e-4, 5e-5)
+    assert FD_STEPS == (1e-4, 5e-5)
 
 
 def test_mod_grad_identity_zero_branch():
@@ -132,8 +127,6 @@ def test_grad_result_serialization():
 
 def test_mod_grad_validation():
     with pytest.raises(InputError):
-        mod_grad(PolyMap.identity(1), 0.0, zero_tol=0.0)
-    with pytest.raises(InputError):
         mod_grad(PolyMap.identity(2), np.zeros((2, 2), dtype=complex))
 
 
@@ -158,12 +151,6 @@ def test_fd_zero_branch_uses_top_direction():
 
 def test_fd_validation():
     f = PolyMap.identity(1)
-    with pytest.raises(InputError):
-        mod_grad_fd(f, 0.0, steps=(1e-5, 1e-4))
-    with pytest.raises(InputError):
-        mod_grad_fd(f, 0.0, steps=())
-    with pytest.raises(InputError):
-        mod_grad_fd(f, 0.0, steps=(1e-4, -1e-5))
     with pytest.raises(InputError):
         mod_grad_fd(f, 0.0, dirs=8)
     with pytest.raises(InputError):
@@ -265,8 +252,9 @@ def test_sp_bound_serialization():
 def test_sp_bound_validation():
     with pytest.raises(InputError):
         sp_bound(PolyMap.identity(1), 1.0)
-    with pytest.raises(InputError):
-        sp_bound(PolyMap.identity(1), 0.0, tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="tol must be a positive real"):
+            sp_bound(PolyMap.identity(1), 0.0, tol=tol)
     doubler = PolyMap.from_scalar_coeffs([0.0, 2.0])
     with pytest.raises(CertificationError):
         sp_bound(doubler, 0.6)
@@ -385,12 +373,14 @@ def test_fd_many_rows_equal_single_point():
     got = mod_grad_fd_many(f, zs, seeds)
     for i, z in enumerate(zs):
         assert got[i] == mod_grad_fd(f, z, seed=seeds[i])
-    # rows past one eval_many chunk
+    # rows past one kernel chunk: 1400 // ((140 + 2) * 2) = 4 points per
+    # chunk, so the 25 points take 7 chunks
+    assert schwarzpick._FD_MAX_ROWS // ((140 + 2) * len(FD_STEPS)) == 4
     g = gen_random_polymap(3, 2, max_degree=3, margin=0.25, seed=4)
     ws = sample_ball_points(3, 25, seed=5)
-    got = mod_grad_fd_many(g, ws, range(25), steps=(1e-4, 5e-5, 2.5e-5), dirs=70)
+    got = mod_grad_fd_many(g, ws, range(25), dirs=140)
     for i, w in enumerate(ws):
-        assert got[i] == mod_grad_fd(g, w, steps=(1e-4, 5e-5, 2.5e-5), dirs=70, seed=i)
+        assert got[i] == mod_grad_fd(g, w, dirs=140, seed=i)
 
 
 def several_zeros_batch(case):
@@ -419,7 +409,7 @@ def several_zeros_batch(case):
 def test_batches_with_several_zero_rows_match_single_points(case):
     f, zs, zero_count = several_zeros_batch(case)
     V = f.eval_many(zs)
-    g = _grad_many(V, f.jac_many(zs), _row_norms(V), ZERO_BRANCH_TOL)
+    g = _grad_many(V, f.jac_many(zs), _row_norms(V))
     singles = [mod_grad(f, z) for z in zs]
     assert [s.branch for s in singles].count("zero") == zero_count + 1
     assert [s.ambiguous for s in singles] == [False] * 3 + [True] + [False] * (zero_count + 1)
@@ -460,15 +450,17 @@ def test_batch_raises_what_the_first_bad_row_raises():
     f = gen_random_polymap(2, 2, max_degree=3, margin=0.25, seed=3)
     zs = np.array([[0.1, 0.2], [0.8, 0.8j], [0.9, 0.9]])
     assert raised(sp_bound_many, f, zs) == raised(sp_bound, f, zs[1])
-    with pytest.raises(InputError):
-        sp_bound_many(f, zs[:1], tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="tol must be a positive real"):
+            sp_bound_many(f, zs[:1], tol=tol)
     with pytest.raises(InputError):
         mod_grad_fd_many(f, zs[:1], [1, 2])
 
 
-def fd_reference(f, z, steps, dirs, seed):
+def fd_reference(f, z, dirs, seed):
     """The FD oracle at one point with its candidate directions gathered in
-    a list, as the reference for the batched direction array."""
+    a list and its two-step Richardson value written out, as the reference
+    for the batched direction array."""
     z = np.asarray(z, dtype=np.complex128).reshape(1, f.n)
     v, J = f.eval_many(z)[0], f.jac_many(z)[0]
     base = vnorm(v)
@@ -479,11 +471,13 @@ def fd_reference(f, z, steps, dirs, seed):
     if base <= ZERO_BRANCH_TOL:
         cands.append(spectral_norm(J).direction[None, :])
     D = np.concatenate(cands)
-    ts = np.asarray(steps, dtype=float)
+    t0, t1 = FD_STEPS
+    ts = np.array([t0, t1])
     pts = z + ts[None, :, None] * D[:, None, :]
     vals = f.eval_many(pts.reshape(-1, f.n))
-    mods = np.sqrt((np.abs(vals) ** 2).sum(axis=1)).reshape(-1, ts.size)
-    return float(_extrapolate_to_zero(ts, (mods - base) / ts).max())
+    mods = np.sqrt((np.abs(vals) ** 2).sum(axis=1)).reshape(-1, 2)
+    q0, q1 = (mods[:, 0] - base) / t0, (mods[:, 1] - base) / t1
+    return float(((t0 * q1 - t1 * q0) / (t0 - t1)).max())
 
 
 def test_fd_many_equals_per_point_candidate_lists():
@@ -491,10 +485,37 @@ def test_fd_many_equals_per_point_candidate_lists():
     seeds = [3 * i + 2 for i in range(zs.shape[0])]
     got = mod_grad_fd_many(f, zs, seeds)
     for i, z in enumerate(zs):
-        assert got[i] == fd_reference(f, z, DEFAULT_FD_STEPS, 64, seeds[i])
+        assert got[i] == fd_reference(f, z, 64, seeds[i])
     # the seeds may also come as one uint64 array
     assert np.array_equal(mod_grad_fd_many(f, zs, np.array(seeds, dtype=np.uint64)), got)
     # A = 0 at the origin: no conjugate-gradient candidate
     for seed in range(3):
         got = mod_grad_fd_many(COUNTEREXAMPLE, [[0.0]], [seed], dirs=65)[0]
-        assert got == fd_reference(COUNTEREXAMPLE, 0.0, DEFAULT_FD_STEPS, 65, seed)
+        assert got == fd_reference(COUNTEREXAMPLE, 0.0, 65, seed)
+
+
+def test_each_public_call_validates_its_points_once(monkeypatch):
+    calls = []
+
+    def counting(Z, n):
+        calls.append(n)
+        return as_batch(Z, n)
+
+    as_batch = holomap._as_batch
+    monkeypatch.setattr(holomap, "_as_batch", counting)
+    monkeypatch.setattr(schwarzpick, "_as_batch", counting)
+    f, zs = mixed_batch()
+    g = PolyMap.from_scalar_coeffs([0.0, 0.5])
+    for call, count in [
+        (lambda: sp_bound(f, zs[0]), 1),
+        (lambda: equality_gap(f, zs[0]), 1),
+        (lambda: sp_bound_many(f, zs), 1),
+        (lambda: sp_bound_slice(g, 0.1, 0.0, 2.0), 1),
+        (lambda: mod_grad(f, zs[0]), 1),
+        # the FD oracle's single-point view, then its batch entry
+        (lambda: mod_grad_fd(f, zs[0]), 2),
+        (lambda: mod_grad_fd_many(f, zs, range(len(zs))), 1),
+    ]:
+        calls.clear()
+        call()
+        assert len(calls) == count
