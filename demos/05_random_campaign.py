@@ -25,6 +25,7 @@ print(f"violations      : {len(report.violations)}")
 print(f"worst slack     : {report.worst_slack:.6f}")
 print(f"FD max dev      : {report.oracle_max_dev:.2e}")
 print(f"FD anomalies    : {report.fd_anomalies}")
+print(f"FD undecided    : {report.fd_undecided}")
 print(f"runtime         : {report.runtime_ms:.0f} ms")
 
 ce = report.counterexample

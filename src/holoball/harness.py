@@ -12,13 +12,15 @@ reproducible; identical configs produce byte-identical JSONL (the summary's
 ``runtime_ms`` is the only non-deterministic output). A trial is checked in
 one batch: the array core of ``sp_bound_many`` over its sampled points,
 which pass in without a second validation, and one ``mod_grad_fd_many``
-call (at the steps ``schwarzpick.FD_STEPS``) when the oracle is on, each
-point keeping its own direction seed ``_mix(seed, trial, 2, idx)`` (derived
-for the whole trial as one uint64 array) that keys its directions in
-``complexcore.sphere_rows``; the aggregate and the log lines are read off
-the result arrays, and a trial's lines are encoded with one ``json.dumps``
-call. Since row i of a batch equals the point checked alone, every record
-can be re-derived with ``sp_bound`` and ``mod_grad_fd``. Each log line is
+call when the oracle is on. Each point keeps its own direction seed
+``_mix(seed, trial, 2, idx)`` (derived for the whole trial as one uint64
+array); the seed keys the sampled directions in ``complexcore.sphere_rows``
+that the oracle uses only at points on or near the zero set of f, where it
+cannot differentiate along the real axes. The aggregate and the log lines
+are read off the result arrays, and a trial's lines are encoded with one
+``json.dumps`` call. Since row i of a batch equals the point checked alone,
+every record can be re-derived with ``sp_bound`` and ``mod_grad_fd``. Each
+log line is
 
     {"trial": int, "point": [[re, im], ...], "lhs": real, "rhs": real,
      "slack": real, "branch": "zero"|"nonzero", "fd": real, "fd_dev": real}
@@ -40,10 +42,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexcore import _GOLDEN, _splitmix64, sample_unit_sphere, spectral_norm
+from .complexcore import _GOLDEN, _row_norms, _splitmix64, sample_unit_sphere, spectral_norm
 from .errors import InputError
 from .holomap import PolyMap
-from .schwarzpick import BoundReport, _bound_batch, _BoundBatch, mod_grad_fd_many
+from .schwarzpick import FD_STEPS, BoundReport, _bound_batch, _BoundBatch, mod_grad_fd_many
 
 __all__ = [
     "FuzzConfig",
@@ -217,7 +219,12 @@ class FuzzConfig:
 class CampaignReport:
     """Aggregate of one campaign. ``violations`` holds the failing bound
     reports; ``worst_slack`` and ``oracle_max_dev`` are None when no point
-    was checked (or the FD oracle was off)."""
+    was checked (or the FD oracle was off). ``fd_undecided`` counts the
+    nonzero-branch points so close to a zero of f, |f(z)| below
+    ``10 FD_STEPS[0] |Df(z)|_F``, that the oracle's steps reach the cone of
+    |f| there and its reading decides nothing; their ``fd`` and ``fd_dev``
+    are still logged and still count in ``oracle_max_dev`` and
+    ``fd_anomalies``. It is None when the oracle is off."""
 
     trials_run: int
     points_checked: int
@@ -225,6 +232,7 @@ class CampaignReport:
     worst_slack: float | None = None
     oracle_max_dev: float | None = None
     fd_anomalies: int = 0
+    fd_undecided: int | None = None
     runtime_ms: float = 0.0
     counterexample: dict | None = None
 
@@ -238,6 +246,7 @@ class CampaignReport:
                 None if self.oracle_max_dev is None else float(self.oracle_max_dev)
             ),
             "fd_anomalies": int(self.fd_anomalies),
+            "fd_undecided": None if self.fd_undecided is None else int(self.fd_undecided),
             "runtime_ms": float(self.runtime_ms),
             "counterexample": self.counterexample,
         }
@@ -284,6 +293,9 @@ def _absorb(report: CampaignReport, b: _BoundBatch, fds: np.ndarray | None) -> N
         if report.oracle_max_dev is None or dev > report.oracle_max_dev:
             report.oracle_max_dev = dev
         report.fd_anomalies += int((fds > b.lhs + FD_ANOMALY_TOL).sum())
+        B = b.points.shape[0]
+        near = _row_norms(b.values) < 10.0 * FD_STEPS[0] * _row_norms(b.jacobians.reshape(B, -1))
+        report.fd_undecided += int((near & ~b.zero).sum())
 
 
 def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> CampaignReport:
@@ -294,7 +306,9 @@ def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> Campai
     opened."""
     cfg.validate()
     t0 = time.perf_counter()
-    report = CampaignReport(trials_run=0, points_checked=0)
+    report = CampaignReport(
+        trials_run=0, points_checked=0, fd_undecided=0 if cfg.fd_dirs else None
+    )
 
     def check(f, points, seeds):
         # the bound at every point, and the FD oracle when it is on, with

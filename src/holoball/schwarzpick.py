@@ -18,13 +18,17 @@ which survives vector-valued targets where the classical bound on
 D(c, r) the bound scales to ``r (1 - |g|^2) / (r^2 - |z - c|^2)``.
 
 ``mod_grad_fd`` realizes the directional definition numerically and serves
-as an independent oracle for the closed form: one-sided difference
-quotients at the two steps ``FD_STEPS``, Richardson-extrapolated to step 0,
-maximized over sampled unit directions plus the analytic maximizer
-candidates. The sampled directions of a point come from
-``complexcore.sphere_rows``, a counter-based splitmix64 stream keyed by the
-point's seed, so a batch draws the directions of all its points in a few
-array operations.
+as an independent oracle for the closed form; off the zero set it reads
+values of f alone. There |f| is differentiable, so the supremum is the norm
+of its real gradient in R^{2n}: central differences of |f| along the 2n
+real axes ``e_j`` and ``i e_j`` at the two steps ``FD_STEPS``,
+Richardson-extrapolated to step 0, 8n values of f per point. On and near
+the zero set |f| has a cone; there the oracle takes the largest one-sided
+difference quotient, extrapolated the same way, over sampled unit
+directions plus the top singular direction of Df. The sampled directions
+of a point come from ``complexcore.sphere_rows``, a counter-based
+splitmix64 stream keyed by the point's seed, so a batch draws the
+directions of all its points in a few array operations.
 
 Every check runs on a ``(B, n)`` batch of points: ``sp_bound_many`` and
 ``mod_grad_fd_many`` evaluate the map once per batch and vectorise the
@@ -67,8 +71,9 @@ ZERO_BRANCH_TOL = 1e-13
 FD_STEPS = (1e-4, 5e-5)
 DEFAULT_FD_DIRS = 64
 DEFAULT_BOUND_TOL = 1e-9
-# rows per kernel call in the FD oracle: about ten points at the default
-# directions, which keeps the oracle's peak memory small
+# rows per kernel call in the FD oracle, which keeps its peak memory small:
+# 1400 // (8n) points off the zero set (87 at n = 2), and 1400 // (2 (dirs + 1))
+# on it (ten at the default directions)
 _FD_MAX_ROWS = 1400
 
 
@@ -183,22 +188,57 @@ def mod_grad(f: HoloMap, z) -> GradResult:
     return _grad_many(V, J, _row_norms(V)).result(0)
 
 
-def _fd_directions(n, dirs, seeds, A, nA, J, base) -> np.ndarray:
-    """The ``(P, dirs + 2, n)`` directions of P points: per point its ``dirs``
-    seeded sphere samples (``sphere_rows(n, dirs, seeds)``, drawn for all P
-    points at once), then the direction conjugate to A/|A| and the top
-    singular direction of the Jacobian. A point without one of those
-    candidates repeats its first direction there, which leaves the maximum
-    over its directions unchanged."""
-    D = np.empty((len(seeds), dirs + 2, n), dtype=np.complex128)
-    D[:, :dirs] = sphere_rows(n, dirs, seeds)
-    D[:, dirs:] = D[:, :1]
-    has_a = nA > 0
-    D[has_a, dirs] = np.conj(A[has_a]) / nA[has_a, None]
-    zero = np.flatnonzero(base <= ZERO_BRANCH_TOL)
-    if zero.size:
-        D[zero, dirs + 1] = spectral_norm(J[zero]).direction
-    return D
+def _fd_axes(f: HoloMap, Z: np.ndarray) -> np.ndarray:
+    """|grad|f|| off the zero set, as the norm of the real gradient of |f| in
+    R^{2n}: component k is the central difference of |f| along the real axis
+    ``e_k`` (k < n) or ``i e_{k-n}``, taken at both ``FD_STEPS`` and
+    Richardson-extrapolated to step 0. The 8n evaluations of each point go
+    to ``f._value``, up to ``_FD_MAX_ROWS`` rows per call."""
+    count, n = Z.shape
+    ts = np.array(FD_STEPS)
+    t0, t1 = FD_STEPS
+    axes = np.concatenate([np.eye(n), 1j * np.eye(n)])
+    # the offsets +t e and -t e of every axis e at both steps, as
+    # (step, sign, axis) rows; each moves one real coordinate by exactly t
+    offsets = np.multiply.outer(np.outer(ts, [1.0, -1.0]), axes).reshape(-1, n)
+    out = np.empty(count)
+    chunk = max(1, _FD_MAX_ROWS // offsets.shape[0])
+    for lo in range(0, count, chunk):
+        hi = min(count, lo + chunk)
+        pts = Z[lo:hi, None, :] + offsets
+        mods = _row_norms(f._value(pts.reshape(-1, n))).reshape(hi - lo, ts.size, 2, 2 * n)
+        d = (mods[:, :, 0] - mods[:, :, 1]) / (2.0 * ts)[:, None]
+        # Richardson extrapolation of the two central differences to step 0
+        out[lo:hi] = _row_norms((t0 * t0 * d[:, 1] - t1 * t1 * d[:, 0]) / (t0 * t0 - t1 * t1))
+    return out
+
+
+def _fd_sampled(
+    f: HoloMap, Z: np.ndarray, seeds: np.ndarray, base: np.ndarray, dirs: int
+) -> np.ndarray:
+    """|grad|f|| on and near the zero set, where |f| has a cone: the largest
+    one-sided difference quotient of |f| at both ``FD_STEPS``,
+    Richardson-extrapolated to step 0, over each point's ``dirs`` seeded
+    sphere samples (``sphere_rows(n, dirs, seeds)``) and the top singular
+    direction of its Jacobian. ``base`` is |f| at the points."""
+    count, n = Z.shape
+    top = spectral_norm(f._value_jac(Z)[1]).direction
+    ts = np.array(FD_STEPS)
+    t0, t1 = FD_STEPS
+    out = np.empty(count)
+    chunk = max(1, _FD_MAX_ROWS // ((dirs + 1) * ts.size))
+    for lo in range(0, count, chunk):
+        hi = min(count, lo + chunk)
+        D = np.empty((hi - lo, dirs + 1, n), dtype=np.complex128)
+        D[:, :dirs] = sphere_rows(n, dirs, seeds[lo:hi])
+        D[:, dirs] = top[lo:hi]
+        # all (point, direction, step) evaluations of the chunk in one batch
+        pts = Z[lo:hi, None, None, :] + ts[None, None, :, None] * D[:, :, None, :]
+        mods = _row_norms(f._value(pts.reshape(-1, n))).reshape(D.shape[:2] + ts.shape)
+        q = (mods - base[lo:hi, None, None]) / ts
+        # Richardson extrapolation of the two quotients to step 0
+        out[lo:hi] = ((t0 * q[..., 1] - t1 * q[..., 0]) / (t0 - t1)).max(axis=1)
+    return out
 
 
 def mod_grad_fd_many(f: HoloMap, Z, seeds, dirs: int = DEFAULT_FD_DIRS) -> np.ndarray:
@@ -206,9 +246,8 @@ def mod_grad_fd_many(f: HoloMap, Z, seeds, dirs: int = DEFAULT_FD_DIRS) -> np.nd
     seed ``seeds[i]`` (a uint64 array or any iterable of integers in
     [0, 2^64)); entry i is bit for bit ``mod_grad_fd(f, Z[i], dirs, seeds[i])``.
 
-    The (point, direction, step) evaluations of up to ``_FD_MAX_ROWS`` rows
-    go to the map's kernel ``f._value`` together: the batch is validated
-    once here, and a row ``z + t d`` with finite z and unit d is finite.
+    The batch is validated once here; the oracle's rows ``z + t d`` with
+    finite z and unit d are finite, and go to the map's kernels directly.
     """
     if not isinstance(dirs, (int, np.integer)):
         raise InputError("dirs must be an integer")
@@ -220,37 +259,31 @@ def mod_grad_fd_many(f: HoloMap, Z, seeds, dirs: int = DEFAULT_FD_DIRS) -> np.nd
     if len(seeds) != count:
         raise InputError(f"{len(seeds)} seeds for {count} points")
 
-    V, J = f._value_jac(Z)
-    base = _row_norms(V)
-    A = _contract(V, J)
-    nA = _row_norms(A)
+    base = _row_norms(f._value(Z))
     out = np.empty(count)
-    ts = np.array(FD_STEPS)
-    t0, t1 = FD_STEPS
-    chunk = max(1, _FD_MAX_ROWS // ((dirs + 2) * ts.size))
-    for lo in range(0, count, chunk):
-        hi = min(count, lo + chunk)
-        D = _fd_directions(f.n, dirs, seeds[lo:hi], A[lo:hi], nA[lo:hi], J[lo:hi], base[lo:hi])
-        # all (point, direction, step) evaluations of the chunk in one batch
-        pts = Z[lo:hi, None, None, :] + ts[None, None, :, None] * D[:, :, None, :]
-        mods = _row_norms(f._value(pts.reshape(-1, f.n))).reshape(D.shape[:2] + ts.shape)
-        q = (mods - base[lo:hi, None, None]) / ts
-        # Richardson extrapolation of the two quotients to step 0
-        out[lo:hi] = ((t0 * q[..., 1] - t1 * q[..., 0]) / (t0 - t1)).max(axis=1)
+    zero = base <= ZERO_BRANCH_TOL
+    rows = np.flatnonzero(~zero)
+    if rows.size:
+        out[rows] = _fd_axes(f, Z[rows])
+    rows = np.flatnonzero(zero)
+    if rows.size:
+        out[rows] = _fd_sampled(f, Z[rows], seeds[rows], base[rows], dirs)
     return out
 
 
 def mod_grad_fd(f: HoloMap, z, dirs: int = DEFAULT_FD_DIRS, seed: int = 0) -> float:
     """Finite-difference realization of the directional definition of
-    |grad|f||(z): the maximum over unit directions of the one-sided
-    difference quotient of ``|f|``, taken at the steps ``FD_STEPS`` and
-    Richardson-extrapolated to step 0.
+    |grad|f||(z), the supremum over unit directions of the one-sided
+    derivative of ``|f|``.
 
-    Directions are ``dirs`` uniform samples of the unit sphere, the rows of
-    ``sphere_rows(f.n, dirs, [seed])``, plus the analytic maximizer
-    candidates: the direction conjugate to A/|A| when
-    A != 0, and the top singular direction of the Jacobian when the zero
-    branch is in play.
+    Where |f(z)| > ``ZERO_BRANCH_TOL``, |f| is differentiable and the
+    supremum is the norm of its real gradient in R^{2n}: central differences
+    along the 2n real axes ``e_j`` and ``i e_j`` at the steps ``FD_STEPS``,
+    Richardson-extrapolated to step 0, from values of f alone. At or below
+    the tolerance, it is the maximum of the one-sided quotients,
+    extrapolated the same way, over ``dirs`` uniform samples of the unit
+    sphere (the rows of ``sphere_rows(f.n, dirs, [seed])``) and the top
+    singular direction of the Jacobian; ``seed`` keys only those samples.
     """
     Z = _one_point(z, f.n, "mod_grad_fd")
     return float(mod_grad_fd_many(f, Z, [seed], dirs)[0])

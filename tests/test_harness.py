@@ -21,10 +21,18 @@ from holoball import (
     sample_ball_points,
     sp_bound,
     sp_bound_many,
+    vnorm,
 )
 from holoball import harness
-from holoball.harness import FD_ANOMALY_TOL, _mix, _mix_range, _multi_indices, _record_lines
-from holoball.schwarzpick import _bound_batch
+from holoball.harness import (
+    FD_ANOMALY_TOL,
+    _absorb,
+    _mix,
+    _mix_range,
+    _multi_indices,
+    _record_lines,
+)
+from holoball.schwarzpick import FD_STEPS, _bound_batch
 
 
 def l1_certificate(f):
@@ -187,6 +195,32 @@ def test_fd_oracle_in_campaign(tmp_path):
         rec = json.loads(line)
         assert rec["fd"] is not None
         assert rec["fd_dev"] == pytest.approx(abs(rec["lhs"] - rec["fd"]), abs=0.0)
+
+
+def test_points_near_a_zero_are_fd_undecided():
+    p = 0.5 * sample_ball_points(2, 1, seed=41)[0]
+    f = force_zero_at(gen_random_polymap(2, 2, 3, 0.25, seed=42), p, 0.25)
+    # the forced zero itself (zero branch, never undecided), 6 points 1e-5
+    # from it, then 4 far from it
+    near = sample_ball_points(2, 6, seed=43)
+    near = p + 1e-5 * near / np.linalg.norm(near, axis=1, keepdims=True)
+    zs = np.concatenate([[p], near, sample_ball_points(2, 4, seed=44)])
+    b = _bound_batch(f, zs, 1e-9)
+    assert b.zero.tolist() == [True] + [False] * 10
+    want = sum(sp_bound(f, z).branch == "nonzero"
+               and vnorm(f.eval(z)) < 10 * FD_STEPS[0] * np.linalg.norm(f.jacobian(z))
+               for z in zs)
+    assert want == 6
+    for fds, count in ((None, None), (mod_grad_fd_many(f, zs, range(11)), want)):
+        rep = CampaignReport(trials_run=0, points_checked=0,
+                             fd_undecided=None if fds is None else 0)
+        _absorb(rep, b, fds)
+        assert rep.fd_undecided == rep.to_dict()["fd_undecided"] == count
+
+
+def test_default_campaign_has_no_fd_undecided_points():
+    assert fuzz_campaign(FuzzConfig()).fd_undecided == 0
+    assert fuzz_campaign(FuzzConfig(trials=1, fd_dirs=0)).fd_undecided is None
 
 
 def test_pinned_counterexample_record(tmp_path):

@@ -32,6 +32,7 @@ from holoball import (
 )
 from holoball import holomap
 from holoball.holomap import _KINDS, MAX_DEGREE
+from holoball.schwarzpick import FD_STEPS
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -111,6 +112,43 @@ def test_jacobian_matches_finite_differences(f, z):
     assert np.abs(f.jacobian(z) - J).max() <= 1e-6 * scale
     # Cauchy-Riemann: the anti-holomorphic derivative vanishes
     assert np.abs(Jbar).max() <= 1e-6 * scale
+
+
+def axis_jacobians(f, Z):
+    """Two FD Jacobians of f at the rows of Z from its values alone: central
+    differences along the real axes e_j (d/dx_j) and i e_j (d/dy_j) at the
+    FD oracle's two steps, Richardson-extrapolated to step 0."""
+    t0, t1 = FD_STEPS
+    out = []
+    for unit in (1.0, 1j):
+        D = np.empty((Z.shape[0], f.m, f.n), dtype=np.complex128)
+        for j in range(f.n):
+            d = []
+            for t in (t0, t1):
+                E = np.zeros(f.n, dtype=np.complex128)
+                E[j] = unit * t
+                d.append((f.eval_many(Z + E) - f.eval_many(Z - E)) / (2.0 * t))
+            D[:, :, j] = (t0 * t0 * d[1] - t1 * t1 * d[0]) / (t0 * t0 - t1 * t1)
+        out.append(D)
+    return out
+
+
+def test_cauchy_riemann_cases_cover_every_kind():
+    assert {type(f) for f, _ in CASES} == set(_KINDS.values())
+
+
+@pytest.mark.parametrize("f,z", CASES, ids=lambda v: type(v).__name__ if hasattr(v, "n") else None)
+def test_axis_jacobians_satisfy_cauchy_riemann_and_match_the_kernel(f, z):
+    # the differences read only values; their rounding error is about
+    # eps / step (at most 3.5e-12 relative to the largest derivative here)
+    Z = np.concatenate([np.asarray(z, dtype=np.complex128)[None, :],
+                        sample_ball_points(f.n, 8, seed=60 + f.n)])
+    Jx, Jy = axis_jacobians(f, Z)
+    J = f._value_jac(Z)[1]
+    tol = 1e-10 * max(1.0, float(np.abs(J).max()))
+    assert np.abs(Jy - 1j * Jx).max() <= tol
+    assert np.abs(Jx - J).max() <= tol
+    assert np.abs(Jy - 1j * J).max() <= tol
 
 
 @pytest.mark.parametrize("f,z", CASES, ids=lambda v: type(v).__name__ if hasattr(v, "n") else None)

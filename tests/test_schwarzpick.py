@@ -373,14 +373,29 @@ def test_fd_many_rows_equal_single_point():
     got = mod_grad_fd_many(f, zs, seeds)
     for i, z in enumerate(zs):
         assert got[i] == mod_grad_fd(f, z, seed=seeds[i])
-    # rows past one kernel chunk: 1400 // ((140 + 2) * 2) = 4 points per
-    # chunk, so the 25 points take 7 chunks
-    assert schwarzpick._FD_MAX_ROWS // ((140 + 2) * len(FD_STEPS)) == 4
+    # rows past one kernel chunk off the zero set: 8n = 24 rows per point at
+    # n = 3, so 1400 // 24 = 58 points per chunk and 150 points take 3 chunks
+    assert schwarzpick._FD_MAX_ROWS // (8 * 3) == 58
     g = gen_random_polymap(3, 2, max_degree=3, margin=0.25, seed=4)
-    ws = sample_ball_points(3, 25, seed=5)
-    got = mod_grad_fd_many(g, ws, range(25), dirs=140)
+    ws = sample_ball_points(3, 150, seed=5)
+    got = mod_grad_fd_many(g, ws, range(150))
     for i, w in enumerate(ws):
-        assert got[i] == mod_grad_fd(g, w, dirs=140, seed=i)
+        assert got[i] == mod_grad_fd(g, w, seed=i)
+    # and on it: (140 + 1) * 2 rows per point, 4 points per chunk, so the 8
+    # zero rows of a witness (which vanishes on a hyperplane) take 2 chunks
+    # between the nonzero rows
+    assert schwarzpick._FD_MAX_ROWS // ((140 + 1) * len(FD_STEPS)) == 4
+    p = np.array([0.3 - 0.1j, 0.2j])
+    u = p / vnorm(p)
+    h = extremal_zero_case(ExtremalSpec.zero(p, u, [0.6, 0.8j]))
+    v = np.array([np.conj(u[1]), -np.conj(u[0])])  # orthogonal to u
+    steps = [0.0, 0.3, -0.2j, 0.1 + 0.1j, -0.25, 0.2j, 0.4, -0.3 + 0.2j]
+    ws = np.concatenate([sample_ball_points(2, 3, seed=6), [p + s * v for s in steps],
+                         sample_ball_points(2, 3, seed=7)])
+    assert (_row_norms(h.eval_many(ws)) <= ZERO_BRANCH_TOL).sum() == len(steps)
+    got = mod_grad_fd_many(h, ws, range(len(ws)), dirs=140)
+    for i, w in enumerate(ws):
+        assert got[i] == mod_grad_fd(h, w, dirs=140, seed=i)
 
 
 def several_zeros_batch(case):
@@ -458,40 +473,65 @@ def test_batch_raises_what_the_first_bad_row_raises():
 
 
 def fd_reference(f, z, dirs, seed):
-    """The FD oracle at one point with its candidate directions gathered in
-    a list and its two-step Richardson value written out, as the reference
-    for the batched direction array."""
-    z = np.asarray(z, dtype=np.complex128).reshape(1, f.n)
-    v, J = f.eval_many(z)[0], f.jac_many(z)[0]
-    base = vnorm(v)
-    A = J.T @ np.conj(v)
-    cands = [sphere_rows(f.n, dirs, [seed])[0]]
-    if vnorm(A) > 0:
-        cands.append(np.conj(A)[None, :] / vnorm(A))
-    if base <= ZERO_BRANCH_TOL:
-        cands.append(spectral_norm(J).direction[None, :])
-    D = np.concatenate(cands)
+    """The FD oracle at one point written out in plain loops, as the
+    reference for the batched code. Off the zero set: per real axis e_j and
+    i e_j and per step t, the central difference
+    (|f(z + t e)| - |f(z - t e)|) / (2t), the two steps Richardson-
+    extrapolated to step 0, and the Euclidean norm of the 2n results. On
+    it: the largest Richardson-extrapolated one-sided quotient over the
+    seeded sphere samples and the top singular direction of Df."""
+    z = np.asarray(z, dtype=np.complex128).reshape(f.n)
     t0, t1 = FD_STEPS
-    ts = np.array([t0, t1])
-    pts = z + ts[None, :, None] * D[:, None, :]
-    vals = f.eval_many(pts.reshape(-1, f.n))
-    mods = np.sqrt((np.abs(vals) ** 2).sum(axis=1)).reshape(-1, 2)
-    q0, q1 = (mods[:, 0] - base) / t0, (mods[:, 1] - base) / t1
-    return float(((t0 * q1 - t1 * q0) / (t0 - t1)).max())
+    base = vnorm(f.eval(z))
+    if base > ZERO_BRANCH_TOL:
+        total = 0.0
+        for unit in (1.0, 1j):
+            for j in range(f.n):
+                d = []
+                for t in (t0, t1):
+                    plus, minus = z.copy(), z.copy()
+                    plus[j] += unit * t
+                    minus[j] += unit * -t
+                    d.append((vnorm(f.eval(plus)) - vnorm(f.eval(minus))) / (2.0 * t))
+                r = (t0 * t0 * d[1] - t1 * t1 * d[0]) / (t0 * t0 - t1 * t1)
+                total += r * r
+        return np.sqrt(total)
+    directions = list(sphere_rows(f.n, dirs, [seed])[0]) + [spectral_norm(f.jacobian(z)).direction]
+    best = -np.inf
+    for d in directions:
+        q0, q1 = ((vnorm(f.eval(z + t * d)) - base) / t for t in (t0, t1))
+        best = max(best, (t0 * q1 - t1 * q0) / (t0 - t1))
+    return best
 
 
 def test_fd_many_equals_per_point_candidate_lists():
     f, zs = mixed_batch()
     seeds = [3 * i + 2 for i in range(zs.shape[0])]
     got = mod_grad_fd_many(f, zs, seeds)
+    # n = 2: four gradient components, which numpy sums left to right too
     for i, z in enumerate(zs):
         assert got[i] == fd_reference(f, z, 64, seeds[i])
     # the seeds may also come as one uint64 array
     assert np.array_equal(mod_grad_fd_many(f, zs, np.array(seeds, dtype=np.uint64)), got)
-    # A = 0 at the origin: no conjugate-gradient candidate
-    for seed in range(3):
-        got = mod_grad_fd_many(COUNTEREXAMPLE, [[0.0]], [seed], dirs=65)[0]
-        assert got == fd_reference(COUNTEREXAMPLE, 0.0, 65, seed)
+    # the counterexample at 0 is off the zero set, the identity on it
+    for g, z in ((COUNTEREXAMPLE, [0.0]), (PolyMap.identity(2), [0.0, 0.0])):
+        for seed in range(3):
+            got = mod_grad_fd_many(g, [z], [seed], dirs=65)[0]
+            assert got == fd_reference(g, z, 65, seed)
+
+
+def test_fd_off_the_zero_set_reads_values_only(monkeypatch):
+    f = gen_random_polymap(3, 2, max_degree=3, margin=0.25, seed=8)
+    zs = sample_ball_points(3, 30, seed=9)
+    want = mod_grad_fd_many(f, zs, range(30))
+
+    def refuse(*args):
+        raise AssertionError("the oracle read a derivative")
+
+    monkeypatch.setattr(PolyMap, "_value_jac", refuse)
+    monkeypatch.setattr(schwarzpick, "spectral_norm", refuse)
+    monkeypatch.setattr(schwarzpick, "_contract", refuse)
+    assert np.array_equal(mod_grad_fd_many(f, zs, range(30)), want)
 
 
 def test_each_public_call_validates_its_points_once(monkeypatch):
