@@ -28,7 +28,7 @@ from .extremal import (
     extremal_nonzero_case,
     extremal_zero_case,
 )
-from .geometry import BoundFactor, DiskSlice, bound_factor, disk_slice, in_ball
+from .geometry import BoundFactor, DiskSlice, bound_factor, disk_slice
 from .harness import (
     CampaignReport,
     FuzzConfig,
@@ -91,7 +91,6 @@ __all__ = [
     "disk_slice",
     "BoundFactor",
     "bound_factor",
-    "in_ball",
     "GradResult",
     "BoundReport",
     "mod_grad",

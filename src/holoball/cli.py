@@ -17,6 +17,7 @@ in ``holomap``, with ``-`` reading from stdin.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -28,7 +29,7 @@ from .extremal import ExtremalSpec, diagnose_equality_form, extremal_nonzero_cas
 from .geometry import disk_slice
 from .harness import FuzzConfig, fuzz_campaign
 from .holomap import emit_spec, parse_spec
-from .schwarzpick import mod_grad, sp_bound
+from .schwarzpick import DEFAULT_BOUND_TOL, mod_grad, sp_bound
 
 __all__ = ["run", "main"]
 
@@ -127,18 +128,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    cfg = FuzzConfig(
-        trials=args.trials,
-        points_per_trial=args.points,
-        n=args.n,
-        m=args.m,
-        max_degree=args.max_degree,
-        margin=args.margin,
-        seed=args.seed,
-        tol=args.tol,
-        fd_dirs=args.fd_dirs,
-        pin_counterexample=args.pin_counterexample,
-    )
+    # each flag's destination is the name of its config field
+    cfg = FuzzConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(FuzzConfig)})
     report = fuzz_campaign(cfg, log_path=args.out)
     _emit(report.to_dict())
     return 1 if report.violations else 0
@@ -159,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bound", help="check the bound at a point")
     sp.add_argument("--map", required=True)
     sp.add_argument("--point", required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=DEFAULT_BOUND_TOL)
     sp.set_defaults(fn=_cmd_bound)
 
     sp = sub.add_parser("slice", help="disk slice of the ball through p and q")
@@ -185,17 +176,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_diagnose)
 
     sp = sub.add_parser("fuzz", help="run a randomized bound-checking campaign")
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--points", type=int, default=100)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--max-degree", type=int, default=3)
-    sp.add_argument("--margin", type=float, default=0.25)
-    sp.add_argument("--seed", type=int, default=20250817)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--fd-dirs", type=int, default=64, help="0 disables the FD oracle")
+    cfg = FuzzConfig()
+    sp.add_argument("--trials", type=int, default=cfg.trials)
+    sp.add_argument(
+        "--points", type=int, dest="points_per_trial", metavar="POINTS",
+        default=cfg.points_per_trial,
+    )
+    sp.add_argument("--n", type=int, default=cfg.n)
+    sp.add_argument("--m", type=int, default=cfg.m)
+    sp.add_argument("--max-degree", type=int, default=cfg.max_degree)
+    sp.add_argument("--margin", type=float, default=cfg.margin)
+    sp.add_argument("--seed", type=int, default=cfg.seed)
+    sp.add_argument("--tol", type=float, default=cfg.tol)
+    sp.add_argument("--fd-dirs", type=int, default=cfg.fd_dirs, help="0 disables the FD oracle")
     sp.add_argument("--out", help="JSONL log path")
-    sp.add_argument("--pin-counterexample", action="store_true")
+    sp.add_argument("--pin-counterexample", action="store_true", default=cfg.pin_counterexample)
     sp.set_defaults(fn=_cmd_fuzz)
 
     return parser

@@ -28,9 +28,7 @@ __all__ = [
     "sample_unit_sphere",
     "sphere_rows",
     "complex_to_pair",
-    "pair_to_complex",
     "vector_to_pairs",
-    "pairs_to_vector",
 ]
 
 def as_cvector(x, name: str = "vector") -> np.ndarray:
@@ -230,14 +228,6 @@ def complex_to_pair(z) -> list:
     return [float(zc.real), float(zc.imag)]
 
 
-def pair_to_complex(v) -> complex:
-    return complex(float(v[0]), float(v[1]))
-
-
 def vector_to_pairs(x) -> list:
     """Serialize a complex vector as a list of ``[re, im]`` pairs."""
     return [complex_to_pair(z) for z in as_cvector(x)]
-
-
-def pairs_to_vector(pairs) -> np.ndarray:
-    return as_cvector([pair_to_complex(p) for p in pairs])

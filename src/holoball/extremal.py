@@ -210,6 +210,8 @@ def diagnose_equality_form(
     collinear with p; both are verified. Samples sit on the circle of radius
     0.9 r about c in the slice disk.
     """
+    if not isinstance(samples, (int, np.integer)):
+        raise InputError("samples must be an integer")
     if samples < 2:
         raise InputError("samples must be at least 2")
     if not 0.0 < tol < np.inf:

@@ -23,7 +23,7 @@ from .complexcore import as_cvector, complex_to_pair, herm_inner, vnorm
 from .errors import InputError
 from .holomap import LineEmbed
 
-__all__ = ["DiskSlice", "disk_slice", "BoundFactor", "bound_factor", "in_ball", "COLLINEAR_TOL"]
+__all__ = ["DiskSlice", "disk_slice", "BoundFactor", "bound_factor", "COLLINEAR_TOL"]
 
 COLLINEAR_TOL = 1e-12
 
@@ -90,10 +90,3 @@ def bound_factor(p, q) -> BoundFactor:
     factor = ds.r / (ds.r**2 - abs(ds.c) ** 2)
     rhs = vnorm(ds.q - ds.p) / (1.0 - vnorm(ds.p) ** 2)
     return BoundFactor(factor=float(factor), rhs=float(rhs), collinear=ds.collinear)
-
-
-def in_ball(z, eps: float = 0.0) -> bool:
-    """Strict ball membership test, ``|z| < 1 - eps``."""
-    if not np.isfinite(eps) or eps < 0:
-        raise InputError("eps must be a non-negative real")
-    return vnorm(as_cvector(z, "z")) < 1.0 - eps

@@ -26,9 +26,10 @@ log line is
      "slack": real, "branch": "zero"|"nonzero", "fd": real, "fd_dev": real}
 
 with ``fd`` fields null when the finite-difference oracle is disabled. The
-pinned witness trial (the map ``(z, 1)/sqrt(2)`` at 0, where the classical
-derivative bound fails while the modulus-gradient bound holds) is logged
-with trial index -1.
+pinned witness (the map ``(z, 1)/sqrt(2)`` at 0, where the classical
+derivative bound fails while the modulus-gradient bound holds) runs through
+the same loop as trial -1, ahead of the random trials: one point with
+direction seed ``_mix(seed, -1, 2, 0)``, logged with trial index -1.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import functools
 import itertools
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,7 +47,15 @@ import numpy as np
 from .complexcore import _GOLDEN, _row_norms, _splitmix64, sample_unit_sphere, spectral_norm
 from .errors import InputError
 from .holomap import PolyMap
-from .schwarzpick import FD_STEPS, BoundReport, _bound_batch, _BoundBatch, mod_grad_fd_many
+from .schwarzpick import (
+    DEFAULT_BOUND_TOL,
+    DEFAULT_FD_DIRS,
+    FD_STEPS,
+    BoundReport,
+    _bound_batch,
+    _BoundBatch,
+    mod_grad_fd_many,
+)
 
 __all__ = [
     "FuzzConfig",
@@ -128,6 +138,8 @@ def gen_random_polymap(n: int, m: int, max_degree: int, margin: float, seed: int
         raise InputError("max_degree must be a non-negative integer")
     if not (0.0 < margin < 1.0):
         raise InputError("margin must lie in (0, 1)")
+    if not _is_int(seed):
+        raise InputError("seed must be an integer")
     alphas = _multi_indices(n, max_degree)
     rng = np.random.default_rng(_mix(seed))
     T = alphas.shape[0]
@@ -162,6 +174,8 @@ def sample_ball_points(n: int, count: int, seed: int) -> np.ndarray:
         raise InputError("n must be positive")
     if count < 1:
         raise InputError("count must be positive")
+    if not _is_int(seed):
+        raise InputError("seed must be an integer")
     dirs = sample_unit_sphere(n, count, _mix(seed, 0xD12))
     rng = np.random.default_rng(_mix(seed, 0x2AD))
     radii = rng.random(count) ** (1.0 / (2 * n))
@@ -189,8 +203,8 @@ class FuzzConfig:
     max_degree: int = 3
     margin: float = 0.25
     seed: int = 20250817
-    tol: float = 1e-9
-    fd_dirs: int = 64
+    tol: float = DEFAULT_BOUND_TOL
+    fd_dirs: int = DEFAULT_FD_DIRS
     pin_counterexample: bool = False
 
     def validate(self) -> None:
@@ -310,48 +324,38 @@ def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> Campai
         trials_run=0, points_checked=0, fd_undecided=0 if cfg.fd_dirs else None
     )
 
-    def check(f, points, seeds):
-        # the bound at every point, and the FD oracle when it is on, with
-        # the points' direction seeds from seeds()
-        b = _bound_batch(f, points, cfg.tol)
-        if not cfg.fd_dirs:
-            return b, None
-        return b, mod_grad_fd_many(f, points, seeds(), cfg.fd_dirs)
-
-    out = open(log_path, "w", encoding="utf-8") if log_path is not None else None
-    try:
-        if cfg.pin_counterexample:
-            ce = counterexample_map()
-            zero = np.zeros((1, 1), dtype=np.complex128)
-            b, fds = check(ce, zero, lambda: [_mix(cfg.seed, 0xCE)])
-            classical = spectral_norm(b.jacobians[0]).value
-            rhs = b.rhs.item()
-            report.counterexample = {
-                "classical_lhs": float(classical),
-                "rhs": rhs,
-                "classical_violated": bool(classical > rhs),
-                "modulus_lhs": b.lhs.item(),
-                "holds": b.holds.item(),
-            }
-            if out is not None:
-                out.write(_record_lines(-1, b, fds))
-            _absorb(report, b, fds)
-
-        for trial in range(cfg.trials):
-            f = gen_random_polymap(
-                cfg.n, cfg.m, cfg.max_degree, cfg.margin, _mix(cfg.seed, trial, 0)
-            )
-            points = sample_ball_points(cfg.n, cfg.points_per_trial, _mix(cfg.seed, trial, 1))
-            b, fds = check(
-                f, points, lambda: _mix_range((cfg.seed, trial, 2), cfg.points_per_trial)
-            )
+    # the pinned witness runs as trial -1, ahead of the random trials
+    trials = itertools.chain([-1] if cfg.pin_counterexample else [], range(cfg.trials))
+    log = open(log_path, "w", encoding="utf-8") if log_path is not None else nullcontext()
+    with log as out:
+        for trial in trials:
+            if trial < 0:
+                f, points = counterexample_map(), np.zeros((1, 1), dtype=np.complex128)
+            else:
+                f = gen_random_polymap(
+                    cfg.n, cfg.m, cfg.max_degree, cfg.margin, _mix(cfg.seed, trial, 0)
+                )
+                points = sample_ball_points(cfg.n, cfg.points_per_trial, _mix(cfg.seed, trial, 1))
+            b = _bound_batch(f, points, cfg.tol)
+            fds = None
+            if cfg.fd_dirs:
+                seeds = _mix_range((cfg.seed, trial, 2), points.shape[0])
+                fds = mod_grad_fd_many(f, points, seeds, cfg.fd_dirs)
             if out is not None:
                 out.write(_record_lines(trial, b, fds))
             _absorb(report, b, fds)
-            report.trials_run += 1
-    finally:
-        if out is not None:
-            out.close()
+            if trial >= 0:
+                report.trials_run += 1
+            else:
+                classical = spectral_norm(b.jacobians[0]).value
+                rhs = b.rhs.item()
+                report.counterexample = {
+                    "classical_lhs": float(classical),
+                    "rhs": rhs,
+                    "classical_violated": bool(classical > rhs),
+                    "modulus_lhs": b.lhs.item(),
+                    "holds": b.holds.item(),
+                }
 
     report.runtime_ms = (time.perf_counter() - t0) * 1e3
     return report

@@ -210,13 +210,6 @@ class HoloMap:
         """Complex Jacobian at one point, shape ``(m, n)``."""
         return self.jac_many(z)[0]
 
-    def frechet_apply(self, z, beta) -> np.ndarray:
-        """Directional derivative ``Df(z) . beta``."""
-        b = as_cvector(beta, "beta")
-        if b.shape[0] != self.n:
-            raise InputError(f"direction has dimension {b.shape[0]}, map expects {self.n}")
-        return self.jacobian(z) @ b
-
     def to_spec(self) -> dict:
         """The map's document; ``parse_spec`` of it rebuilds the map."""
         if not hasattr(self, "kind"):
@@ -283,27 +276,46 @@ def _dims(n, m) -> tuple[int, int]:
     return int(n), int(m)
 
 
-def _multi_index(t: int, alpha) -> np.ndarray:
-    """Multi-index t of a term list as a 1-D int64 array."""
+def _exponent(x) -> float:
+    """One multi-index entry as a float: NaN unless it is a real number, and
+    +-inf for an int past the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return np.nan
     try:
-        return np.asarray(alpha, dtype=np.int64).reshape(-1)
+        return float(x)
     except OverflowError:
-        raise _FieldError(
-            f"terms/{t}/alpha", f"multi-index {tuple(alpha)} does not fit in int64"
-        ) from None
+        return np.inf if x > 0 else -np.inf
+
+
+def _exponents(alpha) -> np.ndarray:
+    """Multi-index entries as float64, exact at every integer up to
+    ``MAX_DEGREE``, for ``_normalise_terms`` to judge. Anything but an
+    integer or float array goes through ``_exponent`` entry by entry, since
+    numpy would coerce ``[1, True]`` to ints and ``[1, "2"]`` to strings."""
+    if isinstance(alpha, np.ndarray) and alpha.dtype.kind in "iuf":
+        return alpha.astype(np.float64)
+    a = np.asarray(alpha, dtype=object)
+    return np.array([_exponent(x) for x in a.reshape(-1).tolist()], np.float64).reshape(a.shape)
+
+
+def _key(row: np.ndarray) -> tuple:
+    """A multi-index as it reads in a message: integers up to 2^53 as ints."""
+    return tuple(int(a) if a.is_integer() and abs(a) <= 2**53 else a for a in row.tolist())
 
 
 def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
     """Validate T polynomial terms and sort them lexicographically.
 
-    Row t of the int64 array ``alphas`` holds multi-index t in its first
-    ``alpha_lens[t]`` entries, row t of the complex128 array ``coefs`` its
-    coefficient vector in the first ``coef_lens[t]`` entries; any further
-    entries are zero padding. An error names the first faulty term t in input
-    order, checked for length, negative entries, entries above
+    Row t of the float64 array ``alphas`` (from ``_exponents``) holds
+    multi-index t in its first ``alpha_lens[t]`` entries, row t of the
+    complex128 array ``coefs`` its coefficient vector in the first
+    ``coef_lens[t]`` entries; any further entries are zero padding. An error
+    names the first faulty term t in input order, checked for length,
+    entries that are not integers, negative entries, entries above
     ``MAX_DEGREE``, an earlier duplicate, coefficient length and finiteness
     in that order, and its field is ``terms/t/alpha`` or ``terms/t/coef``.
-    Returns the frozen ``(T, n)`` multi-indices and ``(T, m)`` coefficients.
+    Returns the frozen ``(T, n)`` int64 multi-indices and ``(T, m)``
+    coefficients.
     """
     T = alphas.shape[0]
     order = np.lexsort(alphas.T[::-1]) if alphas.shape[1] else np.arange(T)
@@ -314,6 +326,7 @@ def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
     dup[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
     checks = (
         alpha_lens != n,
+        (np.floor(alphas) != alphas).any(axis=1),
         (alphas < 0).any(axis=1),
         (alphas > MAX_DEGREE).any(axis=1),
         dup,
@@ -323,25 +336,27 @@ def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
     bad = np.logical_or.reduce(checks)
     if bad.any():
         t = int(bad.argmax())
-        key = tuple(alphas[t, : alpha_lens[t]].tolist())
+        key = _key(alphas[t, : alpha_lens[t]])
         alpha, coef = f"terms/{t}/alpha", f"terms/{t}/coef"
         if checks[0][t]:
             raise _FieldError(alpha, f"multi-index {key} has length {len(key)}, expected {n}")
         if checks[1][t]:
-            raise _FieldError(alpha, f"multi-index {key} has a negative entry")
+            raise _FieldError(alpha, f"multi-index {key} has an entry that is not an integer")
         if checks[2][t]:
+            raise _FieldError(alpha, f"multi-index {key} has a negative entry")
+        if checks[3][t]:
             raise _FieldError(
                 alpha, f"multi-index {key} has an entry above MAX_DEGREE = {MAX_DEGREE}"
             )
-        if checks[3][t]:
-            raise _FieldError(alpha, f"duplicate multi-index {key}")
         if checks[4][t]:
+            raise _FieldError(alpha, f"duplicate multi-index {key}")
+        if checks[5][t]:
             raise _FieldError(
                 coef, f"coefficient for {key} has length {coef_lens[t]}, expected {m}"
             )
         raise _FieldError(coef, f"coefficient for {key} is not finite")
     return (
-        _freeze(ranked.reshape(T, n)),
+        _freeze(ranked.reshape(T, n).astype(np.int64)),
         _freeze(coefs[order].reshape(T, m)),
     )
 
@@ -349,11 +364,12 @@ def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
 class PolyMap(HoloMap):
     """Polynomial map C^n -> C^m with explicit multi-index terms.
 
-    ``terms`` maps a multi-index tuple (length n, ints in [0, MAX_DEGREE])
-    to a coefficient vector of length m; an iterable of ``(alpha, coef)``
-    pairs is also accepted, and ``from_arrays`` takes the terms as two
-    arrays. Terms are stored in lexicographic multi-index order and
-    coefficients are kept exactly as given.
+    ``terms`` maps a multi-index tuple (length n, integers in
+    [0, MAX_DEGREE]; an integral float such as 2.0 counts, 1.5 or "2" does
+    not) to a coefficient vector of length m; an iterable of
+    ``(alpha, coef)`` pairs is also accepted, and ``from_arrays`` takes the
+    terms as two arrays. Terms are stored in lexicographic multi-index
+    order and coefficients are kept exactly as given.
 
     Document: ``{"kind": "poly", "n", "m", "terms": [{"alpha": [int, ...],
     "coef": [[re, im], ...]}, ...]}``, terms in that order.
@@ -366,7 +382,7 @@ class PolyMap(HoloMap):
         n, m = _dims(n, m)
         items = terms.items() if hasattr(terms, "items") else list(terms)
         alphas, alpha_lens = _stack_rows(
-            [_multi_index(t, alpha) for t, (alpha, _) in enumerate(items)], np.int64
+            [_exponents(alpha).reshape(-1) for alpha, _ in items], np.float64
         )
         coefs, coef_lens = _stack_rows(
             [np.asarray(coef, dtype=np.complex128).reshape(-1) for _, coef in items],
@@ -380,7 +396,7 @@ class PolyMap(HoloMap):
         array and of a ``(T, m)`` complex coefficient array; validated and
         sorted exactly as the terms passed to the constructor."""
         n, m = _dims(n, m)
-        alphas = np.asarray(alphas, dtype=np.int64)
+        alphas = _exponents(alphas)
         coefs = np.asarray(coefs, dtype=np.complex128)
         if alphas.ndim != 2 or coefs.ndim != 2 or alphas.shape[0] != coefs.shape[0]:
             raise InputError(

@@ -28,7 +28,9 @@ difference quotient, extrapolated the same way, over sampled unit
 directions plus the top singular direction of Df. The sampled directions
 of a point come from ``complexcore.sphere_rows``, a counter-based
 splitmix64 stream keyed by the point's seed, so a batch draws the
-directions of all its points in a few array operations.
+directions of all its points in a few array operations. Both readings
+take their values of |f| from one loop, ``_fd_moduli``, and differ only in
+how they combine them.
 
 Every check runs on a ``(B, n)`` batch of points: ``sp_bound_many`` and
 ``mod_grad_fd_many`` evaluate the map once per batch and vectorise the
@@ -36,7 +38,9 @@ nonzero branch. Row i of a batch is bit for bit the same point checked
 alone; ``mod_grad``, ``mod_grad_fd``, ``sp_bound``, ``sp_bound_slice`` and
 ``equality_gap`` run the same code at B = 1. Each public entry validates
 its points once; the cores below it take the validated batch and call the
-map's kernels ``_value`` and ``_value_jac`` directly.
+map's kernels ``_value`` and ``_value_jac`` directly. The closed-form core
+``_grad_many`` returns arrays, and ``mod_grad`` is the one place that
+builds a ``GradResult`` from them.
 """
 
 from __future__ import annotations
@@ -143,74 +147,73 @@ def _one_point(z, n: int, name: str) -> np.ndarray:
     return Z
 
 
-@dataclass(eq=False)
-class _GradBatch:
-    """|grad|f|| over a batch: ``value`` and ``A`` for every row, plus the
-    full result of each row at or below the zero tolerance, keyed by row."""
-
-    value: np.ndarray
-    A: np.ndarray
-    zero: dict
-
-    def result(self, i: int) -> GradResult:
-        g = self.zero.get(i)
-        if g is None:
-            g = GradResult(value=float(self.value[i]), branch="nonzero", A=self.A[i])
-        return g
-
-
-def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray) -> _GradBatch:
-    """Closed form for the batch ``f = V``, ``Df = J``, ``|f| = nv``: the
-    nonzero branch vectorised, the zero and ambiguous rows in one
-    ``spectral_norm`` call on their stacked Jacobians."""
+def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray):
+    """Closed form for the batch ``f = V``, ``Df = J``, ``|f| = nv``, as
+    arrays ``(A, quotient, value, zero, top)``: ``A = conj(f) . Df`` and the
+    nonzero-branch quotient |A|/|f| of every row, vectorised; the value of
+    every row; the mask of the rows at or below ``ZERO_BRANCH_TOL``, whose
+    value is sigma_max(Df) from one ``spectral_norm`` call on their stacked
+    Jacobians; and ``top``, the top singular direction on those rows and 0
+    elsewhere."""
     A = _contract(V, J)
     # rows at or below ZERO_BRANCH_TOL/10 use only the zero branch; the
     # floor just keeps 0/0 out of their unused quotient
-    value = _row_norms(A) / np.maximum(nv, ZERO_BRANCH_TOL / 10.0)
-    zero = {}
-    rows = np.flatnonzero(nv <= ZERO_BRANCH_TOL)
-    if rows.size:
-        sigma, top = spectral_norm(J[rows])
-        for k, i in enumerate(rows.tolist()):
-            g = GradResult(value=float(sigma[k]), branch="zero", top_dir=top[k])
-            if nv[i] > ZERO_BRANCH_TOL / 10.0:
-                g.ambiguous = True
-                g.alt_value = float(value[i])
-            zero[i] = g
-        value[rows] = sigma
-    return _GradBatch(value, A, zero)
+    quotient = _row_norms(A) / np.maximum(nv, ZERO_BRANCH_TOL / 10.0)
+    value = quotient.copy()
+    zero = nv <= ZERO_BRANCH_TOL
+    top = np.zeros((J.shape[0], J.shape[2]), dtype=np.complex128)
+    if zero.any():
+        value[zero], top[zero] = spectral_norm(J[zero])
+    return A, quotient, value, zero, top
 
 
 def mod_grad(f: HoloMap, z) -> GradResult:
     """Closed-form |grad|f||(z) with branch selection on |f(z)| against
     ``ZERO_BRANCH_TOL``."""
     V, J = f._value_jac(_one_point(z, f.n, "mod_grad"))
-    return _grad_many(V, J, _row_norms(V)).result(0)
+    nv = _row_norms(V)
+    A, quotient, value, zero, top = _grad_many(V, J, nv)
+    if not zero[0]:
+        return GradResult(value=float(value[0]), branch="nonzero", A=A[0])
+    ambiguous = bool(nv[0] > ZERO_BRANCH_TOL / 10.0)
+    return GradResult(
+        value=float(value[0]),
+        branch="zero",
+        top_dir=top[0],
+        ambiguous=ambiguous,
+        alt_value=float(quotient[0]) if ambiguous else None,
+    )
+
+
+def _fd_moduli(f: HoloMap, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """|f(z + t d)| at every row z of ``Z``, each of its unit directions d
+    (row i takes the ``(k, n)`` block ``D[i]``) and each step t of
+    ``FD_STEPS``, shape ``(B, k, 2)``. The evaluations go to ``f._value``, up
+    to ``_FD_MAX_ROWS`` rows per call."""
+    count, k, n = D.shape
+    ts = np.array(FD_STEPS)
+    out = np.empty((count, k, ts.size))
+    chunk = max(1, _FD_MAX_ROWS // (k * ts.size))
+    for lo in range(0, count, chunk):
+        hi = min(count, lo + chunk)
+        pts = Z[lo:hi, None, None, :] + ts[None, None, :, None] * D[lo:hi, :, None, :]
+        out[lo:hi] = _row_norms(f._value(pts.reshape(-1, n))).reshape(hi - lo, k, ts.size)
+    return out
 
 
 def _fd_axes(f: HoloMap, Z: np.ndarray) -> np.ndarray:
     """|grad|f|| off the zero set, as the norm of the real gradient of |f| in
     R^{2n}: component k is the central difference of |f| along the real axis
     ``e_k`` (k < n) or ``i e_{k-n}``, taken at both ``FD_STEPS`` and
-    Richardson-extrapolated to step 0. The 8n evaluations of each point go
-    to ``f._value``, up to ``_FD_MAX_ROWS`` rows per call."""
+    Richardson-extrapolated to step 0, from 8n values of f per point."""
     count, n = Z.shape
-    ts = np.array(FD_STEPS)
     t0, t1 = FD_STEPS
     axes = np.concatenate([np.eye(n), 1j * np.eye(n)])
-    # the offsets +t e and -t e of every axis e at both steps, as
-    # (step, sign, axis) rows; each moves one real coordinate by exactly t
-    offsets = np.multiply.outer(np.outer(ts, [1.0, -1.0]), axes).reshape(-1, n)
-    out = np.empty(count)
-    chunk = max(1, _FD_MAX_ROWS // offsets.shape[0])
-    for lo in range(0, count, chunk):
-        hi = min(count, lo + chunk)
-        pts = Z[lo:hi, None, :] + offsets
-        mods = _row_norms(f._value(pts.reshape(-1, n))).reshape(hi - lo, ts.size, 2, 2 * n)
-        d = (mods[:, :, 0] - mods[:, :, 1]) / (2.0 * ts)[:, None]
-        # Richardson extrapolation of the two central differences to step 0
-        out[lo:hi] = _row_norms((t0 * t0 * d[:, 1] - t1 * t1 * d[:, 0]) / (t0 * t0 - t1 * t1))
-    return out
+    D = np.broadcast_to(np.concatenate([axes, -axes]), (count, 4 * n, n))
+    mods = _fd_moduli(f, Z, D)
+    d = (mods[:, : 2 * n] - mods[:, 2 * n :]) / (2.0 * np.array(FD_STEPS))
+    # Richardson extrapolation of the two central differences to step 0
+    return _row_norms((t0 * t0 * d[..., 1] - t1 * t1 * d[..., 0]) / (t0 * t0 - t1 * t1))
 
 
 def _fd_sampled(
@@ -221,24 +224,12 @@ def _fd_sampled(
     Richardson-extrapolated to step 0, over each point's ``dirs`` seeded
     sphere samples (``sphere_rows(n, dirs, seeds)``) and the top singular
     direction of its Jacobian. ``base`` is |f| at the points."""
-    count, n = Z.shape
-    top = spectral_norm(f._value_jac(Z)[1]).direction
-    ts = np.array(FD_STEPS)
     t0, t1 = FD_STEPS
-    out = np.empty(count)
-    chunk = max(1, _FD_MAX_ROWS // ((dirs + 1) * ts.size))
-    for lo in range(0, count, chunk):
-        hi = min(count, lo + chunk)
-        D = np.empty((hi - lo, dirs + 1, n), dtype=np.complex128)
-        D[:, :dirs] = sphere_rows(n, dirs, seeds[lo:hi])
-        D[:, dirs] = top[lo:hi]
-        # all (point, direction, step) evaluations of the chunk in one batch
-        pts = Z[lo:hi, None, None, :] + ts[None, None, :, None] * D[:, :, None, :]
-        mods = _row_norms(f._value(pts.reshape(-1, n))).reshape(D.shape[:2] + ts.shape)
-        q = (mods - base[lo:hi, None, None]) / ts
-        # Richardson extrapolation of the two quotients to step 0
-        out[lo:hi] = ((t0 * q[..., 1] - t1 * q[..., 0]) / (t0 - t1)).max(axis=1)
-    return out
+    top = spectral_norm(f._value_jac(Z)[1]).direction
+    D = np.concatenate([sphere_rows(Z.shape[1], dirs, seeds), top[:, None, :]], axis=1)
+    q = (_fd_moduli(f, Z, D) - base[:, None, None]) / np.array(FD_STEPS)
+    # Richardson extrapolation of the two quotients to step 0
+    return ((t0 * q[..., 1] - t1 * q[..., 0]) / (t0 - t1)).max(axis=1)
 
 
 def mod_grad_fd_many(f: HoloMap, Z, seeds, dirs: int = DEFAULT_FD_DIRS) -> np.ndarray:
@@ -360,12 +351,10 @@ def _bound_batch(f: HoloMap, Z, tol: float, c: complex = 0.0, r: float = 1.0) ->
         )
     V, J = f._value_jac(Z)
     nv = _image_norms(V)
-    g = _grad_many(V, J, nv)
+    _, _, lhs, zero, _ = _grad_many(V, J, nv)
     rhs = r * _one_minus_sq(nv) / ((r - dist) * (r + dist))
-    slack = rhs - g.value
-    zero = np.zeros(Z.shape[0], dtype=bool)
-    zero[list(g.zero)] = True
-    return _BoundBatch(Z.copy(), V, J, g.value, rhs, slack, slack >= -tol, zero, float(tol))
+    slack = rhs - lhs
+    return _BoundBatch(Z.copy(), V, J, lhs, rhs, slack, slack >= -tol, zero, float(tol))
 
 
 def sp_bound_many(f: HoloMap, Z, tol: float = DEFAULT_BOUND_TOL) -> list[BoundReport]:

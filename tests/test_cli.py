@@ -25,7 +25,8 @@ from holoball import (
     parse_spec,
     sp_bound,
 )
-from holoball.cli import run
+from holoball.cli import _build_parser, run
+from holoball.schwarzpick import DEFAULT_BOUND_TOL
 
 
 def write_map(tmp_path, f, name="map.json"):
@@ -288,6 +289,22 @@ def test_fuzz_pinned_counterexample(capsys):
     assert rec["points_checked"] == 1
     assert rec["counterexample"]["classical_violated"] is True
     assert rec["counterexample"]["holds"] is True
+
+
+def test_fuzz_flag_defaults_are_the_config_defaults(monkeypatch, capsys):
+    seen = []
+
+    def campaign(cfg, log_path=None):
+        seen.append((cfg, log_path))
+        return holoball.CampaignReport(trials_run=0, points_checked=0)
+
+    monkeypatch.setattr("holoball.cli.fuzz_campaign", campaign)
+    assert run(["fuzz"]) == 0
+    assert seen == [(holoball.FuzzConfig(), None)]
+    assert run(["fuzz", "--points", "7"]) == 0
+    assert seen[1][0] == holoball.FuzzConfig(points_per_trial=7)
+    args = _build_parser().parse_args(["bound", "--map", "-", "--point", "0,0"])
+    assert args.tol == DEFAULT_BOUND_TOL
 
 
 def test_fuzz_rejects_bad_config(capsys):

@@ -328,6 +328,9 @@ def test_diagnose_validation():
     f = extremal_zero_case(ExtremalSpec.zero([0.0], [1.0], [1.0]))
     with pytest.raises(InputError):
         diagnose_equality_form(f, [0.0], [0.5], samples=1)
+    # a fractional count would sample ceil(samples) points and report fewer
+    with pytest.raises(InputError, match="samples must be an integer"):
+        diagnose_equality_form(f, [0.0], [0.5], samples=2.5)
     for tol in (0.0, np.nan, np.inf):
         with pytest.raises(InputError, match="tol must be a positive real"):
             diagnose_equality_form(f, [0.0], [0.5], tol=tol)

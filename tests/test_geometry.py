@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoball import InputError, bound_factor, disk_slice, in_ball
+from holoball import InputError, bound_factor, disk_slice
 from holoball.geometry import COLLINEAR_TOL
 
 
@@ -156,15 +156,6 @@ def test_slice_records_the_collinearity_of_bound_factor():
 
 def test_collinear_tolerance_is_tight():
     assert COLLINEAR_TOL == 1e-12
-
-
-def test_in_ball():
-    assert in_ball([0.0, 0.0])
-    assert not in_ball([0.6, 0.8])
-    assert in_ball([0.5], eps=0.4)
-    assert not in_ball([0.5], eps=0.6)
-    with pytest.raises(InputError):
-        in_ball([0.0], eps=-0.1)
 
 
 def test_disk_slice_validation():

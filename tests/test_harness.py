@@ -12,6 +12,7 @@ from holoball import (
     InputError,
     PolyMap,
     counterexample_map,
+    emit_spec,
     force_zero_at,
     fuzz_campaign,
     gen_random_polymap,
@@ -238,6 +239,41 @@ def test_pinned_counterexample_record(tmp_path):
     first = json.loads(log.read_text().splitlines()[0])
     assert first["trial"] == -1
     assert first["lhs"] == 0.0
+
+
+def test_pinned_record_is_trial_minus_one_of_the_campaign(tmp_path):
+    # the witness's point is off the zero set, so the FD oracle reads only
+    # the real axes there; its direction seed is still the trial -1 one
+    cfg = FuzzConfig(trials=1, points_per_trial=3, seed=23, pin_counterexample=True)
+    log = tmp_path / "pin.jsonl"
+    fuzz_campaign(cfg, log)
+    rec = json.loads(log.read_text().splitlines()[0])
+    f, z = counterexample_map(), np.zeros(1)
+    seed = _mix_range((cfg.seed, -1, 2), 1)
+    assert seed.tolist() == [_mix(cfg.seed, -1, 2, 0)]
+    check = sp_bound(f, z, cfg.tol)
+    fd = mod_grad_fd(f, z, cfg.fd_dirs, seed=int(seed[0]))
+    assert rec["trial"] == -1
+    assert (rec["lhs"], rec["rhs"], rec["slack"], rec["branch"]) == (
+        check.lhs, check.rhs, check.slack, check.branch)
+    assert rec["fd"] == fd
+    assert rec["fd_dev"] == abs(check.lhs - fd)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "1", None])
+def test_non_integer_seeds_are_rejected(seed):
+    # 1.5 used to run as seed 1
+    with pytest.raises(InputError, match="seed must be an integer"):
+        gen_random_polymap(2, 2, 3, 0.25, seed)
+    with pytest.raises(InputError, match="seed must be an integer"):
+        sample_ball_points(2, 4, seed)
+
+
+def test_integer_seeds_keep_their_draws():
+    f = gen_random_polymap(2, 2, 3, 0.25, 1)
+    for seed in (np.int64(1), np.uint32(1)):
+        assert emit_spec(gen_random_polymap(2, 2, 3, 0.25, seed)) == emit_spec(f)
+        assert np.array_equal(sample_ball_points(2, 4, seed), sample_ball_points(2, 4, 1))
 
 
 def test_mix_is_a_stable_hash():

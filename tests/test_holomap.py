@@ -307,15 +307,6 @@ def test_chain_rule_on_mixed_pipeline():
     assert np.abs(pipe.jacobian(z) - product).max() <= 1e-12
 
 
-def test_frechet_apply():
-    f = poly_halfsum()
-    z = np.array([0.2, 0.1j])
-    beta = np.array([1.0, -1.0j])
-    assert np.array_equal(f.frechet_apply(z, beta), f.jacobian(z) @ beta)
-    with pytest.raises(InputError):
-        f.frechet_apply(z, [1.0])
-
-
 def test_line_embed_endpoints():
     p = np.array([0.1, 0.2j])
     q = np.array([0.3, -0.1])
@@ -505,6 +496,26 @@ def test_from_arrays_reports_the_same_errors():
         PolyMap.from_arrays(2, 1, alphas, np.ones((2, 1)))
     empty = PolyMap.from_arrays(2, 3, np.zeros((0, 2)), np.zeros((0, 3)))
     assert np.array_equal(empty.eval([0.1, 0.2]), np.zeros(3))
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.9, -0.5, np.nan, "2", None, True, 1j])
+def test_non_integer_exponents_are_rejected_by_both_constructors(entry):
+    # the entry used to be truncated or parsed: 1.5 and 2.9 stored as 1 and 2
+    terms = [((1, 0), [0.5]), ((0, entry), [0.25])]
+    for make in (lambda: PolyMap(2, 1, terms),
+                 lambda: PolyMap.from_arrays(2, 1, [[1, 0], [0, entry]], [[0.5], [0.25]])):
+        with pytest.raises(InputError, match="has an entry that is not an integer") as exc:
+            make()
+        assert exc.value.field == "terms/1/alpha"
+
+
+def test_integral_float_exponents_are_accepted():
+    f = PolyMap(2, 1, {(2.0, 0): [0.5], (0, 1): [0.25]})
+    g = PolyMap.from_arrays(2, 1, np.array([[2.0, 0.0], [0.0, 1.0]]), [[0.5], [0.25]])
+    h = PolyMap(2, 1, {(2, 0): [0.5], (0, 1): [0.25]})
+    for other in (f, g):
+        assert other._alphas.dtype == np.int64
+        assert emit_spec(other) == emit_spec(h)
 
 
 def test_from_arrays_and_mapping_sort_shuffled_terms_alike():

@@ -212,7 +212,7 @@ def test_zero_branch_limit_has_first_order():
     f = extremal_zero_case(ExtremalSpec.zero([0.5, 0.0], [1.0, 0.0], [1.0]))
     p = np.array([0.5, 0.0], dtype=np.complex128)
     beta = np.array([0.6, 0.8j])
-    target = np.sqrt((np.abs(f.frechet_apply(p, beta)) ** 2).sum())
+    target = np.sqrt((np.abs(f.jacobian(p) @ beta) ** 2).sum())
     errs = []
     for t in (1e-3, 1e-4, 1e-5):
         quot = np.sqrt((np.abs(f.eval(p + t * beta)) ** 2).sum()) / t
@@ -424,20 +424,26 @@ def several_zeros_batch(case):
 def test_batches_with_several_zero_rows_match_single_points(case):
     f, zs, zero_count = several_zeros_batch(case)
     V = f.eval_many(zs)
-    g = _grad_many(V, f.jac_many(zs), _row_norms(V))
+    nv = _row_norms(V)
+    A, quotient, value, zero, top = _grad_many(V, f.jac_many(zs), nv)
     singles = [mod_grad(f, z) for z in zs]
     assert [s.branch for s in singles].count("zero") == zero_count + 1
     assert [s.ambiguous for s in singles] == [False] * 3 + [True] + [False] * (zero_count + 1)
+    assert zero.tolist() == [s.branch == "zero" for s in singles]
+    assert value.tolist() == [s.value for s in singles]
+    ambiguous = zero & (nv > ZERO_BRANCH_TOL / 10)
+    assert ambiguous.tolist() == [s.ambiguous for s in singles]
     for i, (z, single) in enumerate(zip(zs, singles)):
-        batched = g.result(i)
-        assert (batched.value, batched.branch, batched.ambiguous, batched.alt_value) == (
-            single.value, single.branch, single.ambiguous, single.alt_value)
-        if single.branch == "zero":
-            # a top singular direction is fixed only up to a unit phase
-            J = f.jacobian(z)
-            for d in (batched.top_dir, single.top_dir):
-                assert abs(vnorm(d) - 1.0) <= 1e-14
-                assert abs(vnorm(J @ d) - single.value) <= 1e-13 * single.value
+        if single.branch == "nonzero":
+            assert np.array_equal(A[i], single.A)
+            assert not top[i].any()
+            continue
+        assert (quotient[i] if ambiguous[i] else None) == single.alt_value
+        # a top singular direction is fixed only up to a unit phase
+        J = f.jacobian(z)
+        for d in (top[i], single.top_dir):
+            assert abs(vnorm(d) - 1.0) <= 1e-14
+            assert abs(vnorm(J @ d) - single.value) <= 1e-13 * single.value
     for rep, z in zip(sp_bound_many(f, zs), zs):
         assert_same_report(rep, sp_bound(f, z))
     seeds = [5 * i + 3 for i in range(zs.shape[0])]
