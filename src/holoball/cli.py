@@ -25,7 +25,14 @@ import sys
 import numpy as np
 
 from .errors import InputError
-from .extremal import ExtremalSpec, diagnose_equality_form, extremal_nonzero_case, extremal_zero_case
+from .extremal import (
+    DEFAULT_DIAGNOSE_SAMPLES,
+    DEFAULT_DIAGNOSE_TOL,
+    ExtremalSpec,
+    diagnose_equality_form,
+    extremal_nonzero_case,
+    extremal_zero_case,
+)
 from .geometry import disk_slice
 from .harness import FuzzConfig, fuzz_campaign
 from .holomap import emit_spec, parse_spec
@@ -171,8 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--map", required=True)
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
-    sp.add_argument("--samples", type=int, default=64)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--samples", type=int, default=DEFAULT_DIAGNOSE_SAMPLES)
+    sp.add_argument("--tol", type=float, default=DEFAULT_DIAGNOSE_TOL)
     sp.set_defaults(fn=_cmd_diagnose)
 
     sp = sub.add_parser("fuzz", help="run a randomized bound-checking campaign")

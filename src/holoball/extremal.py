@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 UNIT_TOL = 1e-12
+DEFAULT_DIAGNOSE_SAMPLES = 64
+DEFAULT_DIAGNOSE_TOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -202,7 +204,11 @@ class Diagnosis:
 
 
 def diagnose_equality_form(
-    f: HoloMap, p, q, samples: int = 64, tol: float = 1e-10
+    f: HoloMap,
+    p,
+    q,
+    samples: int = DEFAULT_DIAGNOSE_SAMPLES,
+    tol: float = DEFAULT_DIAGNOSE_TOL,
 ) -> Diagnosis:
     """Fit the canonical equality form to f along the line through p and q.
 

@@ -17,10 +17,13 @@ call when the oracle is on. Each point keeps its own direction seed
 array); the seed keys the sampled directions in ``complexcore.sphere_rows``
 that the oracle uses only at points on or near the zero set of f, where it
 cannot differentiate along the real axes. The aggregate and the log lines
-are read off the result arrays, and a trial's lines are encoded with one
-``json.dumps`` call. Since row i of a batch equals the point checked alone,
-every record can be re-derived with ``sp_bound`` and ``mod_grad_fd``. Each
-log line is
+are read off the result arrays. A trial's lines are spelled from one float
+matrix and one row template per branch, byte for byte what ``json.dumps``
+gives each record, and the log is rewritten in place: opened without
+truncation, written from its start and cut to the written length on exit
+(a regular file only), so an existing file keeps its inode, mode and links.
+Since row i of a batch equals the point checked alone, every record can be
+re-derived with ``sp_bound`` and ``mod_grad_fd``. Each log line is
 
     {"trial": int, "point": [[re, im], ...], "lhs": real, "rhs": real,
      "slack": real, "branch": "zero"|"nonzero", "fd": real, "fd_dev": real}
@@ -36,9 +39,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
+import os
+import stat
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -266,32 +270,49 @@ class CampaignReport:
         }
 
 
+# json's spellings of the non-finite floats, keyed by their ``repr``
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _record_lines(trial: int, b: _BoundBatch, fds: np.ndarray | None) -> str:
-    """The JSONL records of one checked batch, one line per row."""
-    B, n = b.points.shape
-    points = b.points.view(np.float64).reshape(B, n, 2).tolist()
-    lhs, rhs, slack = b.lhs.tolist(), b.rhs.tolist(), b.slack.tolist()
-    branch = ["zero" if z else "nonzero" for z in b.zero.tolist()]
-    if fds is None:
-        fd = fd_dev = [None] * B
-    else:
-        fd, fd_dev = fds.tolist(), np.abs(b.lhs - fds).tolist()
-    records = [
-        {
-            "trial": trial,
-            "point": points[i],
-            "lhs": lhs[i],
-            "rhs": rhs[i],
-            "slack": slack[i],
-            "branch": branch[i],
-            "fd": fd[i],
-            "fd_dev": fd_dev[i],
-        }
-        for i in range(B)
+    """The JSONL records of one checked batch, one line per row, with the
+    bytes of ``json.dumps`` per record: every float field goes into one
+    matrix and is spelled by ``%s``, which is ``float.__repr__`` as in
+    json's encoder, and every row fills the template of its branch."""
+    n = b.points.shape[1]
+    cols = [b.points.view(np.float64), b.lhs, b.rhs, b.slack]
+    fd = '"fd": null, "fd_dev": null'
+    if fds is not None:
+        cols += [fds, np.abs(b.lhs - fds)]
+        fd = '"fd": %s, "fd_dev": %s'
+    M = np.column_stack(cols)
+    vals = M.ravel().tolist()
+    for i in np.flatnonzero(~np.isfinite(M)).tolist():
+        vals[i] = _JSON_NONFINITE[repr(vals[i])]
+    point = ", ".join(["[%s, %s]"] * n)
+    rows = [
+        f'{{"trial": {trial}, "point": [{point}], "lhs": %s, "rhs": %s, "slack": %s, '
+        f'"branch": "{branch}", {fd}}}\n'
+        for branch in ("nonzero", "zero")
     ]
-    # one encoder call for the batch; records hold no nested objects, so
-    # "}, {" occurs only between two of them
-    return json.dumps(records)[1:-1].replace("}, {", "}\n{") + "\n"
+    return "".join([rows[z] for z in b.zero.tolist()]) % tuple(vals)
+
+
+@contextmanager
+def _rewrite(path: str | Path):
+    """A UTF-8 text stream that writes ``path`` from its start, in place:
+    the file is opened without truncation and, when it is a regular file,
+    cut to the length written on exit, also when the body raises. An
+    existing file keeps its inode, mode and links; a device or FIFO such
+    as ``/dev/null`` is written and never truncated. A truncating open would
+    cost more: on ext4 (``auto_da_alloc``) closing a file truncated from
+    data starts its writeback, and the next truncating open waits for it."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as out:
+        try:
+            yield out
+        finally:
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()
 
 
 def _absorb(report: CampaignReport, b: _BoundBatch, fds: np.ndarray | None) -> None:
@@ -326,7 +347,7 @@ def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> Campai
 
     # the pinned witness runs as trial -1, ahead of the random trials
     trials = itertools.chain([-1] if cfg.pin_counterexample else [], range(cfg.trials))
-    log = open(log_path, "w", encoding="utf-8") if log_path is not None else nullcontext()
+    log = _rewrite(log_path) if log_path is not None else nullcontext()
     with log as out:
         for trial in trials:
             if trial < 0:

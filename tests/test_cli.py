@@ -4,6 +4,7 @@ Exit codes: 0 clean, 1 mathematical finding (violated bound, form
 mismatch, campaign violation), 2 usage or input error.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -305,6 +306,27 @@ def test_fuzz_flag_defaults_are_the_config_defaults(monkeypatch, capsys):
     assert seen[1][0] == holoball.FuzzConfig(points_per_trial=7)
     args = _build_parser().parse_args(["bound", "--map", "-", "--point", "0,0"])
     assert args.tol == DEFAULT_BOUND_TOL
+
+
+def test_diagnose_flag_defaults_are_the_library_defaults(tmp_path, monkeypatch, capsys):
+    params = inspect.signature(holoball.diagnose_equality_form).parameters
+    seen = []
+
+    def diagnose(f, p, q, samples, tol):
+        seen.append((samples, tol))
+        return holoball.Diagnosis(matches=True, max_residual=0.0, points_tested=samples)
+
+    monkeypatch.setattr("holoball.cli.diagnose_equality_form", diagnose)
+    path = write_map(tmp_path, PolyMap.identity(1))
+    assert run(["diagnose", "--map", path, "--p", "0,0", "--q", "0.5,0"]) == 0
+    assert seen == [(params["samples"].default, params["tol"].default)]
+
+
+def test_fuzz_log_to_dev_null(capsys):
+    code = run(["fuzz", "--trials", "2", "--points", "5", "--out", os.devnull])
+    rec = out_json(capsys)
+    assert code == 0
+    assert rec["points_checked"] == 10
 
 
 def test_fuzz_rejects_bad_config(capsys):

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from holoball.harness import (
     _multi_indices,
     _record_lines,
 )
-from holoball.schwarzpick import FD_STEPS, _bound_batch
+from holoball.schwarzpick import FD_STEPS, _bound_batch, _BoundBatch
 
 
 def l1_certificate(f):
@@ -312,23 +314,137 @@ def record_lines_reference(trial, b, fds):
     return "".join(lines)
 
 
+# every spelling json gives a float: non-finite, signed zero, subnormal, and
+# both sides of the switch from positional to exponent notation
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-05, 1e16, 1e22]
+
+
+def special_batch(n):
+    """A hand-built batch, and FD readings for it, in which every float field
+    runs through all of ``SPECIAL_FLOATS``; the rows alternate branches."""
+    k = len(SPECIAL_FLOATS)
+
+    def col(j):
+        return np.array([SPECIAL_FLOATS[(i + j) % k] for i in range(k)])
+
+    points = np.empty((k, n), dtype=np.complex128)
+    points.real = np.column_stack([col(2 * j) for j in range(n)])
+    points.imag = np.column_stack([col(2 * j + 1) for j in range(n)])
+    b = _BoundBatch(
+        points=points,
+        values=np.zeros((k, 1), dtype=np.complex128),
+        jacobians=np.zeros((k, 1, n), dtype=np.complex128),
+        lhs=col(1),
+        rhs=col(2),
+        slack=col(3),
+        holds=np.ones(k, dtype=bool),
+        zero=np.arange(k) % 2 == 1,
+        tol=1e-9,
+    )
+    return b, col(4)
+
+
 def test_record_lines_equal_per_record_dumps():
-    f = gen_random_polymap(2, 3, max_degree=3, margin=0.25, seed=4)
-    pts = sample_ball_points(2, 12, seed=6)
-    seeds = _mix_range((1, 2, 2), 12)
+    batches = []
+    for n, m in [(1, 2), (2, 3), (3, 1), (4, 2)]:
+        f = gen_random_polymap(n, m, max_degree=3, margin=0.25, seed=4 + n)
+        pts = sample_ball_points(n, 12, seed=6 + n)
+        seeds = _mix_range((1, n, 2), 12)
+        g = force_zero_at(f, pts[4], 0.25)
+        assert _bound_batch(g, pts, 1e-9).zero[4]
+        batches += [
+            (3, _bound_batch(g, pts, 1e-9), None),
+            (2, _bound_batch(g, pts, 1e-9), mod_grad_fd_many(g, pts, seeds)),
+            (0, _bound_batch(f, pts, 1e-9), mod_grad_fd_many(f, pts, seeds)),
+            (1, _bound_batch(f, pts[:1], 1e-9), None),
+        ]
     ce = counterexample_map()
     zero = np.zeros((1, 1), dtype=np.complex128)
-    g = force_zero_at(f, pts[4], 0.25)
-    assert _bound_batch(g, pts, 1e-9).zero[4]
-    batches = [
-        (3, _bound_batch(g, pts, 1e-9), None),
-        (2, _bound_batch(g, pts, 1e-9), mod_grad_fd_many(g, pts, seeds)),
-        (0, _bound_batch(f, pts, 1e-9), mod_grad_fd_many(f, pts, seeds)),
+    batches += [
         (-1, _bound_batch(ce, zero, 1e-9), mod_grad_fd_many(ce, zero, [5])),
         (-1, _bound_batch(ce, zero, 1e-9), None),
     ]
+    for n in range(1, 5):
+        b, fds = special_batch(n)
+        batches += [(7, b, fds), (7, b, None)]
     for trial, b, fds in batches:
         assert _record_lines(trial, b, fds) == record_lines_reference(trial, b, fds)
+
+
+def test_special_batch_spells_every_float_in_every_field():
+    b, fds = special_batch(2)
+    spellings = {json.dumps(v) for v in SPECIAL_FLOATS}
+    assert spellings == {
+        "NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "1e-05", "1e+16", "1e+22"
+    }
+    records = [json.loads(line) for line in _record_lines(7, b, fds).splitlines()]
+    fields = [[r[key] for r in records] for key in ("lhs", "rhs", "slack", "fd")]
+    fields += [[r["point"][j][k] for r in records] for j in range(2) for k in range(2)]
+    for values in fields:
+        assert {json.dumps(v) for v in values} == spellings
+
+
+# -- the log is rewritten in place -------------------------------------------
+
+SMALL = FuzzConfig(trials=5, points_per_trial=4, seed=31)
+
+
+def test_log_over_a_longer_file_equals_a_fresh_log(tmp_path):
+    fresh, old = tmp_path / "fresh.jsonl", tmp_path / "old.jsonl"
+    fuzz_campaign(SMALL, fresh)
+    fuzz_campaign(FuzzConfig(trials=20, points_per_trial=4, seed=32), old)
+    assert old.stat().st_size > fresh.stat().st_size
+    inode = old.stat().st_ino
+    fuzz_campaign(SMALL, old)
+    assert old.read_bytes() == fresh.read_bytes()
+    assert old.stat().st_ino == inode
+
+
+def test_raising_campaign_leaves_the_lines_it_wrote(tmp_path, monkeypatch):
+    log = tmp_path / "run.jsonl"
+    fuzz_campaign(FuzzConfig(trials=20, points_per_trial=4, seed=32), log)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise RuntimeError("trial 3 fails")
+        return mod_grad_fd_many(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "mod_grad_fd_many", failing)
+    with pytest.raises(RuntimeError, match="trial 3 fails"):
+        fuzz_campaign(SMALL, log)
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["trial"] for r in records] == [0] * 4 + [1] * 4 + [2] * 4
+    monkeypatch.undo()
+    fresh = tmp_path / "fresh.jsonl"
+    fuzz_campaign(FuzzConfig(trials=3, points_per_trial=4, seed=31), fresh)
+    assert log.read_bytes() == fresh.read_bytes()
+
+
+def test_log_to_dev_null():
+    rep = fuzz_campaign(SMALL, os.devnull)
+    assert rep.points_checked == 20
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_symlinked_log_rewrites_its_target(tmp_path):
+    target, link, fresh = tmp_path / "target.jsonl", tmp_path / "link.jsonl", tmp_path / "f.jsonl"
+    target.write_text("x" * 100_000)
+    link.symlink_to(target)
+    fuzz_campaign(SMALL, link)
+    fuzz_campaign(SMALL, fresh)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_existing_log_keeps_its_mode(tmp_path):
+    log = tmp_path / "run.jsonl"
+    log.write_text("x" * 100_000)
+    log.chmod(0o640)
+    fuzz_campaign(SMALL, log)
+    assert stat.S_IMODE(log.stat().st_mode) == 0o640
+    assert len(log.read_text().splitlines()) == 20
 
 
 # -- array-built maps and array-read campaigns against per-term references ---
