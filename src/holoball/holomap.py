@@ -5,8 +5,12 @@ differentiates exactly: term by term for polynomials, rational-derivative
 formulas for the Moebius kinds, chain rule for pipelines, with no numerical
 differentiation. A kind implements the kernels ``_value`` and ``_value_jac``
 (see ``HoloMap``) on points the public entries have already validated. A
-polynomial's value and Jacobian columns read one table of powers per
-variable; a pipeline threads values and Jacobians through its stages at once.
+polynomial's terms share a cached term plan with every map of the same
+multi-indices: their sort order and checks, and the union of the map's
+multi-indices with those of its n partial derivatives. ``_value_jac``
+builds one table of monomials over that union and sums the value and every
+Jacobian column from its columns; a pipeline threads values and Jacobians
+through its stages at once.
 
 Maps are immutable after construction. Domain membership is not enforced at
 evaluation time; a map may be evaluated anywhere its poles permit (slices of
@@ -24,7 +28,9 @@ at the field the error names.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -240,18 +246,28 @@ def _powers(Z: np.ndarray, degrees) -> list[np.ndarray]:
     return tables
 
 
-def _eval_terms(tables, B: int, alphas: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """Sum of the terms ``coefs[t] * prod_j z_j ** alphas[t, j]`` over the
-    power tables of a batch of B points; the tables must reach the largest
-    exponent of each variable in ``alphas``."""
-    if alphas.shape[0] == 0:
-        return np.zeros((B, coefs.shape[1]), dtype=np.complex128)
-    # one block for both (B, T) arrays: glibc trims the heap top only above twice
-    # its largest freed block, so large batches then stop re-faulting fresh pages
-    mono, factor = np.empty((2, B, alphas.shape[0]), dtype=np.complex128)
+def _monomials(tables, B: int, alphas: np.ndarray) -> np.ndarray:
+    """The ``(B, T)`` monomials ``prod_j z_j ** alphas[t, j]`` over the power
+    tables of a batch of B points, a factor per variable that has a table, in
+    variable order; the tables must reach each variable's largest exponent."""
+    # one block for the three (B, T) arrays: glibc trims the heap top only above
+    # twice its largest freed block, so large batches then stop re-faulting pages
+    mono, spare, factor = np.empty((3, B, alphas.shape[0]), dtype=np.complex128)
     mono[...] = 1.0
-    for j in np.flatnonzero(alphas.max(axis=0)).tolist():
-        mono *= np.take(tables[j], alphas[:, j], axis=1, out=factor)
+    # never in place: numpy multiplies a single complex element in place with
+    # its scalar loop, whose last bits differ from the SIMD loop's, so one
+    # monomial at one point would round unlike the same monomial in a batch;
+    # the exponents are in range, and "clip" spares ``take`` a copy of ``out``
+    for j, P in enumerate(tables):
+        if P is not None:
+            np.take(P, alphas[:, j], axis=1, out=factor, mode="clip")
+            np.multiply(mono, factor, out=spare)
+            mono, spare = spare, mono
+    return mono
+
+
+def _sum_terms(mono: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """``sum_t coefs[t] * mono[:, t]``, zero where there are no terms."""
     # one vector-matrix product per row: ``mono @ coefs`` switches kernels
     # with the batch size, which changes the last bits of row i
     return np.matmul(mono[:, None, :], coefs)[:, 0, :]
@@ -303,20 +319,38 @@ def _key(row: np.ndarray) -> tuple:
     return tuple(int(a) if a.is_integer() and abs(a) <= 2**53 else a for a in row.tolist())
 
 
-def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
-    """Validate T polynomial terms and sort them lexicographically.
+class _TermPlan(NamedTuple):
+    """What a polynomial's terms share with every map of the same
+    multi-indices; all arrays are read-only.
 
-    Row t of the float64 array ``alphas`` (from ``_exponents``) holds
-    multi-index t in its first ``alpha_lens[t]`` entries, row t of the
-    complex128 array ``coefs`` its coefficient vector in the first
-    ``coef_lens[t]`` entries; any further entries are zero padding. An error
-    names the first faulty term t in input order, checked for length,
-    entries that are not integers, negative entries, entries above
-    ``MAX_DEGREE``, an earlier duplicate, coefficient length and finiteness
-    in that order, and its field is ``terms/t/alpha`` or ``terms/t/coef``.
-    Returns the frozen ``(T, n)`` int64 multi-indices and ``(T, m)``
-    coefficients.
+    ``order`` sorts the terms lexicographically into ``alphas`` (int64),
+    with the largest exponent of each variable in ``degrees``. ``union`` is
+    the sorted union of the rows of ``alphas`` with the multi-indices of the
+    n partial derivatives; ``value`` indexes the rows of ``alphas`` in it
+    (None when that is every row, in order). The partial derivative along
+    z_j has the terms ``lo:hi`` of ``columns`` entry ``(j, lo, hi)``: term k
+    has multi-index ``union[deriv[k]]`` and coefficient ``w[k]`` times the
+    one of term ``src[k]``. Variables that occur in no term have no entry.
     """
+
+    order: np.ndarray
+    alphas: np.ndarray
+    degrees: list
+    union: np.ndarray
+    value: np.ndarray | None
+    deriv: np.ndarray
+    src: np.ndarray
+    w: np.ndarray
+    columns: tuple
+
+
+@functools.lru_cache(maxsize=64)
+def _term_plan(n: int, shape: tuple, table: bytes, lens: bytes) -> _TermPlan:
+    """The term plan of the float64 multi-index table with the given shape
+    and bytes, row t of which has ``lens[t]`` (int64 bytes) entries; raises
+    the ``_FieldError`` of the first term with a faulty multi-index."""
+    alphas = np.frombuffer(table, dtype=np.float64).reshape(shape)
+    alpha_lens = np.frombuffer(lens, dtype=np.int64)
     T = alphas.shape[0]
     order = np.lexsort(alphas.T[::-1]) if alphas.shape[1] else np.arange(T)
     ranked = alphas[order]
@@ -330,35 +364,76 @@ def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
         (alphas < 0).any(axis=1),
         (alphas > MAX_DEGREE).any(axis=1),
         dup,
-        coef_lens != m,
-        ~np.isfinite(coefs).all(axis=1),
     )
     bad = np.logical_or.reduce(checks)
     if bad.any():
         t = int(bad.argmax())
         key = _key(alphas[t, : alpha_lens[t]])
-        alpha, coef = f"terms/{t}/alpha", f"terms/{t}/coef"
-        if checks[0][t]:
-            raise _FieldError(alpha, f"multi-index {key} has length {len(key)}, expected {n}")
-        if checks[1][t]:
-            raise _FieldError(alpha, f"multi-index {key} has an entry that is not an integer")
-        if checks[2][t]:
-            raise _FieldError(alpha, f"multi-index {key} has a negative entry")
-        if checks[3][t]:
-            raise _FieldError(
-                alpha, f"multi-index {key} has an entry above MAX_DEGREE = {MAX_DEGREE}"
-            )
-        if checks[4][t]:
-            raise _FieldError(alpha, f"duplicate multi-index {key}")
-        if checks[5][t]:
-            raise _FieldError(
-                coef, f"coefficient for {key} has length {coef_lens[t]}, expected {m}"
-            )
-        raise _FieldError(coef, f"coefficient for {key} is not finite")
-    return (
-        _freeze(ranked.reshape(T, n).astype(np.int64)),
-        _freeze(coefs[order].reshape(T, m)),
+        messages = (
+            f"multi-index {key} has length {len(key)}, expected {n}",
+            f"multi-index {key} has an entry that is not an integer",
+            f"multi-index {key} has a negative entry",
+            f"multi-index {key} has an entry above MAX_DEGREE = {MAX_DEGREE}",
+            f"duplicate multi-index {key}",
+        )
+        raise _FieldError(f"terms/{t}/alpha", next(msg for c, msg in zip(checks, messages) if c[t]))
+    ranked = ranked.reshape(T, n).astype(np.int64)
+    # derivative term k: d/dz_jj[k] of term src[k], in the map's term order
+    jj, src = np.nonzero(ranked.T)
+    w = ranked[src, jj]
+    lowered = ranked[src]
+    lowered[np.arange(jj.shape[0]), jj] -= 1
+    union, inverse = ranked, np.arange(T)
+    if T:  # np.unique of an empty table along axis 0 takes time in its width
+        union, inverse = np.unique(np.vstack([ranked, lowered]), axis=0, return_inverse=True)
+        # the shape of the inverse changed within the numpy 2.0 releases
+        inverse = inverse.reshape(-1)
+    value = inverse[:T] if union.shape[0] > T else None
+    counts = np.bincount(jj).tolist()
+    return _TermPlan(
+        order=_freeze(order),
+        alphas=_freeze(ranked),
+        # a map without terms needs no power tables, whatever its n
+        degrees=ranked.max(axis=0).tolist() if T else [],
+        union=_freeze(union),
+        value=None if value is None else _freeze(value),
+        deriv=_freeze(inverse[T:]),
+        src=_freeze(src),
+        w=_freeze(w),
+        columns=tuple(
+            (j, end - k, end) for j, (k, end) in enumerate(zip(counts, itertools.accumulate(counts))) if k
+        ),
     )
+
+
+def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
+    """Validate T polynomial terms and sort them lexicographically.
+
+    Row t of the float64 array ``alphas`` (from ``_exponents``) holds
+    multi-index t in its first ``alpha_lens[t]`` entries, row t of the
+    complex128 array ``coefs`` its coefficient vector in the first
+    ``coef_lens[t]`` entries; any further entries are zero padding. An error
+    names the first faulty term t in input order, checked for length,
+    entries that are not integers, negative entries, entries above
+    ``MAX_DEGREE``, an earlier duplicate, coefficient length and finiteness
+    in that order, and its field is ``terms/t/alpha`` or ``terms/t/coef``.
+    The multi-index checks come from the cached term plan. Returns the plan
+    and the frozen ``(T, m)`` coefficients in its order.
+    """
+    bad = (coef_lens != m) | ~np.isfinite(coefs).all(axis=1)
+    # with a faulty coefficient only the terms up to it are planned, so that
+    # a faulty multi-index among them raises first
+    T = int(bad.argmax()) + 1 if bad.any() else alphas.shape[0]
+    plan = _term_plan(n, alphas[:T].shape, alphas[:T].tobytes(), alpha_lens[:T].tobytes())
+    if bad.any():
+        t = T - 1
+        key = _key(alphas[t, : alpha_lens[t]])
+        if coef_lens[t] != m:
+            raise _FieldError(
+                f"terms/{t}/coef", f"coefficient for {key} has length {coef_lens[t]}, expected {m}"
+            )
+        raise _FieldError(f"terms/{t}/coef", f"coefficient for {key} is not finite")
+    return plan, _freeze(coefs[plan.order].reshape(T, m))
 
 
 class PolyMap(HoloMap):
@@ -415,12 +490,10 @@ class PolyMap(HoloMap):
         return f
 
     def _setup(self, n: int, m: int, alphas, coefs, alpha_lens, coef_lens) -> None:
-        self._alphas, self._coefs = _normalise_terms(n, m, alphas, coefs, alpha_lens, coef_lens)
+        self._plan, self._coefs = _normalise_terms(n, m, alphas, coefs, alpha_lens, coef_lens)
+        self._alphas = self._plan.alphas
         self.n = n
         self.m = m
-        # a map without terms needs no power tables, whatever its n
-        self._degrees = self._alphas.max(axis=0).tolist() if self._alphas.shape[0] else []
-        self._derivs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def identity(cls, n: int) -> "PolyMap":
@@ -438,26 +511,29 @@ class PolyMap(HoloMap):
     def __repr__(self):
         return f"PolyMap(n={self.n}, m={self.m}, terms={self._alphas.shape[0]})"
 
-    def _value(self, X: np.ndarray) -> np.ndarray:
-        return _eval_terms(_powers(X, self._degrees), X.shape[0], self._alphas, self._coefs)
+    @functools.cached_property
+    def _dcoefs(self) -> np.ndarray:
+        """The coefficients of the partial derivatives' terms, in the plan's
+        order; a coefficient past the float range overflows here."""
+        return _freeze(self._coefs[self._plan.src] * self._plan.w[:, None])
 
-    def _deriv_arrays(self, j: int):
-        """The terms of the partial derivative along z_j, cached."""
-        if j not in self._derivs:
-            rows = self._alphas[:, j] >= 1
-            alphas = self._alphas[rows].copy()
-            coefs = self._coefs[rows] * alphas[:, j][:, None]
-            alphas[:, j] -= 1
-            self._derivs[j] = (_freeze(alphas), _freeze(coefs))
-        return self._derivs[j]
+    def _value(self, X: np.ndarray) -> np.ndarray:
+        mono = _monomials(_powers(X, self._plan.degrees), X.shape[0], self._alphas)
+        return _sum_terms(mono, self._coefs)
 
     def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the derivative terms never exceed the map's own degrees, so the
-        # value and every Jacobian column read the same tables
-        B = X.shape[0]
-        tables = _powers(X, self._degrees)
-        cols = [_eval_terms(tables, B, *self._deriv_arrays(j)) for j in range(self.n)]
-        return _eval_terms(tables, B, self._alphas, self._coefs), np.stack(cols, axis=2)
+        # the derivative terms never exceed the map's own degrees, so one
+        # table of monomials over the plan's union serves the value and every
+        # column; a monomial only gains factors 1.0 for variables it lacks,
+        # which change no bit but the sign of a zero part, so each column
+        # sums what a table of its own terms would hold
+        plan, B = self._plan, X.shape[0]
+        mono = _monomials(_powers(X, plan.degrees), B, plan.union)
+        V = _sum_terms(mono if plan.value is None else mono.take(plan.value, axis=1), self._coefs)
+        J = np.zeros((B, self.m, self.n), dtype=np.complex128)
+        for j, lo, hi in plan.columns:
+            J[:, :, j] = _sum_terms(mono.take(plan.deriv[lo:hi], axis=1), self._dcoefs[lo:hi])
+        return V, J
 
 
 class MobiusDisk(HoloMap):
@@ -585,7 +661,7 @@ class LinearFunctional(HoloMap):
         return f"LinearFunctional(dim={self.n})"
 
     def _value(self, X: np.ndarray) -> np.ndarray:
-        # one product per row, as in _eval_terms: ``X @ cu`` switches kernels
+        # one product per row, as in _sum_terms: ``X @ cu`` switches kernels
         # with the batch size, which changes the last bits of row i
         return np.matmul(X[:, None, :], self._cu[:, None])[:, 0, :]
 

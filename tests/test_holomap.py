@@ -169,6 +169,9 @@ BATCH_MAPS = [
     Pipeline([gen_random_polymap(2, 3, 3, 0.25, seed=5), gen_random_polymap(3, 2, 2, 0.25, seed=6)]),
     Pipeline([LinearFunctional([0.6, 0.8j]), MobiusDisk(0.3 - 0.2j), ScalarTimesVector([0.6, 0.8j])]),
     LinearFunctional([0.5, -0.5j, 0.5 + 0.5j]),
+    # one term, or one derivative term, that is a product of two powers
+    PolyMap(2, 1, {(1, 1): [0.5 + 0.25j]}),
+    PolyMap(2, 2, {(3, 1): [0.3, 0.1j], (0, 2): [0.2 - 0.1j, -0.4]}),
 ]
 
 
@@ -536,14 +539,127 @@ def test_from_arrays_and_mapping_sort_shuffled_terms_alike():
     assert np.array_equal(g._coefs, f._coefs)
 
 
-@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 5)])
-def test_jacobian_columns_equal_derivative_maps(n, m):
-    f = gen_random_polymap(n, m, max_degree=4, margin=0.25, seed=300 + 10 * n + m)
-    zs = sample_ball_points(n, 40, seed=400 + 10 * n + m)
+# multi-index sets that are not downward closed, a map without terms, and one
+# in which z_1 occurs in no term
+SPARSE_MAPS = [
+    PolyMap(2, 2, {(3, 1): [0.3, 0.1j], (0, 2): [0.2 - 0.1j, -0.4]}),
+    PolyMap(3, 1, {(0, 0, 4): [0.7 + 0.1j]}),
+    PolyMap(3, 2, {}),
+    PolyMap(3, 2, {(2, 0, 1): [0.25, 0.5j], (0, 0, 3): [-0.3j, 0.1], (1, 0, 0): [0.2, 0.2]}),
+]
+KERNEL_MAPS = [
+    gen_random_polymap(n, m, max_degree=4, margin=0.25, seed=300 + 10 * n + m)
+    for n in range(1, 5)
+    for m in range(1, 5)
+] + SPARSE_MAPS
+KERNEL_IDS = [f"{n}-{m}" for n in range(1, 5) for m in range(1, 5)] + [repr(f) for f in SPARSE_MAPS]
+
+
+@pytest.mark.parametrize("f", KERNEL_MAPS, ids=KERNEL_IDS)
+def test_jacobian_columns_equal_derivative_maps(f):
+    zs = sample_ball_points(f.n, 40, seed=400 + 10 * f.n + f.m)
     J = f.jac_many(zs)
-    for j in range(n):
-        d = PolyMap.from_arrays(n, m, *f._deriv_arrays(j))
-        assert np.array_equal(J[:, :, j], d.eval_many(zs))
+    for j in range(f.n):
+        # d/dz_j term by term: alpha_j * c z^(alpha - e_j) for alpha_j >= 1
+        terms = {}
+        for alpha, c in f.terms.items():
+            if alpha[j]:
+                terms[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]] = c * alpha[j]
+        assert np.array_equal(J[:, :, j], PolyMap(f.n, f.m, terms).eval_many(zs))
+
+
+def column_by_column(f, Z):
+    """A PolyMap's value and Jacobian from one monomial table per term set:
+    the map's terms and those of each partial derivative, each table reading
+    only the variables that occur in its set."""
+    tables = holomap._powers(Z, f._plan.degrees)
+
+    def eval_terms(alphas, coefs):
+        active = alphas.max(axis=0, initial=0)
+        own = [P if d else None for P, d in zip(tables, active.tolist())]
+        return holomap._sum_terms(holomap._monomials(own, Z.shape[0], alphas), coefs)
+
+    V = eval_terms(f._alphas, f._coefs)
+    cols = []
+    for j in range(f.n):
+        rows = f._alphas[:, j] >= 1
+        alphas = f._alphas[rows].copy()
+        coefs = f._coefs[rows] * alphas[:, j][:, None]
+        alphas[:, j] -= 1
+        cols.append(eval_terms(alphas, coefs))
+    return V, np.stack(cols, axis=2)
+
+
+@pytest.mark.parametrize("f", KERNEL_MAPS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("B", [1, 7, 1400])
+def test_fused_kernel_is_bit_identical_to_one_table_per_set(f, B):
+    zs = sample_ball_points(f.n, B, seed=900 + B + 10 * f.n + f.m)
+    V, J = f.eval_jac_many(zs)
+    V_ref, J_ref = column_by_column(f, zs)
+    for got, ref in ((V, V_ref), (J, J_ref)):
+        assert got.shape == ref.shape and got.dtype == ref.dtype == np.complex128
+        assert got.tobytes() == ref.tobytes()
+    assert V.tobytes() == f.eval_many(zs).tobytes()
+    # fresh, writable results on every call
+    V2, J2 = f.eval_jac_many(zs)
+    assert V.flags.writeable and J.flags.writeable
+    assert not np.shares_memory(J, J2) and not np.shares_memory(V, V2)
+    J[...] = 1.0
+    assert J2.tobytes() == J_ref.tobytes()
+
+
+def test_maps_share_the_term_plan_of_their_multi_indices():
+    holomap._term_plan.cache_clear()
+    f = gen_random_polymap(2, 3, max_degree=4, margin=0.25, seed=1)
+    hits = holomap._term_plan.cache_info().hits
+    g = gen_random_polymap(2, 3, max_degree=4, margin=0.25, seed=2)
+    assert holomap._term_plan.cache_info().hits == hits + 1
+    assert g._plan is f._plan and g._alphas is f._alphas
+    zs = sample_ball_points(2, 9, seed=3)
+    for h in (f, g):
+        V, J = h.eval_jac_many(zs)
+        V_ref, J_ref = column_by_column(h, zs)
+        assert V.tobytes() == V_ref.tobytes() and J.tobytes() == J_ref.tobytes()
+    assert not np.array_equal(f.eval_many(zs), g.eval_many(zs))
+    # equal bytes in another shape make another plan
+    a = PolyMap.from_arrays(2, 1, np.array([[0, 1], [2, 3]]), [[0.5], [0.25]])
+    b = PolyMap.from_arrays(1, 1, np.array([[0], [1], [2], [3]]), [[0.5], [0.25], [0.1], [0.1]])
+    assert a._plan is not b._plan
+    assert a._alphas.shape == (2, 2) and b._alphas.shape == (4, 1)
+    for plan in (f._plan, a._plan, b._plan, SPARSE_MAPS[0]._plan):
+        arrays = [v for v in plan if isinstance(v, np.ndarray)]
+        assert len(arrays) >= 6 and not any(v.flags.writeable for v in arrays)
+    # a map built on a cold cache evaluates bit for bit as before
+    V, J = f.eval_jac_many(zs)
+    holomap._term_plan.cache_clear()
+    cold = gen_random_polymap(2, 3, max_degree=4, margin=0.25, seed=1)
+    assert cold._plan is not f._plan
+    V2, J2 = cold.eval_jac_many(zs)
+    assert V.tobytes() == V2.tobytes() and J.tobytes() == J2.tobytes()
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # a bad coefficient on a valid table
+        [((1, 0), [1.0]), ((0, 1), [np.nan]), ((2, 0), [1.0, 2.0])],
+        # a duplicate multi-index, and a bad coefficient before or on it
+        [((1, 0), [1.0]), ((0, 1), [1.0]), ((1, 0), [2.0])],
+        [((1, 0), [1.0]), ((0, 1), [np.inf]), ((1, 0), [2.0])],
+        [((1, 0), [1.0]), ((0, 1), [1.0]), ((1, 0), [np.inf])],
+    ],
+)
+def test_cached_plans_raise_what_a_cold_cache_raises(terms):
+    def error():
+        with pytest.raises(InputError) as exc:
+            PolyMap(2, 1, terms)
+        return exc.value.field, str(exc.value)
+
+    holomap._term_plan.cache_clear()
+    cold = error()
+    assert error() == cold
+    PolyMap(2, 1, [(alpha, [0.5]) for alpha, _ in terms[:2]])  # plans a valid table
+    assert error() == cold
 
 
 # -- documents: property tests ------------------------------------------------
