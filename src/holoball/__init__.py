@@ -6,110 +6,25 @@ the sharp bound (1 - |f(z)|^2) / (1 - |z|^2); this package computes that
 gradient in closed form, checks the bound, constructs and diagnoses the
 equality cases, and stress-tests everything against a finite-difference
 oracle over randomized certified maps.
+
+The package re-exports the public names of each library module (each
+module's ``__all__``); the command line lives in ``holoball.cli``, which
+is not imported here.
 """
 
-from .complexcore import (
-    herm_inner,
-    sample_unit_sphere,
-    spectral_norm,
-    vnorm,
-)
-from .errors import (
-    CertificationError,
-    DomainError,
-    InputError,
-    PreconditionError,
-    SchemaError,
-)
-from .extremal import (
-    Diagnosis,
-    ExtremalSpec,
-    diagnose_equality_form,
-    extremal_nonzero_case,
-    extremal_zero_case,
-)
-from .geometry import BoundFactor, DiskSlice, bound_factor, disk_slice
-from .harness import (
-    CampaignReport,
-    FuzzConfig,
-    counterexample_map,
-    force_zero_at,
-    fuzz_campaign,
-    gen_random_polymap,
-    sample_ball_points,
-)
-from .holomap import (
-    AffineScalar,
-    HoloMap,
-    LineEmbed,
-    LinearFunctional,
-    MobiusDisk,
-    MobiusQuotient,
-    Pipeline,
-    PolyMap,
-    ScalarTimesVector,
-    emit_spec,
-    parse_spec,
-)
-from .schwarzpick import (
-    BoundReport,
-    GradResult,
-    equality_gap,
-    mod_grad,
-    mod_grad_fd,
-    mod_grad_fd_many,
-    sp_bound,
-    sp_bound_many,
-    sp_bound_slice,
-)
+from . import complexcore, errors, extremal, geometry, harness, holomap, schwarzpick
+from .complexcore import *
+from .errors import *
+from .extremal import *
+from .geometry import *
+from .harness import *
+from .holomap import *
+from .schwarzpick import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "herm_inner",
-    "vnorm",
-    "spectral_norm",
-    "sample_unit_sphere",
-    "InputError",
-    "SchemaError",
-    "DomainError",
-    "PreconditionError",
-    "CertificationError",
-    "HoloMap",
-    "PolyMap",
-    "MobiusDisk",
-    "MobiusQuotient",
-    "LineEmbed",
-    "LinearFunctional",
-    "ScalarTimesVector",
-    "AffineScalar",
-    "Pipeline",
-    "parse_spec",
-    "emit_spec",
-    "DiskSlice",
-    "disk_slice",
-    "BoundFactor",
-    "bound_factor",
-    "GradResult",
-    "BoundReport",
-    "mod_grad",
-    "mod_grad_fd",
-    "mod_grad_fd_many",
-    "sp_bound",
-    "sp_bound_many",
-    "sp_bound_slice",
-    "equality_gap",
-    "ExtremalSpec",
-    "extremal_zero_case",
-    "extremal_nonzero_case",
-    "Diagnosis",
-    "diagnose_equality_form",
-    "FuzzConfig",
-    "CampaignReport",
-    "gen_random_polymap",
-    "force_zero_at",
-    "sample_ball_points",
-    "fuzz_campaign",
-    "counterexample_map",
+__all__ = ["__version__"] + [
+    name
+    for module in (complexcore, errors, holomap, geometry, schwarzpick, extremal, harness)
+    for name in module.__all__
 ]

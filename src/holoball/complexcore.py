@@ -7,10 +7,19 @@ Conventions used throughout the package:
 * Complex vectors are 1-D ``complex128`` arrays, matrices 2-D. Serialized
   complex scalars are ``[re, im]`` pairs; vectors are lists of pairs.
 * No NaN or Inf is admitted into any public operation.
+* An integer argument is a Python or numpy integer; a real argument is one
+  of those or a Python or numpy float. A ``bool`` is neither, and a string
+  is never parsed. ``_is_int``, ``_is_real`` and ``_as_float`` below, and the
+  checks built on them, are the one home of these rules.
+* A result's ``to_dict`` is ``_to_json`` of it: a dataclass is written as an
+  object of its fields in declaration order, less those marked
+  ``metadata={"json": False}``; complex values are written as above, and
+  numpy scalars as Python scalars.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from typing import NamedTuple
@@ -30,6 +39,49 @@ __all__ = [
     "complex_to_pair",
     "vector_to_pairs",
 ]
+
+
+def _is_int(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer; a ``bool`` is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer or float; a ``bool`` is not."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def _as_float(v) -> float:
+    """``v`` as a float: NaN unless it is a real, and +-inf for an int past
+    the float range."""
+    if not _is_real(v):
+        return math.nan
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _positive_real(v, name: str) -> float:
+    """``v`` as a float; raises unless it is a real in (0, inf)."""
+    x = _as_float(v)
+    if not 0.0 < x < math.inf:
+        raise InputError(f"{name} must be a positive real")
+    return x
+
+
+def _unit_interval(v, name: str) -> None:
+    """Raises unless ``v`` is a real in (0, 1)."""
+    if not 0.0 < _as_float(v) < 1.0:
+        raise InputError(f"{name} must lie in (0, 1)")
+
+
+def _positive_ints(**args) -> None:
+    """Raises for the first keyword argument that is not an integer >= 1."""
+    for name, v in args.items():
+        if not _is_int(v) or v < 1:
+            raise InputError(f"{name} must be a positive integer")
+
 
 def as_cvector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D complex128 array."""
@@ -131,11 +183,8 @@ def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:
     Standard complex Gaussians normalized to unit length; deterministic for a
     given seed. Returns an array of shape ``(count, n)``.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError("n must be a positive integer")
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise InputError("count must be a positive integer")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    _positive_ints(n=n, count=count)
+    if not _is_int(seed) or seed < 0:
         raise InputError("seed must be a non-negative integer")
     rng = np.random.default_rng(int(seed))
     z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
@@ -170,7 +219,7 @@ def _seed_words(seeds) -> np.ndarray:
         return seeds
     seeds = list(seeds)
     for s in seeds:
-        if not isinstance(s, (int, np.integer)) or not 0 <= int(s) < 2**64:
+        if not _is_int(s) or not 0 <= int(s) < 2**64:
             raise InputError("seed must be a non-negative integer")
     return np.array([int(s) for s in seeds], dtype=np.uint64)
 
@@ -203,10 +252,7 @@ def sphere_rows(n: int, count: int, seeds) -> np.ndarray:
     the floats go through numpy's log, cos and sin, so their last bits are
     fixed only on one machine and numpy build.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError("n must be a positive integer")
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise InputError("count must be a positive integer")
+    _positive_ints(n=n, count=count)
     S = _seed_words(seeds)
     u = _open_unit(_stream_words(S, 2 * count * n)).reshape(S.shape[0], count, n, 2)
     r2 = -2.0 * np.log(u[..., 0])
@@ -231,3 +277,22 @@ def complex_to_pair(z) -> list:
 def vector_to_pairs(x) -> list:
     """Serialize a complex vector as a list of ``[re, im]`` pairs."""
     return [complex_to_pair(z) for z in as_cvector(x)]
+
+
+def _to_json(x):
+    """The JSON value of a result, by the rule in the module docstring;
+    lists and dicts are written entry by entry, anything else as it is."""
+    if dataclasses.is_dataclass(x):
+        names = [f.name for f in dataclasses.fields(x) if f.metadata.get("json", True)]
+        return {k: _to_json(getattr(x, k)) for k in names}
+    if isinstance(x, np.ndarray):
+        return vector_to_pairs(x)
+    if isinstance(x, (complex, np.complexfloating)):
+        return complex_to_pair(x)
+    if isinstance(x, np.generic):
+        return x.item()
+    if isinstance(x, list):
+        return [_to_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _to_json(v) for k, v in x.items()}
+    return x

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcore import _row_norms, as_cvector, herm_inner, vector_to_pairs, vnorm
+from .complexcore import (_is_int, _positive_real, _row_norms, _to_json, as_cvector, herm_inner,
+                          vnorm)
 from .errors import InputError, PreconditionError
 from .geometry import _ball_point, disk_slice
 from .holomap import (
@@ -47,7 +48,7 @@ from .holomap import (
     Pipeline,
     ScalarTimesVector,
 )
-from .schwarzpick import DEFAULT_BOUND_TOL, ZERO_BRANCH_TOL, _bound_batch
+from .schwarzpick import DEFAULT_BOUND_TOL, _bound_batch, _one_minus_sq
 
 __all__ = [
     "ExtremalSpec",
@@ -191,16 +192,7 @@ class Diagnosis:
     fitted_beta: np.ndarray | None = None
     orthogonal_max: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "matches": bool(self.matches),
-            "max_residual": float(self.max_residual),
-            "points_tested": int(self.points_tested),
-            "fitted_theta": None if self.fitted_theta is None else float(self.fitted_theta),
-            "fitted_a": None if self.fitted_a is None else vector_to_pairs(self.fitted_a),
-            "fitted_beta": None if self.fitted_beta is None else vector_to_pairs(self.fitted_beta),
-            "orthogonal_max": None if self.orthogonal_max is None else float(self.orthogonal_max),
-        }
+    to_dict = _to_json
 
 
 def diagnose_equality_form(
@@ -216,12 +208,11 @@ def diagnose_equality_form(
     collinear with p; both are verified. Samples sit on the circle of radius
     0.9 r about c in the slice disk.
     """
-    if not isinstance(samples, (int, np.integer)):
+    if not _is_int(samples):
         raise InputError("samples must be an integer")
     if samples < 2:
         raise InputError("samples must be at least 2")
-    if not 0.0 < tol < np.inf:
-        raise InputError("tol must be a positive real")
+    tol = _positive_real(tol, "tol")
     pv = as_cvector(p, "p")
     qv = as_cvector(q, "q")
     if pv.shape[0] != f.n or qv.shape[0] != f.n:
@@ -244,19 +235,19 @@ def diagnose_equality_form(
     G = g.eval_many(zs[:, None])
 
     fp = at_p.values[0]
-    nfp = vnorm(fp)
-    if nfp <= ZERO_BRANCH_TOL:
+    if at_p.zero[0]:
         k = int(np.argmax(np.abs(W)))
         fit = {"fitted_beta": G[k] / W[k]}
         resid = float(_row_norms(G - W[:, None] * fit["fitted_beta"][None, :]).max())
     else:
+        nfp = vnorm(fp)
         unit_a = fp / nfp
         h = G @ np.conj(unit_a)
         # g'(0) = Df(p) (q - p), the chain rule of g at its origin
         gprime = np.matmul(at_p.jacobians, (qv - pv)[None, :, None])[0][:, 0]
         hprime = complex(gprime @ np.conj(unit_a))
         wprime = -ds.r / ((ds.r - abs(ds.c)) * (ds.r + abs(ds.c)))
-        efit = hprime / (((1.0 - nfp) * (1.0 + nfp)) * wprime)
+        efit = hprime / (_one_minus_sq(nfp) * wprime)
         theta_fit = float(np.angle(efit))
         rot = complex(np.exp(1j * theta_fit))
         model = (nfp + rot * W) / (1.0 + nfp * rot * W)

@@ -14,12 +14,12 @@ holds, so c lies inside the disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .complexcore import as_cvector, complex_to_pair, herm_inner, vnorm
+from .complexcore import _to_json, as_cvector, herm_inner, vnorm
 from .errors import InputError
 from .holomap import LineEmbed
 
@@ -36,16 +36,15 @@ class DiskSlice:
 
     c: complex
     r: float
-    p: np.ndarray
-    q: np.ndarray
-    collinear: bool
+    p: np.ndarray = field(metadata={"json": False})
+    q: np.ndarray = field(metadata={"json": False})
+    collinear: bool = field(metadata={"json": False})
 
     def line(self) -> LineEmbed:
         """The embedding ``z -> p + z (q - p)`` as a map node."""
         return LineEmbed(self.p, self.q)
 
-    def to_dict(self) -> dict:
-        return {"c": complex_to_pair(self.c), "r": float(self.r)}
+    to_dict = _to_json
 
 
 def _ball_point(x, name: str) -> np.ndarray:

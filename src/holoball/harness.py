@@ -48,7 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexcore import _GOLDEN, _row_norms, _splitmix64, sample_unit_sphere, spectral_norm
+from .complexcore import (_GOLDEN, _is_int, _positive_ints, _positive_real, _row_norms,
+                          _splitmix64, _to_json, _unit_interval, sample_unit_sphere, spectral_norm)
 from .errors import InputError
 from .holomap import PolyMap
 from .schwarzpick import (
@@ -103,10 +104,6 @@ def _mix_range(prefix, count: int) -> np.ndarray:
     return _splitmix64(x + _GOLDEN) >> np.uint64(1)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer))
-
-
 @functools.lru_cache(maxsize=64)
 def _multi_indices(n: int, max_degree: int) -> np.ndarray:
     """The multi-indices of total degree <= max_degree in n variables, in
@@ -136,12 +133,10 @@ def _certified(n: int, m: int, alphas: np.ndarray, coefs: np.ndarray, margin: fl
 def gen_random_polymap(n: int, m: int, max_degree: int, margin: float, seed: int) -> PolyMap:
     """Seeded Gaussian polynomial map rescaled to the l1 containment
     certificate ``sum_k (sum_alpha |c_{k,alpha}|)^2 <= (1 - margin)^2``."""
-    if not (_is_int(n) and _is_int(m)) or n < 1 or m < 1:
-        raise InputError("n and m must be positive integers")
+    _positive_ints(n=n, m=m)
     if not _is_int(max_degree) or max_degree < 0:
         raise InputError("max_degree must be a non-negative integer")
-    if not (0.0 < margin < 1.0):
-        raise InputError("margin must lie in (0, 1)")
+    _unit_interval(margin, "margin")
     if not _is_int(seed):
         raise InputError("seed must be an integer")
     alphas = _multi_indices(n, max_degree)
@@ -155,8 +150,7 @@ def force_zero_at(f: PolyMap, p, margin: float) -> PolyMap:
     """Shift ``f`` by ``-f(p)`` and rescale so the containment certificate is
     restored; the result vanishes at p (up to roundoff well below the
     zero-branch threshold)."""
-    if not (0.0 < margin < 1.0):
-        raise InputError("margin must lie in (0, 1)")
+    _unit_interval(margin, "margin")
     alphas, coefs = f._alphas, f._coefs.copy()
     # the zero multi-index sorts first when present; a missing one is
     # appended as the last row, and the certificate's sum over the rows
@@ -174,10 +168,6 @@ def force_zero_at(f: PolyMap, p, margin: float) -> PolyMap:
 def sample_ball_points(n: int, count: int, seed: int) -> np.ndarray:
     """Uniform samples of the unit ball of C^n: uniform sphere direction
     times inverse-CDF radius ``U^(1/(2n))``; radii above 0.999 are redrawn."""
-    if n < 1:
-        raise InputError("n must be positive")
-    if count < 1:
-        raise InputError("count must be positive")
     if not _is_int(seed):
         raise InputError("seed must be an integer")
     dirs = sample_unit_sphere(n, count, _mix(seed, 0xD12))
@@ -214,21 +204,16 @@ class FuzzConfig:
     def validate(self) -> None:
         """Raise ``InputError`` for a field the campaign cannot run with;
         ``fuzz_campaign`` calls this before it opens its log."""
-        for name in ("trials", "points_per_trial", "n", "m", "max_degree", "fd_dirs", "seed"):
+        for name in ("trials", "max_degree", "fd_dirs", "seed"):
             if not _is_int(getattr(self, name)):
                 raise InputError(f"{name} must be an integer")
+        _positive_ints(points_per_trial=self.points_per_trial, n=self.n, m=self.m)
         if self.trials < 0:
             raise InputError("trials must be non-negative")
-        if self.points_per_trial < 1:
-            raise InputError("points_per_trial must be positive")
-        if self.n < 1 or self.m < 1:
-            raise InputError("n and m must be positive")
         if self.max_degree < 0:
             raise InputError("max_degree must be non-negative")
-        if not (0.0 < self.margin < 1.0):
-            raise InputError("margin must lie in (0, 1)")
-        if not 0.0 < self.tol < np.inf:
-            raise InputError("tol must be a positive real")
+        _unit_interval(self.margin, "margin")
+        _positive_real(self.tol, "tol")
         if self.fd_dirs != 0 and self.fd_dirs < 64:
             raise InputError("fd_dirs must be 0 (disabled) or at least 64")
 
@@ -254,20 +239,7 @@ class CampaignReport:
     runtime_ms: float = 0.0
     counterexample: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "trials_run": int(self.trials_run),
-            "points_checked": int(self.points_checked),
-            "violations": [v.to_dict() for v in self.violations],
-            "worst_slack": None if self.worst_slack is None else float(self.worst_slack),
-            "oracle_max_dev": (
-                None if self.oracle_max_dev is None else float(self.oracle_max_dev)
-            ),
-            "fd_anomalies": int(self.fd_anomalies),
-            "fd_undecided": None if self.fd_undecided is None else int(self.fd_undecided),
-            "runtime_ms": float(self.runtime_ms),
-            "counterexample": self.counterexample,
-        }
+    to_dict = _to_json
 
 
 # json's spellings of the non-finite floats, keyed by their ``repr``

@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexcore import as_cvector, complex_to_pair, vector_to_pairs, vnorm
+from .complexcore import (_as_float, _is_int, _is_real, as_cvector, complex_to_pair,
+                          vector_to_pairs, vnorm)
 from .errors import DomainError, InputError, SchemaError
 
 __all__ = [
@@ -119,19 +120,16 @@ def _list(v, path) -> list:
 
 
 def _real(v, path) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_real(v):
         raise SchemaError(path, f"expected a number, got {type(v).__name__}")
-    try:
-        f = float(v)
-    except OverflowError:  # an int past the float range
-        f = np.inf
+    f = _as_float(v)
     if not np.isfinite(f):
         raise SchemaError(path, "number must be finite")
     return f
 
 
 def _int(v, path) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_int(v):
         raise SchemaError(path, f"expected an integer, got {type(v).__name__}")
     return v
 
@@ -285,33 +283,22 @@ def _stack_rows(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 def _dims(n, m) -> tuple[int, int]:
     for name, v in (("n", n), ("m", m)):
-        if not isinstance(v, (int, np.integer)) or v < 1:
+        if not _is_int(v) or v < 1:
             raise _FieldError(name, f"{name} must be a positive integer")
         if v >= 2**59:  # past the largest dimension of a complex128 array
             raise _FieldError(name, f"{name} = {v} is too large")
     return int(n), int(m)
 
 
-def _exponent(x) -> float:
-    """One multi-index entry as a float: NaN unless it is a real number, and
-    +-inf for an int past the float range."""
-    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-        return np.nan
-    try:
-        return float(x)
-    except OverflowError:
-        return np.inf if x > 0 else -np.inf
-
-
 def _exponents(alpha) -> np.ndarray:
     """Multi-index entries as float64, exact at every integer up to
     ``MAX_DEGREE``, for ``_normalise_terms`` to judge. Anything but an
-    integer or float array goes through ``_exponent`` entry by entry, since
+    integer or float array goes through ``_as_float`` entry by entry, since
     numpy would coerce ``[1, True]`` to ints and ``[1, "2"]`` to strings."""
     if isinstance(alpha, np.ndarray) and alpha.dtype.kind in "iuf":
         return alpha.astype(np.float64)
     a = np.asarray(alpha, dtype=object)
-    return np.array([_exponent(x) for x in a.reshape(-1).tolist()], np.float64).reshape(a.shape)
+    return np.array([_as_float(x) for x in a.reshape(-1).tolist()], np.float64).reshape(a.shape)
 
 
 def _key(row: np.ndarray) -> tuple:

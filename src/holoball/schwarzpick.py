@@ -45,11 +45,12 @@ builds a ``GradResult`` from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexcore import _row_norms, _seed_words, spectral_norm, sphere_rows, vector_to_pairs
+from .complexcore import (_is_int, _positive_real, _row_norms, _seed_words, _to_json,
+                          spectral_norm, sphere_rows)
 from .errors import CertificationError, InputError
 from .holomap import HoloMap, _as_batch
 
@@ -100,15 +101,7 @@ class GradResult:
     ambiguous: bool = False
     alt_value: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "branch": self.branch,
-            "A": None if self.A is None else vector_to_pairs(self.A),
-            "top_dir": None if self.top_dir is None else vector_to_pairs(self.top_dir),
-            "ambiguous": bool(self.ambiguous),
-            "alt_value": None if self.alt_value is None else float(self.alt_value),
-        }
+    to_dict = _to_json
 
 
 @dataclass(eq=False)
@@ -120,18 +113,10 @@ class BoundReport:
     rhs: float
     slack: float
     holds: bool
-    tol: float
+    tol: float = field(metadata={"json": False})
     branch: str
 
-    def to_dict(self) -> dict:
-        return {
-            "point": vector_to_pairs(self.point),
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "slack": float(self.slack),
-            "holds": bool(self.holds),
-            "branch": self.branch,
-        }
+    to_dict = _to_json
 
 
 def _contract(V: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -240,7 +225,7 @@ def mod_grad_fd_many(f: HoloMap, Z, seeds, dirs: int = DEFAULT_FD_DIRS) -> np.nd
     The batch is validated once here; the oracle's rows ``z + t d`` with
     finite z and unit d are finite, and go to the map's kernels directly.
     """
-    if not isinstance(dirs, (int, np.integer)):
+    if not _is_int(dirs):
         raise InputError("dirs must be an integer")
     if dirs < 64:
         raise InputError("dirs must be at least 64")
@@ -338,8 +323,7 @@ def _bound_batch(f: HoloMap, Z, tol: float, c: complex = 0.0, r: float = 1.0) ->
     ``|grad|f||(z) <= r (1 - |f(z)|^2) / (r^2 - |z - c|^2)`` on the ball
     |z - c| < r (the unit ball is c = 0, r = 1) at every row of ``Z``, a
     finite ``(B, n)`` complex batch its caller has validated."""
-    if not 0.0 < tol < np.inf:
-        raise InputError("tol must be a positive real")
+    tol = _positive_real(tol, "tol")
     dist = _row_norms(Z - c)
     outside = dist >= r
     if outside.any():
@@ -354,7 +338,7 @@ def _bound_batch(f: HoloMap, Z, tol: float, c: complex = 0.0, r: float = 1.0) ->
     _, _, lhs, zero, _ = _grad_many(V, J, nv)
     rhs = r * _one_minus_sq(nv) / ((r - dist) * (r + dist))
     slack = rhs - lhs
-    return _BoundBatch(Z.copy(), V, J, lhs, rhs, slack, slack >= -tol, zero, float(tol))
+    return _BoundBatch(Z.copy(), V, J, lhs, rhs, slack, slack >= -tol, zero, tol)
 
 
 def sp_bound_many(f: HoloMap, Z, tol: float = DEFAULT_BOUND_TOL) -> list[BoundReport]:
@@ -378,11 +362,10 @@ def sp_bound_slice(g: HoloMap, xi, c, r: float, tol: float = DEFAULT_BOUND_TOL) 
     """
     if g.n != 1:
         raise InputError("sp_bound_slice expects a map of one complex variable")
-    c, r = complex(c), float(r)
+    c = complex(c)
     if not np.isfinite(c):
         raise InputError("c must be finite")
-    if not np.isfinite(r) or r <= 0:
-        raise InputError("r must be a positive real")
+    r = _positive_real(r, "r")
     b = _bound_batch(g, _one_point(xi, 1, "sp_bound_slice"), tol, c, r)
     return b.reports(np.arange(1))[0]
 

@@ -119,6 +119,8 @@ def test_config_validation():
         FuzzConfig(fd_dirs=3).validate()
     with pytest.raises(InputError):
         FuzzConfig(points_per_trial=0).validate()
+    with pytest.raises(InputError, match="tol must be a positive real"):
+        FuzzConfig(tol=10**400).validate()
     FuzzConfig().validate()
 
 

@@ -252,7 +252,8 @@ def test_sp_bound_serialization():
 def test_sp_bound_validation():
     with pytest.raises(InputError):
         sp_bound(PolyMap.identity(1), 1.0)
-    for tol in (0.0, np.nan, np.inf):
+    # an int past the float range is no more a tolerance than inf
+    for tol in (0.0, np.nan, np.inf, 10**400):
         with pytest.raises(InputError, match="tol must be a positive real"):
             sp_bound(PolyMap.identity(1), 0.0, tol=tol)
     doubler = PolyMap.from_scalar_coeffs([0.0, 2.0])
