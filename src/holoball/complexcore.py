@@ -9,8 +9,9 @@ Conventions used throughout the package:
 * No NaN or Inf is admitted into any public operation.
 * An integer argument is a Python or numpy integer; a real argument is one
   of those or a Python or numpy float. A ``bool`` is neither, and a string
-  is never parsed. ``_is_int``, ``_is_real`` and ``_as_float`` below, and the
-  checks built on them, are the one home of these rules.
+  is never parsed. A complex argument is a real or a Python or numpy
+  complex. ``_is_int``, ``_is_real``, ``_as_float`` and ``_as_complex``
+  below, and the checks built on them, are the one home of these rules.
 * A result's ``to_dict`` is ``_to_json`` of it: a dataclass is written as an
   object of its fields in declaration order, less those marked
   ``metadata={"json": False}``; complex values are written as above, and
@@ -62,6 +63,14 @@ def _as_float(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+def _as_complex(v) -> complex:
+    """``v`` as a complex: ``_as_float`` of a real, NaN unless it is a real
+    or a Python or numpy complex."""
+    if isinstance(v, (complex, np.complexfloating)):
+        return complex(v)
+    return complex(_as_float(v))
+
+
 def _positive_real(v, name: str) -> float:
     """``v`` as a float; raises unless it is a real in (0, inf)."""
     x = _as_float(v)
@@ -90,7 +99,9 @@ def as_cvector(x, name: str = "vector") -> np.ndarray:
         a = a.reshape(1)
     if a.ndim != 1 or a.size == 0:
         raise InputError(f"{name} must be a non-empty 1-D complex array")
-    if np.count_nonzero(np.isfinite(a)) != a.size:  # a C call; .all() is Python first
+    # count_nonzero is a Python dispatcher too in numpy 2, but at about half
+    # the cost of .all() on a short vector
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise InputError(f"{name} contains non-finite entries")
     return a
 
@@ -113,12 +124,17 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D complex batch: a finite row whose
-    sum of squares leaves the normal range is scaled exactly, by a power of
-    two, first; every other row is ``sqrt(sum |x_j|^2)`` as it stands."""
+    """Euclidean norm of each row of a 2-D complex batch, the one norm
+    routine of the package: a finite row whose sum of squares leaves the
+    normal range is scaled exactly, by a power of two, first; every other row
+    is ``sqrt(sum |x_j|^2)`` as it stands. A single row whose largest entry
+    lies in ``[_ROOT_TINY, _SQUARE_SAFE)`` has a normal sum, so it takes the
+    plain formula after one range test."""
     a = np.abs(X)
     # ufunc reductions: the ndarray methods add a Python call each
     top = np.maximum.reduce(a, axis=None, initial=0.0)
+    if a.shape[0] == 1 and _ROOT_TINY <= top < _SQUARE_SAFE:
+        return np.sqrt(np.add.reduce(a * a, axis=1))
     if top < _SQUARE_SAFE:
         # below 8 terms numpy's row sum adds left to right; a column loop
         # gives the same bits for a fraction of the cost on long batches
@@ -136,12 +152,16 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.where((s >= _TINY) & (s < np.inf), np.sqrt(s), scaled)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a finite 1-D complex128 vector: ``_row_norms`` of it
+    as one row."""
+    return float(_row_norms(v[None])[0])
+
+
 def vnorm(x) -> float:
-    """Euclidean norm of a complex vector: ``_row_norms`` of it as one row."""
-    a = np.abs(as_cvector(x, "x"))
-    if _ROOT_TINY <= np.maximum.reduce(a) < _SQUARE_SAFE:
-        return math.sqrt(np.add.reduce(a * a))
-    return float(_row_norms(a[None])[0])
+    """Euclidean norm of a complex vector: ``_norm`` of it once validated,
+    so ``vnorm(x) == _row_norms(x[None])[0]`` bit for bit."""
+    return _norm(as_cvector(x, "x"))
 
 
 class SpectralPair(NamedTuple):
@@ -165,7 +185,7 @@ def spectral_norm(M) -> SpectralPair:
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim not in (2, 3) or A.size == 0:
         raise InputError("M must be a non-empty 2-D complex array or a stack of them")
-    if not np.isfinite(A).all():
+    if np.count_nonzero(np.isfinite(A)) != A.size:
         raise InputError("M contains non-finite entries")
     _, s, vh = np.linalg.svd(A if A.ndim == 3 else A[None], full_matrices=False)
     sigma = s[:, 0]

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcore import (_is_int, _positive_real, _row_norms, _to_json, as_cvector, herm_inner,
-                          vnorm)
+from .complexcore import (_as_float, _is_int, _is_real, _norm, _positive_real, _row_norms,
+                          _to_json, as_cvector)
 from .errors import InputError, PreconditionError
 from .geometry import _ball_point, disk_slice
 from .holomap import (
@@ -88,8 +88,11 @@ class ExtremalSpec:
 
     @classmethod
     def nonzero(cls, p, u, a, theta: float) -> "ExtremalSpec":
+        # a real theta is judged where it is used, by MobiusQuotient
+        if not _is_real(theta):
+            raise InputError("theta must be a finite real")
         return cls(case="nonzero", p=as_cvector(p, "p"), u=as_cvector(u, "u"),
-                   a=as_cvector(a, "a"), theta=float(theta))
+                   a=as_cvector(a, "a"), theta=_as_float(theta))
 
 
 def _inside_unit_ball(v: np.ndarray) -> bool:
@@ -111,23 +114,25 @@ def _round_inward(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _checked_direction(p: np.ndarray, u) -> np.ndarray:
+def _checked_direction(p: np.ndarray, npv: float, u) -> tuple[np.ndarray, complex]:
+    """``u`` as a unit vector collinear with p (whose norm is ``npv``),
+    rounded inward, and ``z0 = herm_inner(p, u)`` of the rounded vector."""
     uv = as_cvector(u, "u")
     if uv.shape != p.shape:
         raise InputError("u must have the same dimension as p")
-    nu = vnorm(uv)
+    nu = _norm(uv)
     if abs(nu - 1.0) > UNIT_TOL:
         raise InputError(f"u must be a unit vector, |u| = {nu}")
     uv = _round_inward(uv / nu)
-    npv = vnorm(p)
+    z0 = complex(np.vdot(uv, p))  # vdot conjugates its first argument
     if npv > 0.0:
-        cosine = abs(herm_inner(uv, p)) / npv
+        cosine = abs(z0) / npv
         if cosine < 1.0 - UNIT_TOL:
             raise InputError(
                 f"u must be collinear with p (|<u, p/|p|>| = {cosine}); "
                 "a non-collinear direction cannot attain equality at p"
             )
-    return uv
+    return uv, z0
 
 
 def extremal_zero_case(spec: ExtremalSpec) -> Pipeline:
@@ -136,13 +141,12 @@ def extremal_zero_case(spec: ExtremalSpec) -> Pipeline:
         raise InputError(f"spec.case must be 'zero', got {spec.case!r}")
     if spec.beta is None:
         raise InputError("zero case requires beta")
-    p = _ball_point(spec.p, "p")
-    u = _checked_direction(p, spec.u)
+    p, npv = _ball_point(spec.p, "p")
+    u, z0 = _checked_direction(p, npv, spec.u)
     beta = as_cvector(spec.beta, "beta")
-    nb = vnorm(beta)
+    nb = _norm(beta)
     if abs(nb - 1.0) > UNIT_TOL:
         raise InputError(f"beta must be a unit vector, |beta| = {nb}")
-    z0 = herm_inner(p, u)
     beta = _round_inward(beta / nb)
     return Pipeline([LinearFunctional(u), MobiusDisk(z0), ScalarTimesVector(beta)])
 
@@ -154,15 +158,14 @@ def extremal_nonzero_case(spec: ExtremalSpec) -> Pipeline:
         raise InputError(f"spec.case must be 'nonzero', got {spec.case!r}")
     if spec.a is None or spec.theta is None:
         raise InputError("nonzero case requires a and theta")
-    p = _ball_point(spec.p, "p")
-    u = _checked_direction(p, spec.u)
+    p, npv = _ball_point(spec.p, "p")
+    u, z0 = _checked_direction(p, npv, spec.u)
     a = as_cvector(spec.a, "a")
-    na = vnorm(a)
+    na = _norm(a)
     if na == 0.0:
         raise InputError("a must be nonzero; use the zero case for f(p) = 0")
     if na >= 1.0:
         raise InputError(f"|a| must be < 1, got {na}")
-    z0 = herm_inner(p, u)
     return Pipeline(
         [
             LinearFunctional(u),
@@ -240,7 +243,7 @@ def diagnose_equality_form(
         fit = {"fitted_beta": G[k] / W[k]}
         resid = float(_row_norms(G - W[:, None] * fit["fitted_beta"][None, :]).max())
     else:
-        nfp = vnorm(fp)
+        nfp = _norm(fp)
         unit_a = fp / nfp
         h = G @ np.conj(unit_a)
         # g'(0) = Df(p) (q - p), the chain rule of g at its origin

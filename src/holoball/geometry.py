@@ -14,12 +14,13 @@ holds, so c lies inside the disk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .complexcore import _to_json, as_cvector, herm_inner, vnorm
+from .complexcore import _norm, _to_json, as_cvector, vnorm
 from .errors import InputError
 from .holomap import LineEmbed
 
@@ -47,27 +48,29 @@ class DiskSlice:
     to_dict = _to_json
 
 
-def _ball_point(x, name: str) -> np.ndarray:
+def _ball_point(x, name: str) -> tuple[np.ndarray, float]:
+    """``x`` as a finite complex vector strictly inside the unit ball, with
+    its norm."""
     v = as_cvector(x, name)
-    if vnorm(v) >= 1.0:
-        raise InputError(f"{name} must lie strictly inside the unit ball, |{name}| = {vnorm(v)}")
-    return v
+    nv = _norm(v)
+    if nv >= 1.0:
+        raise InputError(f"{name} must lie strictly inside the unit ball, |{name}| = {nv}")
+    return v, nv
 
 
 def disk_slice(p, q) -> DiskSlice:
     """Center and radius of the parameter disk cut out by the line through p, q."""
-    pv = _ball_point(p, "p")
-    qv = _ball_point(q, "q")
+    pv, npv = _ball_point(p, "p")
+    qv, _ = _ball_point(q, "q")
     if pv.shape != qv.shape:
         raise InputError("p and q must have the same dimension")
     d = qv - pv
-    nd = vnorm(d)
+    nd = _norm(d)
     if nd < 1e-14:
         raise InputError("q must differ from p")
-    pd = herm_inner(pv, d)
-    npv = vnorm(pv)
+    pd = complex(np.vdot(d, pv))  # herm_inner(p, q - p); vdot conjugates its first argument
     c = -pd / nd**2
-    r = float(np.sqrt((1.0 - npv**2) / nd**2 + abs(c) ** 2))
+    r = math.sqrt((1.0 - npv**2) / nd**2 + abs(c) ** 2)
     collinear = npv == 0.0 or abs(pd) >= (1.0 - COLLINEAR_TOL) * npv * nd
     return DiskSlice(c=c, r=r, p=pv.copy(), q=qv.copy(), collinear=bool(collinear))
 

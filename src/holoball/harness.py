@@ -294,7 +294,7 @@ def _absorb(report: CampaignReport, b: _BoundBatch, fds: np.ndarray | None) -> N
     if report.worst_slack is None or worst < report.worst_slack:
         report.worst_slack = worst
     if not b.holds.all():
-        report.violations += b.reports(np.flatnonzero(~b.holds))
+        report.violations += b.reports(np.flatnonzero(~b.holds).tolist())
     if fds is not None:
         dev = float(np.abs(b.lhs - fds).max())
         if report.oracle_max_dev is None or dev > report.oracle_max_dev:

@@ -28,14 +28,16 @@ at the field the error names.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .complexcore import (_as_float, _is_int, _is_real, as_cvector, complex_to_pair,
-                          vector_to_pairs, vnorm)
+from .complexcore import (_as_complex, _as_float, _is_int, _is_real, _norm, as_cvector,
+                          complex_to_pair, vector_to_pairs)
 from .errors import DomainError, InputError, SchemaError
 
 __all__ = [
@@ -92,6 +94,20 @@ def _as_batch(Z, n: int) -> np.ndarray:
     return _finite(A)
 
 
+def _filled(shape: tuple, fill) -> np.ndarray:
+    """A fresh complex array of the shape with ``fill`` broadcast into it:
+    ``np.full`` without its Python wrapper, for a constant Jacobian."""
+    out = np.empty(shape, dtype=np.complex128)
+    out[...] = fill
+    return out
+
+
+def _pole_free(den: np.ndarray) -> bool:
+    """Whether no entry of ``den`` has modulus below ``POLE_TOL``: one
+    reduction, which skips NaN as a comparison would."""
+    return np.fmin.reduce(np.abs(den), axis=None, initial=np.inf) >= POLE_TOL
+
+
 def _finite(A: np.ndarray) -> np.ndarray:
     """``A`` itself; raises ``InputError`` when it has a non-finite entry."""
     if np.count_nonzero(np.isfinite(A)) != A.size:
@@ -123,7 +139,7 @@ def _real(v, path) -> float:
     if not _is_real(v):
         raise SchemaError(path, f"expected a number, got {type(v).__name__}")
     f = _as_float(v)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise SchemaError(path, "number must be finite")
     return f
 
@@ -536,20 +552,21 @@ class MobiusDisk(HoloMap):
     _fields = (("z0", _PAIR),)
 
     def __init__(self, z0):
-        z0 = complex(z0)
-        if not (np.isfinite(z0.real) and np.isfinite(z0.imag)):
-            raise _FieldError("z0", "z0 must be finite")
+        z0 = _as_complex(z0)
+        if not cmath.isfinite(z0):
+            raise _FieldError("z0", "z0 must be a finite complex number")
         z0_abs = float(np.abs(z0))  # abs(z0) raises OverflowError past the float range
         if z0_abs >= 1:
             raise _FieldError("z0", f"|z0| must be < 1, got {z0_abs}")
         self.z0 = z0
+        self._cz0 = z0.conjugate()
 
     def __repr__(self):
         return f"MobiusDisk(z0={self.z0})"
 
     def _den(self, Z: np.ndarray) -> np.ndarray:
-        den = 1.0 - np.conj(self.z0) * Z
-        if (np.abs(den) < POLE_TOL).any():
+        den = 1.0 - self._cz0 * Z
+        if not _pole_free(den):
             raise DomainError(f"evaluation at a pole of the Moebius factor z0={self.z0}")
         return den
 
@@ -573,22 +590,22 @@ class MobiusQuotient(HoloMap):
     _fields = (("a_abs", _REAL), ("theta", _REAL))
 
     def __init__(self, a_abs: float, theta: float):
-        a_abs = float(a_abs)
-        theta = float(theta)
-        if not np.isfinite(a_abs) or not (0.0 <= a_abs < 1.0):
-            raise _FieldError("a_abs", f"a_abs must lie in [0, 1), got {a_abs}")
-        if not np.isfinite(theta):
-            raise _FieldError("theta", "theta must be finite")
-        self.a_abs = a_abs
-        self.theta = theta
-        self._rot = complex(np.exp(1j * theta))
+        a, t = _as_float(a_abs), _as_float(theta)
+        if not 0.0 <= a < 1.0:
+            raise _FieldError("a_abs", f"a_abs must be a real in [0, 1), got {a_abs!r}")
+        if not math.isfinite(t):
+            raise _FieldError("theta", "theta must be a finite real")
+        self.a_abs = a
+        self.theta = t
+        self._rot = complex(np.exp(1j * self.theta))
+        self._arot = self.a_abs * self._rot
 
     def __repr__(self):
         return f"MobiusQuotient(a_abs={self.a_abs}, theta={self.theta})"
 
     def _den(self, Z: np.ndarray) -> np.ndarray:
-        den = 1.0 + self.a_abs * self._rot * Z
-        if (np.abs(den) < POLE_TOL).any():
+        den = 1.0 + self._arot * Z
+        if not _pole_free(den):
             raise DomainError("evaluation at a pole of the Moebius quotient")
         return den
 
@@ -618,7 +635,7 @@ class LineEmbed(HoloMap):
             raise _FieldError("q", "p and q must have the same dimension")
         with np.errstate(over="ignore"):  # a q - p past the float range is refused
             self._d = _freeze(as_cvector(self.q - self.p, "q - p"))
-        if vnorm(self._d) < 1e-14:
+        if _norm(self._d) < 1e-14:
             raise _FieldError("q", "q must differ from p")
         self.m = self.p.shape[0]
 
@@ -629,7 +646,7 @@ class LineEmbed(HoloMap):
         return self.p[None, :] + X * self._d[None, :]
 
     def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._value(X), np.full((X.shape[0], self.m, 1), self._d[:, None])
+        return self._value(X), _filled((X.shape[0], self.m, 1), self._d[:, None])
 
 
 class LinearFunctional(HoloMap):
@@ -653,7 +670,7 @@ class LinearFunctional(HoloMap):
         return np.matmul(X[:, None, :], self._cu[:, None])[:, 0, :]
 
     def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._value(X), np.full((X.shape[0], 1, self.n), self._cu)
+        return self._value(X), _filled((X.shape[0], 1, self.n), self._cu)
 
 
 class ScalarTimesVector(HoloMap):
@@ -674,7 +691,7 @@ class ScalarTimesVector(HoloMap):
         return X * self.beta[None, :]
 
     def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._value(X), np.full((X.shape[0], self.m, 1), self.beta[:, None])
+        return self._value(X), _filled((X.shape[0], self.m, 1), self.beta[:, None])
 
 
 class AffineScalar(HoloMap):
@@ -686,11 +703,11 @@ class AffineScalar(HoloMap):
     _fields = (("r", _PAIR), ("c", _PAIR))
 
     def __init__(self, r, c):
-        r = complex(r)
-        c = complex(c)
+        r = _as_complex(r)
+        c = _as_complex(c)
         for name, v in (("r", r), ("c", c)):
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                raise _FieldError(name, f"{name} must be finite")
+            if not cmath.isfinite(v):
+                raise _FieldError(name, f"{name} must be a finite complex number")
         self.r = r
         self.c = c
 
@@ -701,7 +718,7 @@ class AffineScalar(HoloMap):
         return self.r * X + self.c
 
     def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._value(X), np.full((X.shape[0], 1, 1), self.r, dtype=np.complex128)
+        return self._value(X), _filled((X.shape[0], 1, 1), self.r)
 
 
 class Pipeline(HoloMap):

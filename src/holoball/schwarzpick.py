@@ -45,14 +45,15 @@ builds a ``GradResult`` from them.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexcore import (_is_int, _positive_real, _row_norms, _seed_words, _to_json,
-                          spectral_norm, sphere_rows)
+from .complexcore import (_as_complex, _is_int, _positive_real, _row_norms, _seed_words,
+                          _to_json, spectral_norm, sphere_rows)
 from .errors import CertificationError, InputError
-from .holomap import HoloMap, _as_batch
+from .holomap import HoloMap, _as_batch, _freeze
 
 __all__ = [
     "ZERO_BRANCH_TOL",
@@ -74,6 +75,7 @@ ZERO_BRANCH_TOL = 1e-13
 
 # the FD oracle's two steps; its quotients are extrapolated to step 0 from them
 FD_STEPS = (1e-4, 5e-5)
+_FD_TS = _freeze(np.array(FD_STEPS))
 DEFAULT_FD_DIRS = 64
 DEFAULT_BOUND_TOL = 1e-9
 # rows per kernel call in the FD oracle, which keeps its peak memory small:
@@ -139,15 +141,18 @@ def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray):
     every row; the mask of the rows at or below ``ZERO_BRANCH_TOL``, whose
     value is sigma_max(Df) from one ``spectral_norm`` call on their stacked
     Jacobians; and ``top``, the top singular direction on those rows and 0
-    elsewhere."""
+    elsewhere (None when no row is a zero row, and ``value`` is then
+    ``quotient`` itself)."""
     A = _contract(V, J)
     # rows at or below ZERO_BRANCH_TOL/10 use only the zero branch; the
     # floor just keeps 0/0 out of their unused quotient
     quotient = _row_norms(A) / np.maximum(nv, ZERO_BRANCH_TOL / 10.0)
-    value = quotient.copy()
+    value = quotient
     zero = nv <= ZERO_BRANCH_TOL
-    top = np.zeros((J.shape[0], J.shape[2]), dtype=np.complex128)
-    if zero.any():
+    top = None
+    if np.logical_or.reduce(zero, axis=None):
+        value = quotient.copy()
+        top = np.zeros((J.shape[0], J.shape[2]), dtype=np.complex128)
         value[zero], top[zero] = spectral_norm(J[zero])
     return A, quotient, value, zero, top
 
@@ -176,7 +181,7 @@ def _fd_moduli(f: HoloMap, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
     ``FD_STEPS``, shape ``(B, k, 2)``. The evaluations go to ``f._value``, up
     to ``_FD_MAX_ROWS`` rows per call."""
     count, k, n = D.shape
-    ts = np.array(FD_STEPS)
+    ts = _FD_TS
     out = np.empty((count, k, ts.size))
     chunk = max(1, _FD_MAX_ROWS // (k * ts.size))
     for lo in range(0, count, chunk):
@@ -196,7 +201,7 @@ def _fd_axes(f: HoloMap, Z: np.ndarray) -> np.ndarray:
     axes = np.concatenate([np.eye(n), 1j * np.eye(n)])
     D = np.broadcast_to(np.concatenate([axes, -axes]), (count, 4 * n, n))
     mods = _fd_moduli(f, Z, D)
-    d = (mods[:, : 2 * n] - mods[:, 2 * n :]) / (2.0 * np.array(FD_STEPS))
+    d = (mods[:, : 2 * n] - mods[:, 2 * n :]) / (2.0 * _FD_TS)
     # Richardson extrapolation of the two central differences to step 0
     return _row_norms((t0 * t0 * d[..., 1] - t1 * t1 * d[..., 0]) / (t0 * t0 - t1 * t1))
 
@@ -212,7 +217,7 @@ def _fd_sampled(
     t0, t1 = FD_STEPS
     top = spectral_norm(f._value_jac(Z)[1]).direction
     D = np.concatenate([sphere_rows(Z.shape[1], dirs, seeds), top[:, None, :]], axis=1)
-    q = (_fd_moduli(f, Z, D) - base[:, None, None]) / np.array(FD_STEPS)
+    q = (_fd_moduli(f, Z, D) - base[:, None, None]) / _FD_TS
     # Richardson extrapolation of the two quotients to step 0
     return ((t0 * q[..., 1] - t1 * q[..., 0]) / (t0 - t1)).max(axis=1)
 
@@ -274,7 +279,7 @@ def _image_norms(V: np.ndarray) -> np.ndarray:
     """|f(z)| per row; raises for the first row whose image leaves the ball."""
     nv = _row_norms(V)
     inside = nv < 1.0
-    if not inside.all():
+    if not np.logical_and.reduce(inside, axis=None):
         k = int(inside.argmin())
         if not np.isfinite(V[k]).all():
             raise InputError("map value is not finite at the point")
@@ -299,22 +304,21 @@ class _BoundBatch:
     zero: np.ndarray
     tol: float
 
-    def reports(self, rows: np.ndarray) -> list[BoundReport]:
-        """The ``BoundReport`` of each of the given rows, in their order."""
-        lhs, rhs = self.lhs[rows].tolist(), self.rhs[rows].tolist()
-        slack, holds = self.slack[rows].tolist(), self.holds[rows].tolist()
-        zero = self.zero[rows].tolist()
+    def reports(self, rows) -> list[BoundReport]:
+        """The ``BoundReport`` of each row index in ``rows``, in their order."""
+        lhs, rhs, slack = self.lhs.tolist(), self.rhs.tolist(), self.slack.tolist()
+        holds, zero = self.holds.tolist(), self.zero.tolist()
         return [
             BoundReport(
                 point=self.points[i],
-                lhs=lhs[k],
-                rhs=rhs[k],
-                slack=slack[k],
-                holds=holds[k],
+                lhs=lhs[i],
+                rhs=rhs[i],
+                slack=slack[i],
+                holds=holds[i],
                 tol=self.tol,
-                branch="zero" if zero[k] else "nonzero",
+                branch="zero" if zero[i] else "nonzero",
             )
-            for k, i in enumerate(rows.tolist())
+            for i in rows
         ]
 
 
@@ -326,7 +330,7 @@ def _bound_batch(f: HoloMap, Z, tol: float, c: complex = 0.0, r: float = 1.0) ->
     tol = _positive_real(tol, "tol")
     dist = _row_norms(Z - c)
     outside = dist >= r
-    if outside.any():
+    if np.logical_or.reduce(outside, axis=None):
         k = int(outside.argmax())
         if k:
             _image_norms(f._value(Z[:k]))
@@ -346,12 +350,12 @@ def sp_bound_many(f: HoloMap, Z, tol: float = DEFAULT_BOUND_TOL) -> list[BoundRe
     bit ``sp_bound(f, Z[i], tol)``. A row outside the ball, or one whose
     image leaves it, raises what ``sp_bound`` raises for the first such row."""
     b = _bound_batch(f, _as_batch(Z, f.n), tol)
-    return b.reports(np.arange(b.lhs.shape[0]))
+    return b.reports(range(b.lhs.shape[0]))
 
 
 def sp_bound(f: HoloMap, z, tol: float = DEFAULT_BOUND_TOL) -> BoundReport:
     """Check the bound |grad|f||(z) <= (1 - |f(z)|^2) / (1 - |z|^2)."""
-    return _bound_batch(f, _one_point(z, f.n, "sp_bound"), tol).reports(np.arange(1))[0]
+    return _bound_batch(f, _one_point(z, f.n, "sp_bound"), tol).reports([0])[0]
 
 
 def sp_bound_slice(g: HoloMap, xi, c, r: float, tol: float = DEFAULT_BOUND_TOL) -> BoundReport:
@@ -362,12 +366,12 @@ def sp_bound_slice(g: HoloMap, xi, c, r: float, tol: float = DEFAULT_BOUND_TOL) 
     """
     if g.n != 1:
         raise InputError("sp_bound_slice expects a map of one complex variable")
-    c = complex(c)
-    if not np.isfinite(c):
-        raise InputError("c must be finite")
+    c = _as_complex(c)
+    if not cmath.isfinite(c):
+        raise InputError("c must be a finite complex number")
     r = _positive_real(r, "r")
     b = _bound_batch(g, _one_point(xi, 1, "sp_bound_slice"), tol, c, r)
-    return b.reports(np.arange(1))[0]
+    return b.reports([0])[0]
 
 
 def equality_gap(f: HoloMap, p) -> float:

@@ -117,6 +117,36 @@ def test_row_norms_rescale_only_the_rows_out_of_range():
     assert np.array_equal(_row_norms(np.zeros((0, 3), dtype=np.complex128)), np.zeros(0))
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_one_row_norms_at_the_edges_of_the_plain_formula(n):
+    # a lone row takes the plain formula after one range test on its largest
+    # entry; at and past each end of that range it must still read what the
+    # same row reads in a batch, and vnorm is that row's norm
+    rng = np.random.default_rng(40 + n)
+    # entries of modulus at most 1/2, and a largest entry of exactly 1
+    x = _rand_cvec(rng, n)
+    x /= 2.0 * np.abs(x).max()
+    x[n // 2] = 1.0
+    rows = {
+        "top 2^-500": x * 2.0**-500,
+        "top just below 2^500": x * np.nextafter(2.0**500, 0.0),
+        "top 2^500": x * 2.0**500,
+        "zero": np.zeros(n, dtype=np.complex128),
+        "subnormal": x * 2.0**-1060,
+    }
+    other = _rand_cvec(rng, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, row in rows.items():
+            alone = _row_norms(row[None])
+            assert alone.shape == (1,), name
+            for k, batch in enumerate((np.stack([row, other]), np.stack([other, row]))):
+                assert alone.tobytes() == _row_norms(batch)[k : k + 1].tobytes(), name
+            assert vnorm(row) == alone[0] and isinstance(vnorm(row), float), name
+    assert _row_norms(rows["zero"][None])[0] == 0.0
+    assert _row_norms(rows["subnormal"][None])[0] > 0.0
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-310, 1e250])
 def test_row_norms_with_zero_rows(scale, monkeypatch):
     # exact-zero rows mixed with ordinary, subnormal-range or huge rows: the

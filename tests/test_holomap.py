@@ -205,10 +205,14 @@ def test_eval_jac_many_equals_the_separate_entries(f, B):
     assert V.shape == (B, f.m) and J.shape == (B, f.m, f.n)
     assert np.array_equal(V, f.eval_many(zs))
     assert np.array_equal(J, f.jac_many(zs))
-    # a fresh, writable Jacobian per row, also for the constant-Jacobian kinds
-    assert J.flags.writeable
+    # a fresh, writable Jacobian per call and per row, also for the
+    # constant-Jacobian kinds, which fill theirs from the map's own vector
+    V2, J2 = f.eval_jac_many(zs)
+    assert J.flags.writeable and J2.flags.writeable
+    assert not np.shares_memory(J, J2) and not np.shares_memory(V, V2)
     J[0] += 1.0
-    assert np.array_equal(J[1:], f.jac_many(zs)[1:])
+    assert np.array_equal(J[1:], J2[1:])
+    assert np.array_equal(J2, f.jac_many(zs))
 
 
 def test_map_kinds_implement_only_the_kernels():
@@ -431,6 +435,9 @@ def test_poly_document_sorted_lexicographically():
          "/terms/0/alpha"),
         ({"kind": "poly", "n": 2, "m": 1, "terms": [{"alpha": [2**40, 0], "coef": [[0.5, 0]]}]},
          "/terms/0/alpha"),
+        ({"kind": "mobius_quotient", "a_abs": 0.5, "theta": True}, "/theta"),
+        ({"kind": "mobius_scalar", "z0": ["0.3", 0.1]}, "/z0/0"),
+        ({"kind": "affine_scalar", "r": [1.0, 0.0], "c": [True, 0.0]}, "/c/0"),
     ],
 )
 def test_schema_errors_carry_paths(doc, path):

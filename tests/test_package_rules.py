@@ -15,6 +15,7 @@ import pytest
 
 import holoball
 from holoball import (
+    AffineScalar,
     BoundReport,
     CampaignReport,
     Diagnosis,
@@ -23,6 +24,8 @@ from holoball import (
     FuzzConfig,
     GradResult,
     InputError,
+    MobiusDisk,
+    MobiusQuotient,
     PolyMap,
     diagnose_equality_form,
     extremal_zero_case,
@@ -85,6 +88,27 @@ def test_bools_and_strings_are_not_numbers(call):
         call()
 
 
+# each call takes a bool or a string where a real or complex scalar belongs;
+# a map constructor names the field, where a document's SchemaError points
+SCALARS = {
+    "MobiusQuotient(a_abs='0.5')": (lambda: MobiusQuotient("0.5", 0.0), "a_abs"),
+    "MobiusQuotient(theta=True)": (lambda: MobiusQuotient(0.5, True), "theta"),
+    "MobiusDisk(z0='0.3+0.1j')": (lambda: MobiusDisk("0.3+0.1j"), "z0"),
+    "AffineScalar(r=True)": (lambda: AffineScalar(True, 0.0), "r"),
+    "AffineScalar(c='1j')": (lambda: AffineScalar(1.0, "1j"), "c"),
+    "ExtremalSpec.nonzero(theta='0.7')":
+        (lambda: ExtremalSpec.nonzero([0.0], [1.0], [0.5], "0.7"), None),
+    "sp_bound_slice(c='0.1')": (lambda: sp_bound_slice(IDENTITY, 0.25, "0.1", 0.5), None),
+}
+
+
+@pytest.mark.parametrize("call, field", SCALARS.values(), ids=SCALARS.keys())
+def test_bools_and_strings_are_not_scalars(call, field):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert getattr(exc.value, "field", None) == field
+
+
 def test_numpy_integers_and_floats_are_numbers():
     assert np.array_equal(sample_unit_sphere(np.int64(2), np.int32(3), np.uint64(7)),
                           sample_unit_sphere(2, 3, 7))
@@ -103,6 +127,13 @@ def test_numpy_integers_and_floats_are_numbers():
     assert a.to_dict() == sp_bound_slice(IDENTITY, 0.25, 0.0, 0.5).to_dict()
     d = diagnose_equality_form(WITNESS, [0.0], [0.5], samples=np.int64(8), tol=np.float64(1e-10))
     assert d.matches and d.points_tested == 8
+    assert MobiusDisk(np.complex64(0.5 + 0.25j)).z0 == 0.5 + 0.25j
+    assert MobiusQuotient(np.float32(0.5), np.int64(2)).to_spec() == MobiusQuotient(0.5, 2.0).to_spec()
+    affine = AffineScalar(np.int64(2), np.complex128(0.25j))
+    assert (affine.r, affine.c) == (2.0, 0.25j)
+    assert ExtremalSpec.nonzero([0.0], [1.0], [0.5], np.float64(0.7)).theta == 0.7
+    assert (sp_bound_slice(IDENTITY, 0.25, np.complex128(0.1), 0.5).to_dict()
+            == sp_bound_slice(IDENTITY, 0.25, 0.1, 0.5).to_dict())
     FuzzConfig(**{k: np.int64(getattr(FuzzConfig(), k)) for k in FUZZ_INTS},
                margin=np.float32(0.25), tol=np.float64(1e-9)).validate()
 
