@@ -34,9 +34,9 @@ for x in (0.0, 0.3, 0.6, 0.9):
           f"slack = {rep.slack:.6f}  [{rep.branch}]")
 
 # equality is attained by disk automorphisms at every point
-from holoball import MobiusDisk
+from holoball import MobiusMap
 
-phi = MobiusDisk(0.4 + 0.2j)
+phi = MobiusMap(-1.0, 0.4 + 0.2j)  # (b - z) / (1 - conj(b) z), swapping b and 0
 print("\ndisk automorphism phi_{0.4+0.2i}:")
 for x in (-0.5, 0.0, 0.5):
     rep = sp_bound(phi, [x])

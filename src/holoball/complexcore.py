@@ -296,7 +296,7 @@ def complex_to_pair(z) -> list:
 
 def vector_to_pairs(x) -> list:
     """Serialize a complex vector as a list of ``[re, im]`` pairs."""
-    return [complex_to_pair(z) for z in as_cvector(x)]
+    return np.ascontiguousarray(as_cvector(x)).view(np.float64).reshape(-1, 2).tolist()
 
 
 def _to_json(x):

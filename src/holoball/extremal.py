@@ -30,24 +30,16 @@ judging it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcore import (_as_float, _is_int, _is_real, _norm, _positive_real, _row_norms,
+from .complexcore import (_as_float, _is_int, _norm, _positive_real, _row_norms,
                           _to_json, as_cvector)
 from .errors import InputError, PreconditionError
 from .geometry import _ball_point, disk_slice
-from .holomap import (
-    AffineScalar,
-    HoloMap,
-    LinearFunctional,
-    LineEmbed,
-    MobiusDisk,
-    MobiusQuotient,
-    Pipeline,
-    ScalarTimesVector,
-)
+from .holomap import AffineMap, HoloMap, MobiusMap, Pipeline, _functional, _rotation, _times
 from .schwarzpick import DEFAULT_BOUND_TOL, _bound_batch, _one_minus_sq
 
 __all__ = [
@@ -88,11 +80,11 @@ class ExtremalSpec:
 
     @classmethod
     def nonzero(cls, p, u, a, theta: float) -> "ExtremalSpec":
-        # a real theta is judged where it is used, by MobiusQuotient
-        if not _is_real(theta):
+        theta = _as_float(theta)
+        if not math.isfinite(theta):
             raise InputError("theta must be a finite real")
         return cls(case="nonzero", p=as_cvector(p, "p"), u=as_cvector(u, "u"),
-                   a=as_cvector(a, "a"), theta=_as_float(theta))
+                   a=as_cvector(a, "a"), theta=theta)
 
 
 def _inside_unit_ball(v: np.ndarray) -> bool:
@@ -148,7 +140,7 @@ def extremal_zero_case(spec: ExtremalSpec) -> Pipeline:
     if abs(nb - 1.0) > UNIT_TOL:
         raise InputError(f"beta must be a unit vector, |beta| = {nb}")
     beta = _round_inward(beta / nb)
-    return Pipeline([LinearFunctional(u), MobiusDisk(z0), ScalarTimesVector(beta)])
+    return Pipeline([_functional(u), MobiusMap(-1.0, z0), _times(beta)])
 
 
 def extremal_nonzero_case(spec: ExtremalSpec) -> Pipeline:
@@ -168,10 +160,10 @@ def extremal_nonzero_case(spec: ExtremalSpec) -> Pipeline:
         raise InputError(f"|a| must be < 1, got {na}")
     return Pipeline(
         [
-            LinearFunctional(u),
-            MobiusDisk(z0),
-            MobiusQuotient(na, spec.theta),  # which checks theta
-            ScalarTimesVector(_round_inward(a / na)),
+            _functional(u),
+            MobiusMap(-1.0, z0),
+            MobiusMap(_rotation(spec.theta), na),
+            _times(_round_inward(a / na)),
         ]
     )
 
@@ -230,9 +222,9 @@ def diagnose_equality_form(
     ds = disk_slice(pv, qv)
     if not ds.collinear:
         raise InputError("q - p must be collinear with p for a diagnosable slice")
-    g = Pipeline([LineEmbed(pv, qv), f])
+    g = Pipeline([ds.line(), f])
     # canonical disk factor on the slice: w(z) = phi_{-c/r}((z - c)/r)
-    canonical = Pipeline([AffineScalar(1.0 / ds.r, -ds.c / ds.r), MobiusDisk(-ds.c / ds.r)])
+    canonical = Pipeline([AffineMap([[1.0 / ds.r]], [-ds.c / ds.r]), MobiusMap(-1.0, -ds.c / ds.r)])
     zs = ds.c + 0.9 * ds.r * np.exp(2j * np.pi * np.arange(samples) / samples)
     W = canonical.eval_many(zs[:, None])[:, 0]
     G = g.eval_many(zs[:, None])

@@ -22,7 +22,7 @@ import numpy as np
 
 from .complexcore import _norm, _to_json, as_cvector, vnorm
 from .errors import InputError
-from .holomap import LineEmbed
+from .holomap import AffineMap
 
 __all__ = ["DiskSlice", "disk_slice", "BoundFactor", "bound_factor", "COLLINEAR_TOL"]
 
@@ -41,9 +41,9 @@ class DiskSlice:
     q: np.ndarray = field(metadata={"json": False})
     collinear: bool = field(metadata={"json": False})
 
-    def line(self) -> LineEmbed:
+    def line(self) -> AffineMap:
         """The embedding ``z -> p + z (q - p)`` as a map node."""
-        return LineEmbed(self.p, self.q)
+        return AffineMap((self.q - self.p)[:, None], self.p)
 
     to_dict = _to_json
 

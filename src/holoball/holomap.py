@@ -1,16 +1,16 @@
 """Holomorphic map algebra and its JSON document format.
 
-Every map kind evaluates by plain arithmetic on its description and
-differentiates exactly: term by term for polynomials, rational-derivative
-formulas for the Moebius kinds, chain rule for pipelines, with no numerical
-differentiation. A kind implements the kernels ``_value`` and ``_value_jac``
-(see ``HoloMap``) on points the public entries have already validated. A
-polynomial's terms share a cached term plan with every map of the same
-multi-indices: their sort order and checks, and the union of the map's
-multi-indices with those of its n partial derivatives. ``_value_jac``
-builds one table of monomials over that union and sums the value and every
-Jacobian column from its columns; a pipeline threads values and Jacobians
-through its stages at once.
+Four map kinds: polynomials, affine maps, the disk maps of ``MobiusMap``
+and pipelines. Each evaluates by plain arithmetic on its description and
+differentiates exactly: term by term for polynomials, the quotient rule for
+``MobiusMap``, the chain rule for pipelines. A kind implements the kernels
+``_value`` and ``_value_jac`` (see ``HoloMap``) on points the public
+entries have already validated. A polynomial's terms share a cached term
+plan with every map of the same multi-indices: their sort order and
+checks, and the union of the map's multi-indices with those of its n
+partial derivatives. ``_value_jac`` builds one table of monomials over
+that union and sums the value and every Jacobian column from its columns;
+a pipeline threads values and Jacobians through its stages at once.
 
 Maps are immutable after construction. Domain membership is not enforced at
 evaluation time; a map may be evaluated anywhere its poles permit (slices of
@@ -23,7 +23,8 @@ vectors lists of pairs. Each class owns its format: its ``kind`` and its
 ``_fields``, which the inherited ``to_spec`` and ``from_spec`` follow.
 ``from_spec`` checks only the JSON shape; the constructor is the one place
 a value is judged, and its ``InputError`` comes back as a ``SchemaError``
-at the field the error names.
+at the field the error names. Documents of the six kinds that the affine
+and Moebius kinds replaced still parse (``_READERS``), into the new kinds.
 """
 
 from __future__ import annotations
@@ -36,19 +37,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexcore import (_as_complex, _as_float, _is_int, _is_real, _norm, as_cvector,
-                          complex_to_pair, vector_to_pairs)
+from .complexcore import _as_complex, _as_float, _is_int, _is_real, complex_to_pair, vector_to_pairs
 from .errors import DomainError, InputError, SchemaError
 
 __all__ = [
     "HoloMap",
     "PolyMap",
-    "MobiusDisk",
-    "MobiusQuotient",
-    "LineEmbed",
-    "LinearFunctional",
-    "ScalarTimesVector",
-    "AffineScalar",
+    "AffineMap",
+    "MobiusMap",
     "Pipeline",
     "parse_spec",
     "emit_spec",
@@ -94,6 +90,14 @@ def _as_batch(Z, n: int) -> np.ndarray:
     return _finite(A)
 
 
+def _one_point(z, n: int, name: str) -> np.ndarray:
+    """``_as_batch`` of one point; more points raise ``InputError``."""
+    Z = _as_batch(z, n)
+    if Z.shape[0] != 1:
+        raise InputError(f"{name} takes a single point")
+    return Z
+
+
 def _filled(shape: tuple, fill) -> np.ndarray:
     """A fresh complex array of the shape with ``fill`` broadcast into it:
     ``np.full`` without its Python wrapper, for a constant Jacobian."""
@@ -102,15 +106,11 @@ def _filled(shape: tuple, fill) -> np.ndarray:
     return out
 
 
-def _pole_free(den: np.ndarray) -> bool:
-    """Whether no entry of ``den`` has modulus below ``POLE_TOL``: one
-    reduction, which skips NaN as a comparison would."""
-    return np.fmin.reduce(np.abs(den), axis=None, initial=np.inf) >= POLE_TOL
-
-
 def _finite(A: np.ndarray) -> np.ndarray:
-    """``A`` itself; raises ``InputError`` when it has a non-finite entry."""
-    if np.count_nonzero(np.isfinite(A)) != A.size:
+    """``A`` itself; raises ``InputError`` when it has a non-finite entry.
+    Up to 8 entries are checked one by one, faster than two numpy calls."""
+    if not (all(map(cmath.isfinite, A.flat)) if A.size <= 8
+            else np.count_nonzero(np.isfinite(A)) == A.size):
         raise InputError("points contain non-finite entries")
     return A
 
@@ -119,6 +119,8 @@ def _finite(A: np.ndarray) -> np.ndarray:
 
 
 def _expect_object(doc, path, keys):
+    if isinstance(doc, dict) and len(doc) == len(keys) and all(map(doc.__contains__, keys)):
+        return
     if not isinstance(doc, dict):
         raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
     extra = set(doc) - set(keys)
@@ -150,16 +152,36 @@ def _int(v, path) -> int:
     return v
 
 
-def _pair(v, path) -> complex:
+def _pair(v, path, i=None) -> complex:
+    """A ``[re, im]`` pair at ``path``, or its entry i; spelled only for an error."""
+    # JSON numbers with a point or an exponent: the common case
+    if type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float:
+        z = complex(*v)
+        if cmath.isfinite(z):
+            return z
+    path = path if i is None else f"{path}/{i}"
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise SchemaError(path, "expected a [re, im] pair")
     return complex(_real(v[0], f"{path}/0"), _real(v[1], f"{path}/1"))
 
 
-def _pairs(v, path) -> np.ndarray:
+def _pair_list(v, path) -> list:
     if not isinstance(v, (list, tuple)) or len(v) == 0:
         raise SchemaError(path, "expected a non-empty list of [re, im] pairs")
-    return np.array([_pair(x, f"{path}/{i}") for i, x in enumerate(v)], dtype=np.complex128)
+    return [_pair(x, path, i) for i, x in enumerate(v)]
+
+
+def _pairs(v, path) -> np.ndarray:
+    return np.array(_pair_list(v, path), dtype=np.complex128)
+
+
+def _matrix(v, path) -> list:
+    """Rows of pairs, each as long as the first, as lists of complex numbers."""
+    rows = [_pair_list(row, f"{path}/{i}") for i, row in enumerate(_list(v, path))]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise SchemaError(f"{path}/{i}", f"row has {len(row)} pairs, row 0 has {len(rows[0])}")
+    return rows
 
 
 def _terms(v, path) -> list:
@@ -181,9 +203,10 @@ def _stages(v, path) -> list:
 # a document field's reader (JSON value, path -> constructor argument) and
 # writer (attribute -> JSON value)
 _INT = (_int, int)
-_REAL = (_real, float)
 _PAIR = (_pair, complex_to_pair)
-_VECTOR = (_pairs, vector_to_pairs)
+# a map's arrays are its own C-contiguous copies, written as they stand
+_VECTOR = (_pair_list, lambda a: a.view(np.float64).reshape(*a.shape, 2).tolist())
+_MATRIX = (_matrix, _VECTOR[1])
 _TERMS = (_terms, lambda terms: [{"alpha": list(a), "coef": vector_to_pairs(c)}
                                  for a, c in terms.items()])
 _STAGES = (_stages, lambda stages: [s.to_spec() for s in stages])
@@ -224,11 +247,11 @@ class HoloMap:
 
     def eval(self, z) -> np.ndarray:
         """Evaluate at one point, returns a vector of length m."""
-        return self.eval_many(z)[0]
+        return self._value(_one_point(z, self.n, "eval"))[0]
 
     def jacobian(self, z) -> np.ndarray:
         """Complex Jacobian at one point, shape ``(m, n)``."""
-        return self.jac_many(z)[0]
+        return self._value_jac(_one_point(z, self.n, "jacobian"))[1][0]
 
     def to_spec(self) -> dict:
         """The map's document; ``parse_spec`` of it rebuilds the map."""
@@ -240,7 +263,7 @@ class HoloMap:
     def from_spec(cls, doc, path: str) -> "HoloMap":
         """The map of a document of this kind, ``path`` locating the document
         in ``SchemaError``; checks only the JSON shape."""
-        _expect_object(doc, path, ("kind", *(k for k, _ in cls._fields)))
+        _expect_object(doc, path, ("kind", *dict(cls._fields)))
         return cls(*(read(doc[k], f"{path}/{k}") for k, (read, _) in cls._fields))
 
 
@@ -539,186 +562,82 @@ class PolyMap(HoloMap):
         return V, J
 
 
-class MobiusDisk(HoloMap):
-    """Disk automorphism ``z -> (z0 - z) / (1 - conj(z0) z)`` with |z0| < 1.
+class AffineMap(HoloMap):
+    """Affine map ``z -> b + M z`` with M an m×n matrix and b in C^m. Document:
+    ``{"kind": "affine", "M": [[[re, im], ...], ...], "b": [[re, im], ...]}``."""
 
-    Swaps z0 and 0 and is its own inverse. Derivative
-    ``(|z0|^2 - 1) / (1 - conj(z0) z)^2``.
+    kind = "affine"
+    _fields = (("M", _MATRIX), ("b", _VECTOR))
+
+    def __init__(self, M, b):
+        M = np.asarray(M, dtype=np.complex128)
+        b = np.asarray(b, dtype=np.complex128)
+        if M.ndim != 2 or M.size == 0:
+            raise _FieldError("M", "M must be a non-empty 2-D complex array")
+        if b.shape != M.shape[:1]:
+            raise _FieldError("b", f"b must be a 1-D complex array of length {M.shape[0]}")
+        # the map's own C-ordered copy of both, in one buffer with one finiteness count
+        K = _freeze(np.concatenate((M.reshape(-1), b)))
+        if np.count_nonzero(np.isfinite(K)) != K.size:
+            name = "M" if np.count_nonzero(np.isfinite(M)) != M.size else "b"
+            raise _FieldError(name, f"{name} contains non-finite entries")
+        self.m, self.n = M.shape
+        self.M, self.b = K[: M.size].reshape(M.shape), K[M.size :]
+        self._MT = self.M.T
+
+    def __repr__(self):
+        return f"AffineMap(n={self.n}, m={self.m})"
+
+    def _value(self, X: np.ndarray) -> np.ndarray:
+        # the products of the replaced kinds, whose bits verdicts keep: X times a
+        # 2-D row at n = 1 (a 1-D row rounds differently at B = 1), else as _sum_terms
+        V = X * self._MT if self.n == 1 else np.matmul(X[:, None, :], self._MT)[:, 0, :]
+        V += self.b  # in place, which rounds as a fresh sum does
+        return V
+
+    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._value(X), _filled((X.shape[0], self.m, self.n), self.M)
+
+
+class MobiusMap(HoloMap):
+    """Disk map ``z -> (b + M z) / (1 + M conj(b) z)`` with |b| < 1, the
+    automorphism ``w -> (b + w) / (1 + conj(b) w)`` after ``w = M z``;
+    derivative ``M (1 - |b|^2) / (1 + M conj(b) z)^2``. M = -1 gives the
+    involution swapping b and 0; |M| = 1 a disk automorphism. Document:
+    ``{"kind": "mobius", "M": [re, im], "b": [re, im]}``.
     """
 
     n = 1
     m = 1
-    kind = "mobius_scalar"
-    _fields = (("z0", _PAIR),)
+    kind = "mobius"
+    _fields = (("M", _PAIR), ("b", _PAIR))
 
-    def __init__(self, z0):
-        z0 = _as_complex(z0)
-        if not cmath.isfinite(z0):
-            raise _FieldError("z0", "z0 must be a finite complex number")
-        z0_abs = float(np.abs(z0))  # abs(z0) raises OverflowError past the float range
-        if z0_abs >= 1:
-            raise _FieldError("z0", f"|z0| must be < 1, got {z0_abs}")
-        self.z0 = z0
-        self._cz0 = z0.conjugate()
+    def __init__(self, M, b):
+        M, b = _as_complex(M), _as_complex(b)
+        # parts below 1 first, so that abs(b) cannot overflow; NaN fails too
+        if not (abs(b.real) < 1.0 and abs(b.imag) < 1.0 and abs(b) < 1.0):
+            raise _FieldError("b", f"b must be a complex number with |b| < 1, got {b!r}")
+        self.M, self.b, self._mcb = M, b, M * b.conjugate()
+        if not (cmath.isfinite(M) and cmath.isfinite(self._mcb)):
+            raise _FieldError("M", "M and M conj(b) must be finite complex numbers")
+        self._dnum = M * (1.0 - abs(b) ** 2)
 
     def __repr__(self):
-        return f"MobiusDisk(z0={self.z0})"
+        return f"MobiusMap(M={self.M}, b={self.b})"
 
-    def _den(self, Z: np.ndarray) -> np.ndarray:
-        den = 1.0 - self._cz0 * Z
-        if not _pole_free(den):
-            raise DomainError(f"evaluation at a pole of the Moebius factor z0={self.z0}")
+    def _den(self, X: np.ndarray) -> np.ndarray:
+        den = 1.0 + self._mcb * X
+        # one reduction, which skips NaN as a comparison would
+        if np.fmin.reduce(np.abs(den), axis=None, initial=np.inf) < POLE_TOL:
+            raise DomainError(f"evaluation at a pole of {self!r}")
         return den
 
     def _value(self, X: np.ndarray) -> np.ndarray:
-        return (self.z0 - X) / self._den(X)
+        return (self.b + self.M * X) / self._den(X)
 
     def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         den = self._den(X)
-        return (self.z0 - X) / den, ((abs(self.z0) ** 2 - 1.0) / den**2)[:, :, None]
-
-
-class MobiusQuotient(HoloMap):
-    """Scalar quotient ``z -> (a + e^{i theta} z) / (1 + a e^{i theta} z)``
-    with real ``a = a_abs`` in [0, 1). Maps the unit disk into itself;
-    derivative ``e^{i theta} (1 - a^2) / (1 + a e^{i theta} z)^2``.
-    """
-
-    n = 1
-    m = 1
-    kind = "mobius_quotient"
-    _fields = (("a_abs", _REAL), ("theta", _REAL))
-
-    def __init__(self, a_abs: float, theta: float):
-        a, t = _as_float(a_abs), _as_float(theta)
-        if not 0.0 <= a < 1.0:
-            raise _FieldError("a_abs", f"a_abs must be a real in [0, 1), got {a_abs!r}")
-        if not math.isfinite(t):
-            raise _FieldError("theta", "theta must be a finite real")
-        self.a_abs = a
-        self.theta = t
-        self._rot = complex(np.exp(1j * self.theta))
-        self._arot = self.a_abs * self._rot
-
-    def __repr__(self):
-        return f"MobiusQuotient(a_abs={self.a_abs}, theta={self.theta})"
-
-    def _den(self, Z: np.ndarray) -> np.ndarray:
-        den = 1.0 + self._arot * Z
-        if not _pole_free(den):
-            raise DomainError("evaluation at a pole of the Moebius quotient")
-        return den
-
-    def _value(self, X: np.ndarray) -> np.ndarray:
-        return (self.a_abs + self._rot * X) / self._den(X)
-
-    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        den = self._den(X)
-        return (
-            (self.a_abs + self._rot * X) / den,
-            (self._rot * (1.0 - self.a_abs**2) / den**2)[:, :, None],
-        )
-
-
-class LineEmbed(HoloMap):
-    """Affine embedding of a complex line, ``z -> p + z (q - p)``; L(0) = p,
-    L(1) = q."""
-
-    n = 1
-    kind = "line_embed"
-    _fields = (("p", _VECTOR), ("q", _VECTOR))
-
-    def __init__(self, p, q):
-        self.p = _freeze(as_cvector(p, "p").copy())
-        self.q = _freeze(as_cvector(q, "q").copy())
-        if self.p.shape != self.q.shape:
-            raise _FieldError("q", "p and q must have the same dimension")
-        with np.errstate(over="ignore"):  # a q - p past the float range is refused
-            self._d = _freeze(as_cvector(self.q - self.p, "q - p"))
-        if _norm(self._d) < 1e-14:
-            raise _FieldError("q", "q must differ from p")
-        self.m = self.p.shape[0]
-
-    def __repr__(self):
-        return f"LineEmbed(dim={self.m})"
-
-    def _value(self, X: np.ndarray) -> np.ndarray:
-        return self.p[None, :] + X * self._d[None, :]
-
-    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._value(X), _filled((X.shape[0], self.m, 1), self._d[:, None])
-
-
-class LinearFunctional(HoloMap):
-    """Inner product against a fixed vector, ``w -> herm_inner(w, u)``."""
-
-    m = 1
-    kind = "linear_functional"
-    _fields = (("u", _VECTOR),)
-
-    def __init__(self, u):
-        self.u = _freeze(as_cvector(u, "u").copy())
-        self.n = self.u.shape[0]
-        self._cu = _freeze(np.conj(self.u))
-
-    def __repr__(self):
-        return f"LinearFunctional(dim={self.n})"
-
-    def _value(self, X: np.ndarray) -> np.ndarray:
-        # one product per row, as in _sum_terms: ``X @ cu`` switches kernels
-        # with the batch size, which changes the last bits of row i
-        return np.matmul(X[:, None, :], self._cu[:, None])[:, 0, :]
-
-    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._value(X), _filled((X.shape[0], 1, self.n), self._cu)
-
-
-class ScalarTimesVector(HoloMap):
-    """Scale a fixed vector by the scalar argument, ``z -> z * beta``."""
-
-    n = 1
-    kind = "scalar_times_vector"
-    _fields = (("beta", _VECTOR),)
-
-    def __init__(self, beta):
-        self.beta = _freeze(as_cvector(beta, "beta").copy())
-        self.m = self.beta.shape[0]
-
-    def __repr__(self):
-        return f"ScalarTimesVector(dim={self.m})"
-
-    def _value(self, X: np.ndarray) -> np.ndarray:
-        return X * self.beta[None, :]
-
-    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._value(X), _filled((X.shape[0], self.m, 1), self.beta[:, None])
-
-
-class AffineScalar(HoloMap):
-    """Scalar affine map ``z -> r z + c``."""
-
-    n = 1
-    m = 1
-    kind = "affine_scalar"
-    _fields = (("r", _PAIR), ("c", _PAIR))
-
-    def __init__(self, r, c):
-        r = _as_complex(r)
-        c = _as_complex(c)
-        for name, v in (("r", r), ("c", c)):
-            if not cmath.isfinite(v):
-                raise _FieldError(name, f"{name} must be a finite complex number")
-        self.r = r
-        self.c = c
-
-    def __repr__(self):
-        return f"AffineScalar(r={self.r}, c={self.c})"
-
-    def _value(self, X: np.ndarray) -> np.ndarray:
-        return self.r * X + self.c
-
-    def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._value(X), _filled((X.shape[0], 1, 1), self.r)
+        return (self.b + self.M * X) / den, (self._dnum / den**2)[:, :, None]
 
 
 class Pipeline(HoloMap):
@@ -768,19 +687,63 @@ class Pipeline(HoloMap):
 # document format
 
 
-_KINDS = {cls.kind: cls for cls in (PolyMap, MobiusDisk, MobiusQuotient, LineEmbed,
-                                    LinearFunctional, ScalarTimesVector, AffineScalar, Pipeline)}
+_KINDS = {cls.kind: cls for cls in (PolyMap, AffineMap, MobiusMap, Pipeline)}
+
+
+# an affine map without an offset has b = -0.0 - 0.0j, since -0.0 + x is x
+# for every x, while 0.0 + -0.0 is 0.0
+def _functional(u: np.ndarray) -> AffineMap:  # w -> herm_inner(w, u)
+    return AffineMap(u.conj()[None, :], [complex(-0.0, -0.0)])
+
+
+def _times(v: np.ndarray) -> AffineMap:  # zeta -> zeta v
+    return AffineMap(v[:, None], [complex(-0.0, -0.0)] * v.shape[0])
+
+
+def _rotation(theta: float) -> complex:  # by np.exp, as stored rotations were computed
+    return complex(np.exp(1j * theta))
+
+
+def _line_embed(p: np.ndarray, q: np.ndarray) -> AffineMap:
+    if p.shape != q.shape:
+        raise _FieldError("q", "p and q must have the same dimension")
+    with np.errstate(over="ignore"):  # a q - p past the float range is refused
+        return AffineMap((q - p)[:, None], p)
+
+
+# the document reader of a kind that AffineMap and MobiusMap replaced: its fields and
+# their readers, the field a constructor's error is charged to, the map its values make
+def _legacy(fields, field, build):
+    def read(doc, path) -> HoloMap:
+        _expect_object(doc, path, ("kind", *dict(fields)))
+        try:  # a reader's SchemaError passes through
+            return build(*[r(doc[k], f"{path}/{k}") for k, r in fields])
+        except _FieldError as e:
+            raise _FieldError(field, str(e)) from e
+    return read
+
+
+_READERS = {
+    **{kind: cls.from_spec for kind, cls in _KINDS.items()},
+    "mobius_scalar": _legacy((("z0", _pair),), "z0", lambda z0: MobiusMap(-1.0, z0)),
+    "mobius_quotient": _legacy((("a_abs", _real), ("theta", _real)), "a_abs",
+                               lambda a_abs, theta: MobiusMap(_rotation(theta), a_abs)),
+    "line_embed": _legacy((("p", _pairs), ("q", _pairs)), "q", _line_embed),
+    "linear_functional": _legacy((("u", _pairs),), "u", _functional),
+    "scalar_times_vector": _legacy((("beta", _pairs),), "beta", _times),
+    "affine_scalar": _legacy((("r", _pair), ("c", _pair)), "r", lambda r, c: AffineMap([[r]], [c])),
+}
 
 
 def _parse(doc, path) -> HoloMap:
     if not isinstance(doc, dict):
         raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    cls = _KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
+    read = _READERS.get(kind) if isinstance(kind, str) else None
+    if read is None:
         raise SchemaError(f"{path}/kind", f"unknown kind {kind!r}")
     try:
-        return cls.from_spec(doc, path)
+        return read(doc, path)
     except SchemaError:
         raise
     except _FieldError as e:

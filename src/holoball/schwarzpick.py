@@ -53,7 +53,7 @@ import numpy as np
 from .complexcore import (_as_complex, _is_int, _positive_real, _row_norms, _seed_words,
                           _to_json, spectral_norm, sphere_rows)
 from .errors import CertificationError, InputError
-from .holomap import HoloMap, _as_batch, _freeze
+from .holomap import HoloMap, _as_batch, _freeze, _one_point
 
 __all__ = [
     "ZERO_BRANCH_TOL",
@@ -125,13 +125,6 @@ def _contract(V: np.ndarray, J: np.ndarray) -> np.ndarray:
     """``A = conj(f(z)) . Df(z)`` per row. One vector-matrix product per row
     keeps ``A[i] == J[i].T @ conj(V[i])`` bit for bit at any batch size."""
     return np.matmul(np.conj(V)[:, None, :], J)[:, 0, :]
-
-
-def _one_point(z, n: int, name: str) -> np.ndarray:
-    Z = _as_batch(z, n)
-    if Z.shape[0] != 1:
-        raise InputError(f"{name} takes a single point")
-    return Z
 
 
 def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray):

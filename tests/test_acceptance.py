@@ -15,8 +15,8 @@ import pytest
 from holoball import (
     ExtremalSpec,
     FuzzConfig,
-    MobiusDisk,
-    AffineScalar,
+    MobiusMap,
+    AffineMap,
     Pipeline,
     bound_factor,
     counterexample_map,
@@ -246,7 +246,7 @@ def test_criterion_7_one_dim_specializations_and_automorphisms():
     for _ in range(20):
         z0 = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
         omega = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        f = Pipeline([MobiusDisk(z0), AffineScalar(omega, 0.0)])
+        f = Pipeline([MobiusMap(-1.0, z0), AffineMap([[omega]], [0.0])])
         for _ in range(100):
             z = complex(rng.uniform(-0.65, 0.65), rng.uniform(-0.65, 0.65))
             max_slack = max(max_slack, abs(sp_bound(f, [z]).slack))

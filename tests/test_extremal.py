@@ -13,14 +13,11 @@ from holoball import (
     Diagnosis,
     ExtremalSpec,
     InputError,
-    LineEmbed,
-    LinearFunctional,
-    MobiusDisk,
-    MobiusQuotient,
+    AffineMap,
+    MobiusMap,
     Pipeline,
     PolyMap,
     PreconditionError,
-    ScalarTimesVector,
     diagnose_equality_form,
     disk_slice,
     equality_gap,
@@ -131,21 +128,22 @@ def random_witness_inputs(seed, count):
 
 def exact_sq_norm(v) -> Fraction:
     """sum |v_j|^2 of the binary values of v, exactly."""
-    return sum(Fraction(x) ** 2 for z in np.asarray(v).tolist() for x in (z.real, z.imag))
+    parts = np.asarray(v, dtype=np.complex128).reshape(-1).view(np.float64)
+    return sum(Fraction(x) ** 2 for x in parts.tolist())
 
 
 def test_stored_witness_vectors_lie_in_the_closed_ball_exactly():
-    # u is the LinearFunctional's vector; beta and a/|a| the last stage's
+    # conj(u) is the first stage's matrix; beta and a/|a| the last stage's
     for k, (p, u, beta, a, theta) in enumerate(random_witness_inputs(71, 500)):
         if k % 2:
             f = extremal_nonzero_case(ExtremalSpec.nonzero(p, u, a, theta))
         else:
             f = extremal_zero_case(ExtremalSpec.zero(p, u, beta))
         first, last = f.stages[0], f.stages[-1]
-        assert exact_sq_norm(first.u) <= 1
-        assert exact_sq_norm(last.beta) <= 1
+        assert exact_sq_norm(first.M) <= 1
+        assert exact_sq_norm(last.M) <= 1
         # the inward rounding moves each part by a few ulps at most
-        assert np.abs(first.u - u / np.sqrt((np.abs(u) ** 2).sum())).max() <= 1e-15
+        assert np.abs(first.M[0] - np.conj(u) / np.sqrt((np.abs(u) ** 2).sum())).max() <= 1e-15
 
 
 def test_stored_zero_witness_satisfies_the_bound_near_the_sphere():
@@ -160,7 +158,7 @@ def test_stored_zero_witness_satisfies_the_bound_near_the_sphere():
     with mp.workdps(50):
         for p, u, beta, _, _ in random_witness_inputs(72, 200):
             f = extremal_zero_case(ExtremalSpec.zero(p, u, beta))
-            us, z0, bs = f.stages[0].u, f.stages[1].z0, f.stages[2].beta
+            us, z0, bs = np.conj(f.stages[0].M[0]), f.stages[1].b, f.stages[2].M[:, 0]
             # a probe on the equality slice, 1 - |z| log-uniform in [1e-12, 1e-3]
             z = (1.0 - 10.0 ** rng.uniform(-12, -3)) * np.exp(2j * np.pi * rng.random()) * u
             sq_u, sq_beta, sq_z = (mpf(exact_sq_norm(v)) for v in (us, bs, z))
@@ -184,7 +182,7 @@ def test_projection_identity_along_slice():
     zs = ds.c + 0.9 * ds.r * np.exp(2j * np.pi * np.arange(64) / 64)
     pts = ds.line().eval_many(zs[:, None])
     proj = f.eval_many(pts) @ np.conj(a / na)
-    scalar = Pipeline([MobiusDisk(0.5), MobiusQuotient(na, theta)])
+    scalar = Pipeline([MobiusMap(-1.0, 0.5), MobiusMap(np.exp(1j * theta), na)])
     expected = scalar.eval_many((pts @ np.conj(E1))[:, None])[:, 0]
     assert np.abs(proj - expected).max() <= 1e-12
 
@@ -217,9 +215,7 @@ def test_non_collinear_direction_rejected():
 def test_non_collinear_construction_misses_equality():
     # the same formula with a non-collinear direction stays strictly below
     # the bound at p: this is why the constructor refuses it
-    f = Pipeline(
-        [LinearFunctional([0.0, 1.0]), MobiusDisk(0.0), ScalarTimesVector([1.0])]
-    )
+    f = Pipeline([AffineMap([[0.0, 1.0]], [0.0]), MobiusMap(-1.0, 0.0), AffineMap([[1.0]], [0.0])])
     assert np.abs(f.eval(P_HALF)).max() == 0.0
     assert equality_gap(f, P_HALF) >= 0.3
 
@@ -280,7 +276,7 @@ def test_diagnose_reads_f_and_its_slice_derivative_at_p_from_one_pass():
     f = extremal_nonzero_case(ExtremalSpec.nonzero(p, [0.6, 0.8j], [0.3, -0.4j], 0.9))
     d = diagnose_equality_form(f, p, q)
     assert np.array_equal(d.fitted_a, f.eval(p))
-    g = Pipeline([LineEmbed(p, q), f])
+    g = Pipeline([AffineMap((q - p)[:, None], p), f])
     ds = disk_slice(p, q)
     nfp = vnorm(d.fitted_a)
     hprime = complex(g.jacobian([0.0])[:, 0] @ np.conj(d.fitted_a / nfp))

@@ -10,25 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoball import (
-    AffineScalar,
+    AffineMap,
     DomainError,
     ExtremalSpec,
     InputError,
-    LineEmbed,
-    LinearFunctional,
-    MobiusDisk,
-    MobiusQuotient,
+    MobiusMap,
     Pipeline,
     PolyMap,
-    ScalarTimesVector,
     SchemaError,
+    disk_slice,
     emit_spec,
     extremal_nonzero_case,
     extremal_zero_case,
+    force_zero_at,
     gen_random_polymap,
     parse_spec,
     sample_ball_points,
     sp_bound,
+    vector_to_pairs,
 )
 from holoball import holomap
 from holoball.holomap import _KINDS, MAX_DEGREE
@@ -89,23 +88,57 @@ def test_poly_matches_naive_term_sum():
         assert np.allclose(f.eval(z), naive, atol=1e-12)
 
 
+def legacy(kind, **fields):
+    """The map of a document of one of the six kinds that ``AffineMap`` and
+    ``MobiusMap`` replaced, with complex values given as Python numbers."""
+    def value(v):
+        if isinstance(v, list):
+            return vector_to_pairs(v)
+        return [v.real, v.imag] if isinstance(v, complex) else v
+
+    return parse_spec({"kind": kind, **{k: value(v) for k, v in fields.items()}})
+
+
+def functional(u):
+    return legacy("linear_functional", u=list(u))
+
+
+def disk(z0):
+    return legacy("mobius_scalar", z0=complex(z0))
+
+
+def times(beta):
+    return legacy("scalar_times_vector", beta=list(beta))
+
+
+# (name, map, point): a case of a retired kind is named by the repr of the
+# class it was written for, which its test ids keep
 CASES = [
-    (poly_halfsum(), [0.3 + 0.1j, -0.2j]),
-    (poly_counterexample(), [0.4 - 0.3j]),
-    (MobiusDisk(0.3 + 0.2j), [0.1 - 0.4j]),
-    (MobiusQuotient(0.5, 1.1), [0.2 + 0.1j]),
-    (LineEmbed([0.1, 0.2j], [0.3 - 0.1j, 0.05]), [0.4 + 0.2j]),
-    (LinearFunctional([0.5, 1.0 - 0.5j]), [0.2j, 0.3]),
-    (ScalarTimesVector([1.0j, 0.25]), [0.3 - 0.2j]),
-    (AffineScalar(0.5 - 0.25j, 0.1j), [0.7 + 0.1j]),
+    (repr(poly_halfsum()), poly_halfsum(), [0.3 + 0.1j, -0.2j]),
+    (repr(poly_counterexample()), poly_counterexample(), [0.4 - 0.3j]),
+    ("MobiusDisk(z0=(0.3+0.2j))", disk(0.3 + 0.2j), [0.1 - 0.4j]),
+    ("MobiusQuotient(a_abs=0.5, theta=1.1)", legacy("mobius_quotient", a_abs=0.5, theta=1.1),
+     [0.2 + 0.1j]),
+    ("LineEmbed(dim=2)", legacy("line_embed", p=[0.1, 0.2j], q=[0.3 - 0.1j, 0.05]), [0.4 + 0.2j]),
+    ("LinearFunctional(dim=2)", functional([0.5, 1.0 - 0.5j]), [0.2j, 0.3]),
+    ("ScalarTimesVector(dim=2)", times([1.0j, 0.25]), [0.3 - 0.2j]),
+    ("AffineScalar(r=(0.5-0.25j), c=0.1j)", legacy("affine_scalar", r=0.5 - 0.25j, c=0.1j),
+     [0.7 + 0.1j]),
     (
-        Pipeline([LinearFunctional([S, S]), MobiusDisk(0.4), ScalarTimesVector([0.6, 0.8j])]),
+        "Pipeline([LinearFunctional(dim=2), MobiusDisk(z0=(0.4+0j)), ScalarTimesVector(dim=2)])",
+        Pipeline([functional([S, S]), disk(0.4), times([0.6, 0.8j])]),
         [0.2 + 0.1j, -0.3j],
     ),
+    ("AffineMap(n=2, m=3)", AffineMap([[0.2, -0.1j], [0.3 + 0.1j, 0.0], [0.1, 0.25]],
+                                      [0.1j, -0.2, 0.05 + 0.05j]), [0.3 - 0.2j, 0.1j]),
+    ("MobiusMap(M=(0.4+0.7j), b=(0.3-0.5j))", MobiusMap(0.4 + 0.7j, 0.3 - 0.5j), [0.2 - 0.6j]),
 ]
+# as pytest spells a map's class and the index of its point
+CASE_IDS = [f"{name.split('(')[0]}-z{i}" for i, (name, _, _) in enumerate(CASES)]
+MAP_POINTS = [(f, z) for _, f, z in CASES]
 
 
-@pytest.mark.parametrize("f,z", CASES, ids=lambda v: type(v).__name__ if hasattr(v, "n") else None)
+@pytest.mark.parametrize("f,z", MAP_POINTS, ids=CASE_IDS)
 def test_jacobian_matches_finite_differences(f, z):
     J, Jbar = fd_jacobian(f, z)
     scale = max(1.0, float(np.abs(J).max()))
@@ -134,10 +167,10 @@ def axis_jacobians(f, Z):
 
 
 def test_cauchy_riemann_cases_cover_every_kind():
-    assert {type(f) for f, _ in CASES} == set(_KINDS.values())
+    assert {type(f) for f, _ in MAP_POINTS} == set(_KINDS.values())
 
 
-@pytest.mark.parametrize("f,z", CASES, ids=lambda v: type(v).__name__ if hasattr(v, "n") else None)
+@pytest.mark.parametrize("f,z", MAP_POINTS, ids=CASE_IDS)
 def test_axis_jacobians_satisfy_cauchy_riemann_and_match_the_kernel(f, z):
     # the differences read only values; their rounding error is about
     # eps / step (at most 3.5e-12 relative to the largest derivative here)
@@ -151,7 +184,7 @@ def test_axis_jacobians_satisfy_cauchy_riemann_and_match_the_kernel(f, z):
     assert np.abs(Jy - 1j * J).max() <= tol
 
 
-@pytest.mark.parametrize("f,z", CASES, ids=lambda v: type(v).__name__ if hasattr(v, "n") else None)
+@pytest.mark.parametrize("f,z", MAP_POINTS, ids=CASE_IDS)
 def test_batch_agrees_with_single_point(f, z):
     zs = np.array([z, [0.5 * c for c in z], [0.25j * c for c in z]], dtype=np.complex128)
     V = f.eval_many(zs)
@@ -161,21 +194,28 @@ def test_batch_agrees_with_single_point(f, z):
         assert np.array_equal(J[i], f.jacobian(zs[i]))
 
 
-BATCH_MAPS = [
-    gen_random_polymap(n, m, max_degree=4, margin=0.25, seed=10 * n + m)
-    for n in range(1, 5)
-    for m in range(1, 5)
-] + [
-    Pipeline([gen_random_polymap(2, 3, 3, 0.25, seed=5), gen_random_polymap(3, 2, 2, 0.25, seed=6)]),
-    Pipeline([LinearFunctional([0.6, 0.8j]), MobiusDisk(0.3 - 0.2j), ScalarTimesVector([0.6, 0.8j])]),
-    LinearFunctional([0.5, -0.5j, 0.5 + 0.5j]),
+def named(maps) -> dict:
+    return {repr(f): f for f in maps}
+
+
+# maps by name, as the CASES name them
+BATCH_MAPS = {
+    **named(gen_random_polymap(n, m, max_degree=4, margin=0.25, seed=10 * n + m)
+            for n in range(1, 5) for m in range(1, 5)),
+    **named([Pipeline([gen_random_polymap(2, 3, 3, 0.25, seed=5),
+                       gen_random_polymap(3, 2, 2, 0.25, seed=6)])]),
+    "Pipeline([LinearFunctional(dim=2), MobiusDisk(z0=(0.3-0.2j)), ScalarTimesVector(dim=2)])":
+        Pipeline([functional([0.6, 0.8j]), disk(0.3 - 0.2j), times([0.6, 0.8j])]),
+    "LinearFunctional(dim=3)": functional([0.5, -0.5j, 0.5 + 0.5j]),
     # one term, or one derivative term, that is a product of two powers
-    PolyMap(2, 1, {(1, 1): [0.5 + 0.25j]}),
-    PolyMap(2, 2, {(3, 1): [0.3, 0.1j], (0, 2): [0.2 - 0.1j, -0.4]}),
-]
+    **named([PolyMap(2, 1, {(1, 1): [0.5 + 0.25j]}),
+             PolyMap(2, 2, {(3, 1): [0.3, 0.1j], (0, 2): [0.2 - 0.1j, -0.4]})]),
+    **named([AffineMap([[0.2, -0.1j, 0.3], [0.1, 0.25j, -0.2]], [0.1, 0.2j]),
+             MobiusMap(0.6 - 0.3j, 0.1 + 0.4j)]),
+}
 
 
-@pytest.mark.parametrize("f", BATCH_MAPS, ids=repr)
+@pytest.mark.parametrize("f", BATCH_MAPS.values(), ids=BATCH_MAPS.keys())
 def test_batch_rows_are_bit_identical_to_one_row_calls(f):
     # row i of a batch is the point evaluated alone, bit for bit, at any batch size
     zs = sample_ball_points(f.n, 101, seed=f.n + 7 * f.m)
@@ -187,17 +227,19 @@ def test_batch_rows_are_bit_identical_to_one_row_calls(f):
     assert np.array_equal(V[:40], f.eval_many(zs[:40]))
 
 
-FUSED_MAPS = [f for f, _ in CASES] + [
-    gen_random_polymap(n, m, max_degree=4, margin=0.25, seed=500 + 10 * n + m)
-    for n in range(1, 5)
-    for m in range(1, 5)
-] + [
-    extremal_zero_case(ExtremalSpec.zero([0.3, 0.4j], [0.6, 0.8j], [0.6, -0.8j])),
-    extremal_nonzero_case(ExtremalSpec.nonzero([0.3, 0.4j], [0.6, 0.8j], [0.3, 0.4j], 0.7)),
-]
+FUSED_MAPS = {
+    **{name: f for name, f, _ in CASES},
+    **named(gen_random_polymap(n, m, max_degree=4, margin=0.25, seed=500 + 10 * n + m)
+            for n in range(1, 5) for m in range(1, 5)),
+    "Pipeline([LinearFunctional(dim=2), MobiusDisk(z0=(0.5+0j)), ScalarTimesVector(dim=2)])":
+        extremal_zero_case(ExtremalSpec.zero([0.3, 0.4j], [0.6, 0.8j], [0.6, -0.8j])),
+    "Pipeline([LinearFunctional(dim=2), MobiusDisk(z0=(0.5+0j)), "
+    "MobiusQuotient(a_abs=0.5, theta=0.7), ScalarTimesVector(dim=2)])":
+        extremal_nonzero_case(ExtremalSpec.nonzero([0.3, 0.4j], [0.6, 0.8j], [0.3, 0.4j], 0.7)),
+}
 
 
-@pytest.mark.parametrize("f", FUSED_MAPS, ids=repr)
+@pytest.mark.parametrize("f", FUSED_MAPS.values(), ids=FUSED_MAPS.keys())
 @pytest.mark.parametrize("B", [1, 7])
 def test_eval_jac_many_equals_the_separate_entries(f, B):
     zs = 0.9 * sample_ball_points(f.n, B, seed=60 + B + f.n)
@@ -223,7 +265,8 @@ def test_map_kinds_implement_only_the_kernels():
 
 def test_pipeline_rejects_a_non_finite_intermediate():
     # 5e199 * 1e200 overflows inside the pipeline; the next stage refuses it
-    pipe = Pipeline([AffineScalar(1e200, 0.0), AffineScalar(1e200, 0.0), MobiusDisk(0.1)])
+    big = AffineMap([[1e200]], [0.0])
+    pipe = Pipeline([big, big, MobiusMap(-1.0, 0.1)])
     z = np.array([[0.5 + 0.0j]])
     for entry in (pipe.eval_many, pipe.jac_many, pipe.eval_jac_many,
                   lambda Z: sp_bound(pipe, Z[0])):
@@ -234,9 +277,9 @@ def test_pipeline_rejects_a_non_finite_intermediate():
 @pytest.mark.parametrize(
     "f,z",
     [
-        (MobiusDisk(0.5), 2.0),
-        (MobiusQuotient(0.5, 0.0), -2.0),
-        (Pipeline([AffineScalar(4.0, 0.0), MobiusDisk(0.5)]), 0.5),
+        (MobiusMap(-1.0, 0.5), 2.0),
+        (MobiusMap(1.0, 0.5), -2.0),
+        (Pipeline([AffineMap([[4.0]], [0.0]), MobiusMap(-1.0, 0.5)]), 0.5),
     ],
     ids=["disk", "quotient", "pipeline"],
 )
@@ -255,39 +298,56 @@ def test_one_public_call_validates_once(monkeypatch):
 
     as_batch = holomap._as_batch
     monkeypatch.setattr(holomap, "_as_batch", counting)
-    pipe = Pipeline([LinearFunctional([0.6, 0.8j]), MobiusDisk(0.3 - 0.2j),
-                     MobiusQuotient(0.4, 1.0), ScalarTimesVector([0.6, 0.8j])])
+    pipe = extremal_nonzero_case(ExtremalSpec.nonzero([0.3, 0.4j], [0.6, 0.8j], [0.3, 0.4j], 0.7))
     zs = sample_ball_points(2, 5, seed=3)
-    for entry in (pipe.eval_many, pipe.jac_many, pipe.eval_jac_many, pipe.eval, pipe.jacobian):
+    for entry, Z in ((pipe.eval_many, zs), (pipe.jac_many, zs), (pipe.eval_jac_many, zs),
+                     (pipe.eval, zs[0]), (pipe.jacobian, zs[0])):
         calls.clear()
-        entry(zs)
+        entry(Z)
         assert calls == [2]
+
+
+def test_single_point_entries_refuse_more_points():
+    # a length-3 vector is three points of a one-variable map: a single-point
+    # entry refuses them rather than use the first
+    f = PolyMap.identity(1)
+    for entry in (f.eval, f.jacobian):
+        with pytest.raises(InputError, match="takes a single point"):
+            entry([0.1, 0.2, 0.3])
+    with pytest.raises(InputError, match="takes a single point"):
+        PolyMap.identity(2).eval(np.zeros((2, 2)))
+    with pytest.raises(InputError, match="takes a single point"):
+        force_zero_at(gen_random_polymap(1, 2, 3, 0.25, seed=4), [0.1, 0.2], 0.25)
+    assert f.eval([0.1]).tobytes() == f.eval(0.1).tobytes() == f.eval_many([[0.1]])[0].tobytes()
 
 
 def test_mobius_involution():
     rng = np.random.default_rng(17)
     for _ in range(100):
         z0 = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        phi = MobiusDisk(z0)
+        phi = MobiusMap(-1.0, z0)
         z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
         assert abs(phi.eval(phi.eval(z)[0])[0] - z) <= 1e-12
-    assert abs(MobiusDisk(0.5).eval(0.5)[0]) == 0.0
+    assert abs(MobiusMap(-1.0, 0.5).eval(0.5)[0]) == 0.0
 
 
 def test_mobius_pole_raises():
     with pytest.raises(DomainError):
-        MobiusDisk(0.5).eval(2.0)
+        MobiusMap(-1.0, 0.5).eval(2.0)
     with pytest.raises(DomainError):
-        MobiusQuotient(0.5, 0.0).eval(-2.0)
+        MobiusMap(1.0, 0.5).eval(-2.0)
 
 
 def test_mobius_z0_validation():
-    with pytest.raises(InputError):
-        MobiusDisk(1.0)
-    with pytest.raises(InputError):
-        MobiusQuotient(1.0, 0.0)
-    with pytest.raises(InputError):
-        MobiusQuotient(-0.1, 0.0)
+    for b in (1.0, 1j, -0.6 - 0.8j, 1e308 + 1e308j, np.nan):
+        with pytest.raises(InputError) as exc:
+            MobiusMap(-1.0, b)
+        assert exc.value.field == "b"
+    # the last one is finite, but M conj(b) is past the float range
+    for M, b in ((np.inf, 0.5), (complex(0.0, np.nan), 0.5), (1.7e308 + 1.7e308j, 0.7 - 0.7j)):
+        with pytest.raises(InputError) as exc:
+            MobiusMap(M, b)
+        assert exc.value.field == "M"
 
 
 def test_chain_rule_exact_on_poly_pipeline():
@@ -306,7 +366,7 @@ def test_chain_rule_exact_on_poly_pipeline():
 
 def test_chain_rule_on_mixed_pipeline():
     u = np.array([S, S * 1.0j])
-    stages = [LinearFunctional(u), MobiusDisk(0.3)]
+    stages = [AffineMap(np.conj(u)[None, :], [0.0]), MobiusMap(-1.0, 0.3)]
     pipe = Pipeline(stages)
     z = np.array([0.2 - 0.1j, 0.3j])
     inner = stages[0].eval(z)
@@ -317,11 +377,11 @@ def test_chain_rule_on_mixed_pipeline():
 def test_line_embed_endpoints():
     p = np.array([0.1, 0.2j])
     q = np.array([0.3, -0.1])
-    L = LineEmbed(p, q)
-    assert np.array_equal(L.eval(0.0), p)
-    assert np.allclose(L.eval(1.0), q, atol=1e-16)
+    for L in (legacy("line_embed", p=list(p), q=list(q)), disk_slice(p, q).line()):
+        assert np.array_equal(L.eval(0.0), p)
+        assert np.allclose(L.eval(1.0), q, atol=1e-16)
     with pytest.raises(InputError):
-        LineEmbed(p, p + 1e-15)
+        disk_slice(p, p + 1e-15)
 
 
 def test_poly_validation():
@@ -346,7 +406,7 @@ def test_poly_terms_round_trip():
 
 
 def test_point_coercion():
-    f = MobiusDisk(0.2)
+    f = MobiusMap(-1.0, 0.2)
     assert f.eval(0.1).shape == (1,)
     assert f.eval_many([0.1, 0.2, 0.3]).shape == (3, 1)
     g = poly_halfsum()
@@ -389,16 +449,32 @@ ROUND_TRIP_DOCS = [
             {"kind": "scalar_times_vector", "beta": [[1.0, 0.0]]},
         ],
     },
+    {"kind": "affine", "M": [[[0.5, 0.0], [0.0, -0.25]], [[-0.0, 1.0], [1e-300, 3.0]],
+                             [[0.1, 0.2], [0.3, 0.4]]],
+     "b": [[-0.0, -0.0], [0.25, 0.0], [0.0, 1e16]]},
+    {"kind": "mobius", "M": [0.6, -0.8], "b": [-0.3, 0.2]},
 ]
+LEGACY_KINDS = {"mobius_scalar", "mobius_quotient", "line_embed", "linear_functional",
+                "scalar_times_vector", "affine_scalar"}
 
 
 @pytest.mark.parametrize("doc", ROUND_TRIP_DOCS, ids=lambda d: d["kind"])
 def test_document_round_trip_bit_exact(doc):
     f = parse_spec(doc)
     emitted = emit_spec(f)
-    assert emitted == doc
-    assert json.dumps(emitted) == json.dumps(doc)
-    assert emit_spec(parse_spec(emitted)) == emitted
+    # a document of a retired kind is emitted as the kind that replaced it
+    kinds = {s["kind"] for s in emitted.get("stages", [emitted])}
+    if doc["kind"] in LEGACY_KINDS or doc["kind"] == "pipeline":
+        assert kinds <= {"affine", "mobius"}
+    else:
+        assert emitted == doc
+        assert json.dumps(emitted) == json.dumps(doc)
+    g = parse_spec(json.loads(json.dumps(emitted)))
+    assert json.dumps(emit_spec(g)) == json.dumps(emitted)
+    # float repr round-trips: equal text is equal bits, signs of zeros included
+    Z = 0.5 * sample_ball_points(f.n, 9, seed=5)
+    for a, b in zip(f.eval_jac_many(Z), g.eval_jac_many(Z)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_poly_document_sorted_lexicographically():
@@ -430,7 +506,8 @@ def test_poly_document_sorted_lexicographically():
         ({"kind": "pipeline", "stages": [{"kind": "mobius_scalar", "z0": [2.0, 0.0]}]},
          "/stages/0/z0"),
         ({"kind": "pipeline", "stages": []}, "/stages"),
-        ({"kind": "line_embed", "p": [[0.0, 0.0]], "q": [[0.0, 0.0]]}, "/q"),
+        # q == p parses (a constant affine map); a dimension mismatch fails at /q
+        ({"kind": "line_embed", "p": [[0.0, 0.0]], "q": [[0.0, 0.0], [0.5, 0.0]]}, "/q"),
         ({"kind": "poly", "n": 1, "m": 1, "terms": [{"alpha": [10**30], "coef": [[0.5, 0]]}]},
          "/terms/0/alpha"),
         ({"kind": "poly", "n": 2, "m": 1, "terms": [{"alpha": [2**40, 0], "coef": [[0.5, 0]]}]},
@@ -438,6 +515,17 @@ def test_poly_document_sorted_lexicographically():
         ({"kind": "mobius_quotient", "a_abs": 0.5, "theta": True}, "/theta"),
         ({"kind": "mobius_scalar", "z0": ["0.3", 0.1]}, "/z0/0"),
         ({"kind": "affine_scalar", "r": [1.0, 0.0], "c": [True, 0.0]}, "/c/0"),
+        ({"kind": "mobius_quotient", "a_abs": 1.0, "theta": 0.0}, "/a_abs"),
+        ({"kind": "line_embed", "p": [[-1e308, 0.0]], "q": [[1e308, 0.0]]}, "/q"),
+        ({"kind": "mobius", "M": [1.0, 0.0], "b": [0.6, 0.8]}, "/b"),
+        ({"kind": "mobius", "M": [1.0, 0.0, 0.0], "b": [0.5, 0.0]}, "/M"),
+        ({"kind": "affine", "M": [[[1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]], "b": [[0.0, 0.0]]},
+         "/M/1"),
+        ({"kind": "affine", "M": [[[1.0, 0.0]], [[1.0, "0"]]], "b": [[0.0, 0.0]]}, "/M/1/0/1"),
+        ({"kind": "affine", "M": [], "b": [[0.0, 0.0]]}, "/M"),
+        ({"kind": "affine", "M": [[[1.0, 0.0]]], "b": [[0.0, 0.0], [0.0, 0.0]]}, "/b"),
+        ({"kind": "pipeline", "stages": [{"kind": "mobius_scalar", "z0": [0.5, 0]},
+                                         {"kind": "affine_scalar", "r": [1.0, 0.0]}]}, "/stages/1"),
     ],
 )
 def test_schema_errors_carry_paths(doc, path):
@@ -449,6 +537,38 @@ def test_schema_errors_carry_paths(doc, path):
 def test_schema_error_message_names_path():
     with pytest.raises(SchemaError, match="/z0"):
         parse_spec({"kind": "mobius_scalar", "z0": [1.5, 0.0]})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a_abs is the offset b of a Moebius map, which may be negative
+        {"kind": "mobius_quotient", "a_abs": -0.5, "theta": 1.0},
+        # q == p makes the constant affine map z -> p
+        {"kind": "line_embed", "p": [[0.1, 0.0], [0.0, 0.2]], "q": [[0.1, 0.0], [0.0, 0.2]]},
+    ],
+    ids=["negative a_abs", "q equal to p"],
+)
+def test_legacy_documents_once_refused_now_parse(doc):
+    f = parse_spec(doc)
+    assert json.dumps(emit_spec(parse_spec(emit_spec(f)))) == json.dumps(emit_spec(f))
+
+
+def test_writers_spell_each_float_as_the_per_entry_writer():
+    # one tolist() per array against [float(z.real), float(z.imag)] per entry
+    vals = [-0.0, 5e-324, 1e-05, 1e16, 1e22, 1.7976931348623157e308, 0.1 + 0.2,
+            0.30000000000000004, 2.220446049250313e-16, 123456.78901234567, -0.7071067811865476]
+    rng = np.random.default_rng(8)
+    parts = np.array(vals + list(rng.standard_normal(21) * 10.0 ** rng.integers(-300, 300, 21)))
+    z = np.empty(parts.shape[0], dtype=np.complex128)
+    z.real, z.imag = parts, parts[::-1]
+    per_entry = [[float(c.real), float(c.imag)] for c in z]
+    assert json.dumps(vector_to_pairs(z)) == json.dumps(per_entry)
+    assert json.dumps(vector_to_pairs(z[::2])) == json.dumps(per_entry[::2])
+    M = z[:30].reshape(5, 6)
+    doc = emit_spec(AffineMap(M, z[27:]))
+    assert json.dumps(doc["M"]) == json.dumps([per_entry[6 * i: 6 * i + 6] for i in range(5)])
+    assert parse_spec(doc).M.tobytes() == M.tobytes()
 
 
 # -- PolyMap terms: one validator for the mapping and the array path ---------
@@ -689,6 +809,30 @@ def test_random_poly_documents_round_trip_bit_exact(f):
     assert json.dumps(emit_spec(g)) == text
     assert g._alphas.tobytes() == f._alphas.tobytes()
     assert g._coefs.tobytes() == f._coefs.tobytes()
+
+
+COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def affine_and_mobius_maps(draw):
+    if draw(st.booleans()):
+        b = draw(st.complex_numbers(max_magnitude=0.9999))
+        return MobiusMap(draw(COMPLEX), b)
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    M = draw(st.lists(COMPLEX, min_size=n * m, max_size=n * m))
+    return AffineMap(np.reshape(np.array(M, dtype=np.complex128), (m, n)),
+                     draw(st.lists(COMPLEX, min_size=m, max_size=m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_and_mobius_maps())
+def test_random_affine_and_mobius_documents_round_trip_bit_exact(f):
+    text = json.dumps(emit_spec(f))
+    g = parse_spec(json.loads(text))
+    assert json.dumps(emit_spec(g)) == text
+    for name in ("M", "b"):
+        assert np.asarray(getattr(g, name)).tobytes() == np.asarray(getattr(f, name)).tobytes()
 
 
 # values a mutation puts into a document: numbers out of every kind's range,

@@ -15,7 +15,7 @@ import pytest
 
 import holoball
 from holoball import (
-    AffineScalar,
+    AffineMap,
     BoundReport,
     CampaignReport,
     Diagnosis,
@@ -24,8 +24,7 @@ from holoball import (
     FuzzConfig,
     GradResult,
     InputError,
-    MobiusDisk,
-    MobiusQuotient,
+    MobiusMap,
     PolyMap,
     diagnose_equality_form,
     extremal_zero_case,
@@ -91,11 +90,11 @@ def test_bools_and_strings_are_not_numbers(call):
 # each call takes a bool or a string where a real or complex scalar belongs;
 # a map constructor names the field, where a document's SchemaError points
 SCALARS = {
-    "MobiusQuotient(a_abs='0.5')": (lambda: MobiusQuotient("0.5", 0.0), "a_abs"),
-    "MobiusQuotient(theta=True)": (lambda: MobiusQuotient(0.5, True), "theta"),
-    "MobiusDisk(z0='0.3+0.1j')": (lambda: MobiusDisk("0.3+0.1j"), "z0"),
-    "AffineScalar(r=True)": (lambda: AffineScalar(True, 0.0), "r"),
-    "AffineScalar(c='1j')": (lambda: AffineScalar(1.0, "1j"), "c"),
+    "MobiusMap(b='0.5')": (lambda: MobiusMap(1.0, "0.5"), "b"),
+    "MobiusMap(M=True)": (lambda: MobiusMap(True, 0.5), "M"),
+    "MobiusMap(b='0.3+0.1j')": (lambda: MobiusMap(-1.0, "0.3+0.1j"), "b"),
+    "MobiusMap(M='1j')": (lambda: MobiusMap("1j", 0.5), "M"),
+    "MobiusMap(b=True)": (lambda: MobiusMap(-1.0, True), "b"),
     "ExtremalSpec.nonzero(theta='0.7')":
         (lambda: ExtremalSpec.nonzero([0.0], [1.0], [0.5], "0.7"), None),
     "sp_bound_slice(c='0.1')": (lambda: sp_bound_slice(IDENTITY, 0.25, "0.1", 0.5), None),
@@ -127,10 +126,10 @@ def test_numpy_integers_and_floats_are_numbers():
     assert a.to_dict() == sp_bound_slice(IDENTITY, 0.25, 0.0, 0.5).to_dict()
     d = diagnose_equality_form(WITNESS, [0.0], [0.5], samples=np.int64(8), tol=np.float64(1e-10))
     assert d.matches and d.points_tested == 8
-    assert MobiusDisk(np.complex64(0.5 + 0.25j)).z0 == 0.5 + 0.25j
-    assert MobiusQuotient(np.float32(0.5), np.int64(2)).to_spec() == MobiusQuotient(0.5, 2.0).to_spec()
-    affine = AffineScalar(np.int64(2), np.complex128(0.25j))
-    assert (affine.r, affine.c) == (2.0, 0.25j)
+    assert MobiusMap(np.int64(-1), np.complex64(0.5 + 0.25j)).b == 0.5 + 0.25j
+    assert MobiusMap(np.float32(0.5), np.int64(0)).to_spec() == MobiusMap(0.5, 0.0).to_spec()
+    affine = AffineMap(np.array([[2]]), np.array([0.25j], dtype=np.complex64))
+    assert (affine.M[0, 0], affine.b[0]) == (2.0, 0.25j)
     assert ExtremalSpec.nonzero([0.0], [1.0], [0.5], np.float64(0.7)).theta == 0.7
     assert (sp_bound_slice(IDENTITY, 0.25, np.complex128(0.1), 0.5).to_dict()
             == sp_bound_slice(IDENTITY, 0.25, 0.1, 0.5).to_dict())

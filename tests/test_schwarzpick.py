@@ -16,10 +16,10 @@ from holoball import (
     CertificationError,
     ExtremalSpec,
     InputError,
-    MobiusDisk,
+    MobiusMap,
     Pipeline,
     PolyMap,
-    AffineScalar,
+    AffineMap,
     disk_slice,
     equality_gap,
     extremal_zero_case,
@@ -266,14 +266,14 @@ def test_disk_automorphisms_attain_equality_everywhere():
     for _ in range(5):
         z0 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         omega = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        f = Pipeline([MobiusDisk(z0), AffineScalar(omega, 0.0)])
+        f = Pipeline([MobiusMap(-1.0, z0), AffineMap([[omega]], [0.0])])
         for _ in range(20):
             z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
             assert abs(sp_bound(f, z).slack) <= 1e-12
 
 
 def test_slice_bound_reduces_to_unit_disk_case():
-    f = MobiusDisk(0.2)
+    f = MobiusMap(-1.0, 0.2)
     direct = sp_bound(f, 0.3)
     sliced = sp_bound_slice(f, 0.3, 0.0, 1.0)
     assert sliced.lhs == direct.lhs
