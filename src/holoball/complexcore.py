@@ -294,9 +294,14 @@ def complex_to_pair(z) -> list:
     return [float(zc.real), float(zc.imag)]
 
 
+def _array_to_pairs(a: np.ndarray) -> list:
+    """Any complex array as nested lists of ``[z.real, z.imag]`` pairs, by one ``tolist()``."""
+    return np.ascontiguousarray(a).view(np.float64).reshape(*a.shape, 2).tolist()
+
+
 def vector_to_pairs(x) -> list:
     """Serialize a complex vector as a list of ``[re, im]`` pairs."""
-    return np.ascontiguousarray(as_cvector(x)).view(np.float64).reshape(-1, 2).tolist()
+    return _array_to_pairs(as_cvector(x))
 
 
 def _to_json(x):

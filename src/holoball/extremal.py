@@ -30,6 +30,7 @@ judging it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +40,8 @@ from .complexcore import (_as_float, _is_int, _norm, _positive_real, _row_norms,
                           _to_json, as_cvector)
 from .errors import InputError, PreconditionError
 from .geometry import _ball_point, disk_slice
-from .holomap import AffineMap, HoloMap, MobiusMap, Pipeline, _functional, _rotation, _times
+from .holomap import (AffineMap, HoloMap, MobiusMap, Pipeline, _freeze, _functional, _rotation,
+                      _times)
 from .schwarzpick import DEFAULT_BOUND_TOL, _bound_batch, _one_minus_sq
 
 __all__ = [
@@ -158,14 +160,8 @@ def extremal_nonzero_case(spec: ExtremalSpec) -> Pipeline:
         raise InputError("a must be nonzero; use the zero case for f(p) = 0")
     if na >= 1.0:
         raise InputError(f"|a| must be < 1, got {na}")
-    return Pipeline(
-        [
-            _functional(u),
-            MobiusMap(-1.0, z0),
-            MobiusMap(_rotation(spec.theta), na),
-            _times(_round_inward(a / na)),
-        ]
-    )
+    return Pipeline([_functional(u), MobiusMap(-1.0, z0), MobiusMap(_rotation(spec.theta), na),
+                     _times(_round_inward(a / na))])
 
 
 @dataclass(eq=False)
@@ -188,6 +184,17 @@ class Diagnosis:
     orthogonal_max: float | None = None
 
     to_dict = _to_json
+
+
+@functools.lru_cache(maxsize=8)
+def _roots_of_unity(samples: int) -> np.ndarray:
+    """``exp(2 pi i k / samples)`` for k = 0..samples-1, read-only. The default
+    count's is built at import, not among a verdict's short-lived arrays,
+    where this long-lived one would keep their allocator arena alive."""
+    return _freeze(np.exp(2j * np.pi * np.arange(samples) / samples))
+
+
+_roots_of_unity(DEFAULT_DIAGNOSE_SAMPLES)
 
 
 def diagnose_equality_form(
@@ -223,9 +230,10 @@ def diagnose_equality_form(
     if not ds.collinear:
         raise InputError("q - p must be collinear with p for a diagnosable slice")
     g = Pipeline([ds.line(), f])
-    # canonical disk factor on the slice: w(z) = phi_{-c/r}((z - c)/r)
-    canonical = Pipeline([AffineMap([[1.0 / ds.r]], [-ds.c / ds.r]), MobiusMap(-1.0, -ds.c / ds.r)])
-    zs = ds.c + 0.9 * ds.r * np.exp(2j * np.pi * np.arange(samples) / samples)
+    # canonical disk factor on the slice: w(z) = phi_{-c/r}((z - c)/r), from its finite constants
+    canonical = Pipeline([AffineMap._of(np.array([[1.0 / ds.r]]), -ds.c / ds.r),
+                          MobiusMap(-1.0, -ds.c / ds.r)])
+    zs = ds.c + 0.9 * ds.r * _roots_of_unity(samples)
     W = canonical.eval_many(zs[:, None])[:, 0]
     G = g.eval_many(zs[:, None])
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexcore import _as_complex, _as_float, _is_int, _is_real, complex_to_pair, vector_to_pairs
+from .complexcore import _array_to_pairs, _as_complex, _as_float, _is_int, _is_real, complex_to_pair
 from .errors import DomainError, InputError, SchemaError
 
 __all__ = [
@@ -98,19 +98,9 @@ def _one_point(z, n: int, name: str) -> np.ndarray:
     return Z
 
 
-def _filled(shape: tuple, fill) -> np.ndarray:
-    """A fresh complex array of the shape with ``fill`` broadcast into it:
-    ``np.full`` without its Python wrapper, for a constant Jacobian."""
-    out = np.empty(shape, dtype=np.complex128)
-    out[...] = fill
-    return out
-
-
 def _finite(A: np.ndarray) -> np.ndarray:
-    """``A`` itself; raises ``InputError`` when it has a non-finite entry.
-    Up to 8 entries are checked one by one, faster than two numpy calls."""
-    if not (all(map(cmath.isfinite, A.flat)) if A.size <= 8
-            else np.count_nonzero(np.isfinite(A)) == A.size):
+    """``A`` itself; raises ``InputError`` when it has a non-finite entry."""
+    if np.count_nonzero(np.isfinite(A)) != A.size:
         raise InputError("points contain non-finite entries")
     return A
 
@@ -119,8 +109,6 @@ def _finite(A: np.ndarray) -> np.ndarray:
 
 
 def _expect_object(doc, path, keys):
-    if isinstance(doc, dict) and len(doc) == len(keys) and all(map(doc.__contains__, keys)):
-        return
     if not isinstance(doc, dict):
         raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
     extra = set(doc) - set(keys)
@@ -165,19 +153,15 @@ def _pair(v, path, i=None) -> complex:
     return complex(_real(v[0], f"{path}/0"), _real(v[1], f"{path}/1"))
 
 
-def _pair_list(v, path) -> list:
+def _pairs(v, path) -> list:
     if not isinstance(v, (list, tuple)) or len(v) == 0:
         raise SchemaError(path, "expected a non-empty list of [re, im] pairs")
     return [_pair(x, path, i) for i, x in enumerate(v)]
 
 
-def _pairs(v, path) -> np.ndarray:
-    return np.array(_pair_list(v, path), dtype=np.complex128)
-
-
 def _matrix(v, path) -> list:
     """Rows of pairs, each as long as the first, as lists of complex numbers."""
-    rows = [_pair_list(row, f"{path}/{i}") for i, row in enumerate(_list(v, path))]
+    rows = [_pairs(row, f"{path}/{i}") for i, row in enumerate(_list(v, path))]
     for i, row in enumerate(rows):
         if len(row) != len(rows[0]):
             raise SchemaError(f"{path}/{i}", f"row has {len(row)} pairs, row 0 has {len(rows[0])}")
@@ -204,10 +188,9 @@ def _stages(v, path) -> list:
 # writer (attribute -> JSON value)
 _INT = (_int, int)
 _PAIR = (_pair, complex_to_pair)
-# a map's arrays are its own C-contiguous copies, written as they stand
-_VECTOR = (_pair_list, lambda a: a.view(np.float64).reshape(*a.shape, 2).tolist())
-_MATRIX = (_matrix, _VECTOR[1])
-_TERMS = (_terms, lambda terms: [{"alpha": list(a), "coef": vector_to_pairs(c)}
+_VECTOR = (_pairs, _array_to_pairs)
+_MATRIX = (_matrix, _array_to_pairs)
+_TERMS = (_terms, lambda terms: [{"alpha": list(a), "coef": _array_to_pairs(c)}
                                  for a, c in terms.items()])
 _STAGES = (_stages, lambda stages: [s.to_spec() for s in stages])
 
@@ -576,14 +559,26 @@ class AffineMap(HoloMap):
             raise _FieldError("M", "M must be a non-empty 2-D complex array")
         if b.shape != M.shape[:1]:
             raise _FieldError("b", f"b must be a 1-D complex array of length {M.shape[0]}")
-        # the map's own C-ordered copy of both, in one buffer with one finiteness count
-        K = _freeze(np.concatenate((M.reshape(-1), b)))
+        K = self._own(M, b)
         if np.count_nonzero(np.isfinite(K)) != K.size:
             name = "M" if np.count_nonzero(np.isfinite(M)) != M.size else "b"
             raise _FieldError(name, f"{name} contains non-finite entries")
+
+    @classmethod
+    def _of(cls, M: np.ndarray, b) -> "AffineMap":
+        """``AffineMap(M, b)`` unchecked, for a finite 2-D M and a finite b or number."""
+        f = cls.__new__(cls)
+        f._own(M, b)
+        return f
+
+    def _own(self, M: np.ndarray, b) -> np.ndarray:
+        """Copy M and b into one buffer, the map's own, and return it."""
         self.m, self.n = M.shape
-        self.M, self.b = K[: M.size].reshape(M.shape), K[M.size :]
+        K = np.empty(M.size + self.m, dtype=np.complex128)
+        K[: M.size], K[M.size :] = M.reshape(-1), b
+        self.M, self.b = _freeze(K)[: M.size].reshape(M.shape), K[M.size :]
         self._MT = self.M.T
+        return K
 
     def __repr__(self):
         return f"AffineMap(n={self.n}, m={self.m})"
@@ -596,7 +591,9 @@ class AffineMap(HoloMap):
         return V
 
     def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._value(X), _filled((X.shape[0], self.m, self.n), self.M)
+        J = np.empty((X.shape[0], self.m, self.n), dtype=np.complex128)
+        J[...] = self.M  # np.full without its Python wrapper
+        return self._value(X), J
 
 
 class MobiusMap(HoloMap):
@@ -611,33 +608,39 @@ class MobiusMap(HoloMap):
     m = 1
     kind = "mobius"
     _fields = (("M", _PAIR), ("b", _PAIR))
+    _one = _freeze(np.array(1.0 + 0.0j))  # a kernel constant, as _k
 
     def __init__(self, M, b):
         M, b = _as_complex(M), _as_complex(b)
         # parts below 1 first, so that abs(b) cannot overflow; NaN fails too
         if not (abs(b.real) < 1.0 and abs(b.imag) < 1.0 and abs(b) < 1.0):
             raise _FieldError("b", f"b must be a complex number with |b| < 1, got {b!r}")
-        self.M, self.b, self._mcb = M, b, M * b.conjugate()
-        if not (cmath.isfinite(M) and cmath.isfinite(self._mcb)):
+        mcb = M * b.conjugate()
+        if not (cmath.isfinite(M) and cmath.isfinite(mcb)):
             raise _FieldError("M", "M and M conj(b) must be finite complex numbers")
-        self._dnum = M * (1.0 - abs(b) ** 2)
+        self.M, self.b = M, b
+        # the kernels' M, b, M conj(b) and M (1 - |b|^2) as 0-d arrays: numpy converts
+        # a Python scalar operand on every call, a 0-d array not, with the same bits
+        self._k = tuple(map(np.array, (M, b, mcb, M * (1.0 - abs(b) ** 2))))
 
     def __repr__(self):
         return f"MobiusMap(M={self.M}, b={self.b})"
 
     def _den(self, X: np.ndarray) -> np.ndarray:
-        den = 1.0 + self._mcb * X
+        den = self._one + self._k[2] * X
         # one reduction, which skips NaN as a comparison would
         if np.fmin.reduce(np.abs(den), axis=None, initial=np.inf) < POLE_TOL:
             raise DomainError(f"evaluation at a pole of {self!r}")
         return den
 
     def _value(self, X: np.ndarray) -> np.ndarray:
-        return (self.b + self.M * X) / self._den(X)
+        M, b, _, _ = self._k
+        return (b + M * X) / self._den(X)
 
     def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        M, b, _, dnum = self._k
         den = self._den(X)
-        return (self.b + self.M * X) / den, (self._dnum / den**2)[:, :, None]
+        return (b + M * X) / den, (dnum / den**2)[:, :, None]
 
 
 class Pipeline(HoloMap):
@@ -690,29 +693,30 @@ class Pipeline(HoloMap):
 _KINDS = {cls.kind: cls for cls in (PolyMap, AffineMap, MobiusMap, Pipeline)}
 
 
-# an affine map without an offset has b = -0.0 - 0.0j, since -0.0 + x is x
-# for every x, while 0.0 + -0.0 is 0.0
-def _functional(u: np.ndarray) -> AffineMap:  # w -> herm_inner(w, u)
-    return AffineMap(u.conj()[None, :], [complex(-0.0, -0.0)])
+# w -> herm_inner(w, u) and zeta -> zeta v for finite vectors u and v, whose
+# offset b is -0.0 - 0.0j: -0.0 + x is x for every x, while 0.0 + -0.0 is 0.0
+def _functional(u) -> AffineMap:
+    return AffineMap._of(np.conj(u)[None, :], complex(-0.0, -0.0))
 
 
-def _times(v: np.ndarray) -> AffineMap:  # zeta -> zeta v
-    return AffineMap(v[:, None], [complex(-0.0, -0.0)] * v.shape[0])
+def _times(v) -> AffineMap:
+    return AffineMap._of(np.asarray(v)[:, None], complex(-0.0, -0.0))
 
 
 def _rotation(theta: float) -> complex:  # by np.exp, as stored rotations were computed
     return complex(np.exp(1j * theta))
 
 
-def _line_embed(p: np.ndarray, q: np.ndarray) -> AffineMap:
-    if p.shape != q.shape:
+def _line_embed(p: list, q: list) -> AffineMap:
+    if len(p) != len(q):
         raise _FieldError("q", "p and q must have the same dimension")
     with np.errstate(over="ignore"):  # a q - p past the float range is refused
-        return AffineMap((q - p)[:, None], p)
+        return AffineMap(np.subtract(q, p)[:, None], p)
 
 
 # the document reader of a kind that AffineMap and MobiusMap replaced: its fields and
 # their readers, the field a constructor's error is charged to, the map its values make
+# (pair readers refuse non-finite numbers, the one check _functional and _times skip)
 def _legacy(fields, field, build):
     def read(doc, path) -> HoloMap:
         _expect_object(doc, path, ("kind", *dict(fields)))

@@ -568,6 +568,9 @@ def test_writers_spell_each_float_as_the_per_entry_writer():
     M = z[:30].reshape(5, 6)
     doc = emit_spec(AffineMap(M, z[27:]))
     assert json.dumps(doc["M"]) == json.dumps([per_entry[6 * i: 6 * i + 6] for i in range(5)])
+    assert json.dumps(doc["b"]) == json.dumps(per_entry[27:])
+    poly = emit_spec(PolyMap(1, 8, {(1,): z[:8], (2,): z[8:16]}))
+    assert json.dumps([t["coef"] for t in poly["terms"]]) == json.dumps([per_entry[:8], per_entry[8:16]])
     assert parse_spec(doc).M.tobytes() == M.tobytes()
 
 
@@ -818,7 +821,8 @@ COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
 def affine_and_mobius_maps(draw):
     if draw(st.booleans()):
         b = draw(st.complex_numbers(max_magnitude=0.9999))
-        return MobiusMap(draw(COMPLEX), b)
+        # an M near the float maximum makes M conj(b) overflow, which the constructor refuses
+        return MobiusMap(draw(st.complex_numbers(max_magnitude=1e300)), b)
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     M = draw(st.lists(COMPLEX, min_size=n * m, max_size=n * m))
     return AffineMap(np.reshape(np.array(M, dtype=np.complex128), (m, n)),
