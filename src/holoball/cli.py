@@ -9,9 +9,9 @@ Exit codes: 0 success (bound holds / form matches / no violations), 1 for a
 mathematical finding (bound violated, no-match, campaign violations), 2 for
 input, schema, or precondition errors and any other failure. Points and
 vectors on the command line are semicolon-separated complex pairs,
-``re,im;re,im;...``, given as ``--point -0.3,0.1`` or
-``--point=-0.3,0.1``; map files are JSON documents in the format described
-in ``holomap``, with ``-`` reading from stdin.
+``re,im;re,im;...``; a value may start with a minus sign, as in
+``--point -0.3,0.1``, ``--point=-0.3,0.1`` or ``--theta -1e-3``. Map files
+are JSON documents in the format of ``holomap``, ``-`` reading stdin.
 """
 
 from __future__ import annotations
@@ -41,18 +41,18 @@ from .schwarzpick import DEFAULT_BOUND_TOL, mod_grad, sp_bound
 __all__ = ["run", "main"]
 
 
-_VECTOR_FLAGS = ("--point", "--p", "--q", "--u", "--beta", "--a")
 _NEGATIVE_VALUE = re.compile(r"-[\d.]")
 
 
-def _attach_vector_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--point -0.3,0.1`` as ``--point=-0.3,0.1``: argparse reads a
-    separate value that starts with ``-`` as an option of its own."""
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--point -0.3,0.1`` as ``--point=-0.3,0.1`` after any
+    ``--flag``: argparse reads a separate value that starts with ``-`` as an
+    option of its own, and no holoball flag starts with a digit or a dot."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VECTOR_FLAGS and i + 1 < len(argv) and _NEGATIVE_VALUE.match(argv[i + 1]):
+        if tok.startswith("--") and i + 1 < len(argv) and _NEGATIVE_VALUE.match(argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -183,21 +183,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_diagnose)
 
     sp = sub.add_parser("fuzz", help="run a randomized bound-checking campaign")
-    cfg = FuzzConfig()
-    sp.add_argument("--trials", type=int, default=cfg.trials)
-    sp.add_argument(
-        "--points", type=int, dest="points_per_trial", metavar="POINTS",
-        default=cfg.points_per_trial,
-    )
-    sp.add_argument("--n", type=int, default=cfg.n)
-    sp.add_argument("--m", type=int, default=cfg.m)
-    sp.add_argument("--max-degree", type=int, default=cfg.max_degree)
-    sp.add_argument("--margin", type=float, default=cfg.margin)
-    sp.add_argument("--seed", type=int, default=cfg.seed)
-    sp.add_argument("--tol", type=float, default=cfg.tol)
-    sp.add_argument("--fd-dirs", type=int, default=cfg.fd_dirs, help="0 disables the FD oracle")
+    # one flag per config field, named after it and typed by its default
+    for fld in dataclasses.fields(FuzzConfig):
+        name = "points" if fld.name == "points_per_trial" else fld.name
+        kind = ({"action": "store_true"} if type(fld.default) is bool
+                else {"type": type(fld.default), "metavar": name.upper()})
+        sp.add_argument("--" + name.replace("_", "-"), dest=fld.name, default=fld.default,
+                        help="0 disables the FD oracle" if name == "fd_dirs" else None, **kind)
     sp.add_argument("--out", help="JSONL log path")
-    sp.add_argument("--pin-counterexample", action="store_true", default=cfg.pin_counterexample)
     sp.set_defaults(fn=_cmd_fuzz)
 
     return parser
@@ -205,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_attach_vector_values(argv))
+    args = _build_parser().parse_args(_attach_negative_values(argv))
     try:
         return args.fn(args)
     except Exception as e:

@@ -10,8 +10,10 @@ Conventions used throughout the package:
 * An integer argument is a Python or numpy integer; a real argument is one
   of those or a Python or numpy float. A ``bool`` is neither, and a string
   is never parsed. A complex argument is a real or a Python or numpy
-  complex. ``_is_int``, ``_is_real``, ``_as_float`` and ``_as_complex``
-  below, and the checks built on them, are the one home of these rules.
+  complex, and so is each entry of a complex array argument. ``_is_int``,
+  ``_is_real``, ``_as_float`` and ``_as_complex`` below, and the checks
+  built on them, are the one home of these rules; ``_as_carray``, the one
+  home of the array rule, reads each complex array a caller passes in.
 * A result's ``to_dict`` is ``_to_json`` of it: a dataclass is written as an
   object of its fields in declaration order, less those marked
   ``metadata={"json": False}``; complex values are written as above, and
@@ -71,6 +73,22 @@ def _as_complex(v) -> complex:
     return complex(_as_float(v))
 
 
+def _as_carray(x) -> np.ndarray:
+    """A caller's array argument as a complex128 array of ``_as_complex`` of
+    each entry, for the caller's finiteness check to refuse a NaN: a numeric
+    array whole, a complex128 one as it is, and any other entry by entry."""
+    if type(x) is np.ndarray:  # a subclass (np.matrix) reads entry by entry, as a base array
+        if x.dtype == np.complex128:
+            return x
+        if x.dtype.kind in "iufc":
+            return x.astype(np.complex128)
+    try:
+        a = np.asarray(x, dtype=object)
+    except ValueError:  # sub-arrays of unequal shapes
+        return np.array(complex(math.nan, 0.0))
+    return np.array([_as_complex(v) for v in a.reshape(-1).tolist()], np.complex128).reshape(a.shape)
+
+
 def _positive_real(v, name: str) -> float:
     """``v`` as a float; raises unless it is a real in (0, inf)."""
     x = _as_float(v)
@@ -94,7 +112,7 @@ def _positive_ints(**args) -> None:
 
 def as_cvector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D complex128 array."""
-    a = np.asarray(x, dtype=np.complex128)
+    a = _as_carray(x)
     if a.ndim == 0:
         a = a.reshape(1)
     if a.ndim != 1 or a.size == 0:
@@ -182,7 +200,7 @@ def spectral_norm(M) -> SpectralPair:
     gives a float array of sigmas and a ``(k, n)`` array of directions; row
     i of a stack equals the 2-D call on ``M[i]``.
     """
-    A = np.asarray(M, dtype=np.complex128)
+    A = _as_carray(M)
     if A.ndim not in (2, 3) or A.size == 0:
         raise InputError("M must be a non-empty 2-D complex array or a stack of them")
     if np.count_nonzero(np.isfinite(A)) != A.size:

@@ -65,7 +65,9 @@ class ExtremalSpec:
     ``case`` is "zero" or "nonzero"; ``p`` the equality point, ``u`` a unit
     direction collinear with p (free when p = 0). The zero case carries a
     unit target direction ``beta``; the nonzero case carries the target value
-    ``a`` (0 < |a| < 1) and a rotation angle ``theta``.
+    ``a`` (0 < |a| < 1) and a rotation angle ``theta``. The spec is judged
+    when it is built: each vector its case uses as ``as_cvector`` of it, theta
+    as a finite real.
     """
 
     case: str
@@ -75,18 +77,22 @@ class ExtremalSpec:
     a: np.ndarray | None = None
     theta: float | None = None
 
+    def __post_init__(self):
+        nonzero = self.case == "nonzero"
+        for name in ("p", "u", "a" if nonzero else "beta"):
+            setattr(self, name, as_cvector(getattr(self, name), name))
+        if nonzero:
+            self.theta = _as_float(self.theta)
+            if not math.isfinite(self.theta):
+                raise InputError("theta must be a finite real")
+
     @classmethod
     def zero(cls, p, u, beta) -> "ExtremalSpec":
-        return cls(case="zero", p=as_cvector(p, "p"), u=as_cvector(u, "u"),
-                   beta=as_cvector(beta, "beta"))
+        return cls(case="zero", p=p, u=u, beta=beta)
 
     @classmethod
     def nonzero(cls, p, u, a, theta: float) -> "ExtremalSpec":
-        theta = _as_float(theta)
-        if not math.isfinite(theta):
-            raise InputError("theta must be a finite real")
-        return cls(case="nonzero", p=as_cvector(p, "p"), u=as_cvector(u, "u"),
-                   a=as_cvector(a, "a"), theta=theta)
+        return cls(case="nonzero", p=p, u=u, a=a, theta=theta)
 
 
 def _inside_unit_ball(v: np.ndarray) -> bool:
@@ -108,10 +114,9 @@ def _round_inward(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _checked_direction(p: np.ndarray, npv: float, u) -> tuple[np.ndarray, complex]:
-    """``u`` as a unit vector collinear with p (whose norm is ``npv``),
+def _checked_direction(p: np.ndarray, npv: float, uv: np.ndarray) -> tuple[np.ndarray, complex]:
+    """``uv`` as a unit vector collinear with p (whose norm is ``npv``),
     rounded inward, and ``z0 = herm_inner(p, u)`` of the rounded vector."""
-    uv = as_cvector(u, "u")
     if uv.shape != p.shape:
         raise InputError("u must have the same dimension as p")
     nu = _norm(uv)
@@ -133,16 +138,12 @@ def extremal_zero_case(spec: ExtremalSpec) -> Pipeline:
     """Equality witness with f(p) = 0; |grad|f||(p) = 1 / (1 - |p|^2)."""
     if spec.case != "zero":
         raise InputError(f"spec.case must be 'zero', got {spec.case!r}")
-    if spec.beta is None:
-        raise InputError("zero case requires beta")
     p, npv = _ball_point(spec.p, "p")
     u, z0 = _checked_direction(p, npv, spec.u)
-    beta = as_cvector(spec.beta, "beta")
-    nb = _norm(beta)
+    nb = _norm(spec.beta)
     if abs(nb - 1.0) > UNIT_TOL:
         raise InputError(f"beta must be a unit vector, |beta| = {nb}")
-    beta = _round_inward(beta / nb)
-    return Pipeline([_functional(u), MobiusMap(-1.0, z0), _times(beta)])
+    return Pipeline([_functional(u), MobiusMap(-1.0, z0), _times(_round_inward(spec.beta / nb))])
 
 
 def extremal_nonzero_case(spec: ExtremalSpec) -> Pipeline:
@@ -150,18 +151,15 @@ def extremal_nonzero_case(spec: ExtremalSpec) -> Pipeline:
     |grad|f||(p) = (1 - |a|^2) / (1 - |p|^2)."""
     if spec.case != "nonzero":
         raise InputError(f"spec.case must be 'nonzero', got {spec.case!r}")
-    if spec.a is None or spec.theta is None:
-        raise InputError("nonzero case requires a and theta")
     p, npv = _ball_point(spec.p, "p")
     u, z0 = _checked_direction(p, npv, spec.u)
-    a = as_cvector(spec.a, "a")
-    na = _norm(a)
+    na = _norm(spec.a)
     if na == 0.0:
         raise InputError("a must be nonzero; use the zero case for f(p) = 0")
     if na >= 1.0:
         raise InputError(f"|a| must be < 1, got {na}")
     return Pipeline([_functional(u), MobiusMap(-1.0, z0), MobiusMap(_rotation(spec.theta), na),
-                     _times(_round_inward(a / na))])
+                     _times(_round_inward(spec.a / na))])
 
 
 @dataclass(eq=False)

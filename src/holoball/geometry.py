@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexcore import _norm, _to_json, as_cvector, vnorm
+from .complexcore import _norm, _to_json, as_cvector
 from .errors import InputError
 from .holomap import AffineMap
 
@@ -43,15 +43,14 @@ class DiskSlice:
 
     def line(self) -> AffineMap:
         """The embedding ``z -> p + z (q - p)`` as a map node."""
-        return AffineMap((self.q - self.p)[:, None], self.p)
+        return AffineMap._of((self.q - self.p)[:, None], self.p)
 
     to_dict = _to_json
 
 
-def _ball_point(x, name: str) -> tuple[np.ndarray, float]:
-    """``x`` as a finite complex vector strictly inside the unit ball, with
-    its norm."""
-    v = as_cvector(x, name)
+def _ball_point(v: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """The validated vector ``v`` with its norm; raises unless it lies
+    strictly inside the unit ball."""
     nv = _norm(v)
     if nv >= 1.0:
         raise InputError(f"{name} must lie strictly inside the unit ball, |{name}| = {nv}")
@@ -60,8 +59,8 @@ def _ball_point(x, name: str) -> tuple[np.ndarray, float]:
 
 def disk_slice(p, q) -> DiskSlice:
     """Center and radius of the parameter disk cut out by the line through p, q."""
-    pv, npv = _ball_point(p, "p")
-    qv, _ = _ball_point(q, "q")
+    pv, npv = _ball_point(as_cvector(p, "p"), "p")
+    qv, _ = _ball_point(as_cvector(q, "q"), "q")
     if pv.shape != qv.shape:
         raise InputError("p and q must have the same dimension")
     d = qv - pv
@@ -90,5 +89,5 @@ def bound_factor(p, q) -> BoundFactor:
     """
     ds = disk_slice(p, q)
     factor = ds.r / (ds.r**2 - abs(ds.c) ** 2)
-    rhs = vnorm(ds.q - ds.p) / (1.0 - vnorm(ds.p) ** 2)
+    rhs = _norm(ds.q - ds.p) / (1.0 - _norm(ds.p) ** 2)
     return BoundFactor(factor=float(factor), rhs=float(rhs), collinear=ds.collinear)

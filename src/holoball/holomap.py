@@ -37,7 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexcore import _array_to_pairs, _as_complex, _as_float, _is_int, _is_real, complex_to_pair
+from .complexcore import (_array_to_pairs, _as_carray, _as_complex, _as_float, _is_int, _is_real,
+                          complex_to_pair)
 from .errors import DomainError, InputError, SchemaError
 
 __all__ = [
@@ -75,7 +76,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _as_batch(Z, n: int) -> np.ndarray:
     """Coerce evaluation points to a finite ``(B, n)`` complex batch."""
-    A = np.asarray(Z, dtype=np.complex128)
+    A = _as_carray(Z)
     if A.ndim == 0:
         A = A.reshape(1, 1)
     elif A.ndim == 1:
@@ -153,19 +154,19 @@ def _pair(v, path, i=None) -> complex:
     return complex(_real(v[0], f"{path}/0"), _real(v[1], f"{path}/1"))
 
 
-def _pairs(v, path) -> list:
+def _pairs(v, path) -> np.ndarray:
     if not isinstance(v, (list, tuple)) or len(v) == 0:
         raise SchemaError(path, "expected a non-empty list of [re, im] pairs")
-    return [_pair(x, path, i) for i, x in enumerate(v)]
+    return np.array([_pair(x, path, i) for i, x in enumerate(v)], dtype=np.complex128)
 
 
-def _matrix(v, path) -> list:
-    """Rows of pairs, each as long as the first, as lists of complex numbers."""
+def _matrix(v, path) -> np.ndarray:
+    """Rows of pairs, each as long as the first, as one complex128 array."""
     rows = [_pairs(row, f"{path}/{i}") for i, row in enumerate(_list(v, path))]
     for i, row in enumerate(rows):
         if len(row) != len(rows[0]):
             raise SchemaError(f"{path}/{i}", f"row has {len(row)} pairs, row 0 has {len(rows[0])}")
-    return rows
+    return np.array(rows, dtype=np.complex128)
 
 
 def _terms(v, path) -> list:
@@ -312,20 +313,13 @@ def _dims(n, m) -> tuple[int, int]:
     return int(n), int(m)
 
 
-def _exponents(alpha) -> np.ndarray:
-    """Multi-index entries as float64, exact at every integer up to
-    ``MAX_DEGREE``, for ``_normalise_terms`` to judge. Anything but an
-    integer or float array goes through ``_as_float`` entry by entry, since
-    numpy would coerce ``[1, True]`` to ints and ``[1, "2"]`` to strings."""
-    if isinstance(alpha, np.ndarray) and alpha.dtype.kind in "iuf":
-        return alpha.astype(np.float64)
-    a = np.asarray(alpha, dtype=object)
-    return np.array([_as_float(x) for x in a.reshape(-1).tolist()], np.float64).reshape(a.shape)
-
-
-def _key(row: np.ndarray) -> tuple:
-    """A multi-index as it reads in a message: integers up to 2^53 as ints."""
-    return tuple(int(a) if a.is_integer() and abs(a) <= 2**53 else a for a in row.tolist())
+def _key(row: np.ndarray, given) -> tuple:
+    """A complex multi-index as it reads in a message: integers up to 2^53 as
+    ints; one with an entry that is not a real number as the caller gave it."""
+    if np.isnan(row).any() or row.imag.any():
+        given = given.tolist() if isinstance(given, np.ndarray) else given
+        return tuple(given) if isinstance(given, (list, tuple)) else (given,)
+    return tuple(int(a) if a.is_integer() and abs(a) <= 2**53 else a for a in row.real.tolist())
 
 
 class _TermPlan(NamedTuple):
@@ -354,11 +348,14 @@ class _TermPlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _term_plan(n: int, shape: tuple, table: bytes, lens: bytes) -> _TermPlan:
-    """The term plan of the float64 multi-index table with the given shape
-    and bytes, row t of which has ``lens[t]`` (int64 bytes) entries; raises
-    the ``_FieldError`` of the first term with a faulty multi-index."""
-    alphas = np.frombuffer(table, dtype=np.float64).reshape(shape)
+def _term_plan(n: int, shape: tuple, table: bytes, lens: bytes) -> _TermPlan | tuple[int, int]:
+    """The term plan of the complex128 multi-index table with the given shape
+    and bytes, row t of which has ``lens[t]`` (int64 bytes) entries; or
+    ``(t, k)`` for the first term t with a faulty multi-index, k numbering
+    the first check it fails in ``_normalise_terms``'s order. An entry off
+    the real axis is not a number, so it is not an integer either."""
+    alphas = np.frombuffer(table, dtype=np.complex128).reshape(shape)
+    alphas = np.where(alphas.imag == 0.0, alphas.real, np.nan)
     alpha_lens = np.frombuffer(lens, dtype=np.int64)
     T = alphas.shape[0]
     order = np.lexsort(alphas.T[::-1]) if alphas.shape[1] else np.arange(T)
@@ -377,15 +374,7 @@ def _term_plan(n: int, shape: tuple, table: bytes, lens: bytes) -> _TermPlan:
     bad = np.logical_or.reduce(checks)
     if bad.any():
         t = int(bad.argmax())
-        key = _key(alphas[t, : alpha_lens[t]])
-        messages = (
-            f"multi-index {key} has length {len(key)}, expected {n}",
-            f"multi-index {key} has an entry that is not an integer",
-            f"multi-index {key} has a negative entry",
-            f"multi-index {key} has an entry above MAX_DEGREE = {MAX_DEGREE}",
-            f"duplicate multi-index {key}",
-        )
-        raise _FieldError(f"terms/{t}/alpha", next(msg for c, msg in zip(checks, messages) if c[t]))
+        return t, next(k for k, c in enumerate(checks) if c[t])
     ranked = ranked.reshape(T, n).astype(np.int64)
     # derivative term k: d/dz_jj[k] of term src[k], in the map's term order
     jj, src = np.nonzero(ranked.T)
@@ -415,34 +404,43 @@ def _term_plan(n: int, shape: tuple, table: bytes, lens: bytes) -> _TermPlan:
     )
 
 
-def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens):
+def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens, given):
     """Validate T polynomial terms and sort them lexicographically.
 
-    Row t of the float64 array ``alphas`` (from ``_exponents``) holds
-    multi-index t in its first ``alpha_lens[t]`` entries, row t of the
-    complex128 array ``coefs`` its coefficient vector in the first
-    ``coef_lens[t]`` entries; any further entries are zero padding. An error
-    names the first faulty term t in input order, checked for length,
-    entries that are not integers, negative entries, entries above
-    ``MAX_DEGREE``, an earlier duplicate, coefficient length and finiteness
-    in that order, and its field is ``terms/t/alpha`` or ``terms/t/coef``.
-    The multi-index checks come from the cached term plan. Returns the plan
-    and the frozen ``(T, m)`` coefficients in its order.
+    Row t of the complex128 arrays ``alphas`` and ``coefs`` (from
+    ``_as_carray``) holds multi-index t, which the caller gave as
+    ``given[t]``, in its first ``alpha_lens[t]`` entries and its coefficient
+    vector in the first ``coef_lens[t]``; any further entries are zero
+    padding. An error names the first faulty term t in input order,
+    checked for length, entries that are not integers, negative entries,
+    entries above ``MAX_DEGREE``, an earlier duplicate, coefficient length
+    and finiteness in that order, and its field is ``terms/t/alpha`` or
+    ``terms/t/coef``. The multi-index checks come from the cached term
+    plan. Returns the plan and the frozen ``(T, m)`` coefficients in its
+    order.
     """
     bad = (coef_lens != m) | ~np.isfinite(coefs).all(axis=1)
     # with a faulty coefficient only the terms up to it are planned, so that
     # a faulty multi-index among them raises first
     T = int(bad.argmax()) + 1 if bad.any() else alphas.shape[0]
     plan = _term_plan(n, alphas[:T].shape, alphas[:T].tobytes(), alpha_lens[:T].tobytes())
-    if bad.any():
-        t = T - 1
-        key = _key(alphas[t, : alpha_lens[t]])
-        if coef_lens[t] != m:
-            raise _FieldError(
-                f"terms/{t}/coef", f"coefficient for {key} has length {coef_lens[t]}, expected {m}"
-            )
-        raise _FieldError(f"terms/{t}/coef", f"coefficient for {key} is not finite")
-    return plan, _freeze(coefs[plan.order].reshape(T, m))
+    if not isinstance(plan, _TermPlan):
+        t, k = plan
+    elif bad.any():
+        t, k = T - 1, 5 if coef_lens[T - 1] != m else 6
+    else:
+        return plan, _freeze(coefs[plan.order].reshape(T, m))
+    key = _key(alphas[t, : alpha_lens[t]], given[t])
+    messages = (
+        f"multi-index {key} has length {len(key)}, expected {n}",
+        f"multi-index {key} has an entry that is not an integer",
+        f"multi-index {key} has a negative entry",
+        f"multi-index {key} has an entry above MAX_DEGREE = {MAX_DEGREE}",
+        f"duplicate multi-index {key}",
+        f"coefficient for {key} has length {coef_lens[t]}, expected {m}",
+        f"coefficient for {key} is not finite",
+    )
+    raise _FieldError(f"terms/{t}/{'alpha' if k < 5 else 'coef'}", messages[k])
 
 
 class PolyMap(HoloMap):
@@ -465,14 +463,10 @@ class PolyMap(HoloMap):
     def __init__(self, n: int, m: int, terms):
         n, m = _dims(n, m)
         items = terms.items() if hasattr(terms, "items") else list(terms)
-        alphas, alpha_lens = _stack_rows(
-            [_exponents(alpha).reshape(-1) for alpha, _ in items], np.float64
-        )
-        coefs, coef_lens = _stack_rows(
-            [np.asarray(coef, dtype=np.complex128).reshape(-1) for _, coef in items],
-            np.complex128,
-        )
-        self._setup(n, m, alphas, coefs, alpha_lens, coef_lens)
+        given = [alpha for alpha, _ in items]
+        alphas, alpha_lens = _stack_rows([_as_carray(a).reshape(-1) for a in given], np.complex128)
+        coefs, coef_lens = _stack_rows([_as_carray(c).reshape(-1) for _, c in items], np.complex128)
+        self._setup(n, m, alphas, coefs, alpha_lens, coef_lens, given)
 
     @classmethod
     def from_arrays(cls, n: int, m: int, alphas, coefs) -> "PolyMap":
@@ -480,8 +474,7 @@ class PolyMap(HoloMap):
         array and of a ``(T, m)`` complex coefficient array; validated and
         sorted exactly as the terms passed to the constructor."""
         n, m = _dims(n, m)
-        alphas = _exponents(alphas)
-        coefs = np.asarray(coefs, dtype=np.complex128)
+        given, alphas, coefs = alphas, _as_carray(alphas), _as_carray(coefs)
         if alphas.ndim != 2 or coefs.ndim != 2 or alphas.shape[0] != coefs.shape[0]:
             raise InputError(
                 f"terms must be (T, n) and (T, m) arrays, got {alphas.shape} and {coefs.shape}"
@@ -495,11 +488,12 @@ class PolyMap(HoloMap):
             coefs,
             np.full(T, alphas.shape[1], dtype=np.int64),
             np.full(T, coefs.shape[1], dtype=np.int64),
+            given,
         )
         return f
 
-    def _setup(self, n: int, m: int, alphas, coefs, alpha_lens, coef_lens) -> None:
-        self._plan, self._coefs = _normalise_terms(n, m, alphas, coefs, alpha_lens, coef_lens)
+    def _setup(self, n: int, m: int, alphas, coefs, alpha_lens, coef_lens, given) -> None:
+        self._plan, self._coefs = _normalise_terms(n, m, alphas, coefs, alpha_lens, coef_lens, given)
         self._alphas = self._plan.alphas
         self.n = n
         self.m = m
@@ -553,8 +547,7 @@ class AffineMap(HoloMap):
     _fields = (("M", _MATRIX), ("b", _VECTOR))
 
     def __init__(self, M, b):
-        M = np.asarray(M, dtype=np.complex128)
-        b = np.asarray(b, dtype=np.complex128)
+        M, b = _as_carray(M), _as_carray(b)
         if M.ndim != 2 or M.size == 0:
             raise _FieldError("M", "M must be a non-empty 2-D complex array")
         if b.shape != M.shape[:1]:
@@ -700,7 +693,7 @@ def _functional(u) -> AffineMap:
 
 
 def _times(v) -> AffineMap:
-    return AffineMap._of(np.asarray(v)[:, None], complex(-0.0, -0.0))
+    return AffineMap._of(v[:, None], complex(-0.0, -0.0))
 
 
 def _rotation(theta: float) -> complex:  # by np.exp, as stored rotations were computed

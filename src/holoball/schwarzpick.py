@@ -215,19 +215,14 @@ def _fd_sampled(
     return ((t0 * q[..., 1] - t1 * q[..., 0]) / (t0 - t1)).max(axis=1)
 
 
-def mod_grad_fd_many(f: HoloMap, Z, seeds, dirs: int = DEFAULT_FD_DIRS) -> np.ndarray:
-    """``mod_grad_fd`` at every row of a ``(B, n)`` batch, row i with direction
-    seed ``seeds[i]`` (a uint64 array or any iterable of integers in
-    [0, 2^64)); entry i is bit for bit ``mod_grad_fd(f, Z[i], dirs, seeds[i])``.
-
-    The batch is validated once here; the oracle's rows ``z + t d`` with
-    finite z and unit d are finite, and go to the map's kernels directly.
-    """
+def _fd_many(f: HoloMap, Z: np.ndarray, seeds, dirs) -> np.ndarray:
+    """The core of the FD oracle's two entries, on a finite ``(B, n)`` batch
+    its caller has validated; the oracle's rows ``z + t d`` with finite z and
+    unit d are finite, and go to the map's kernels directly."""
     if not _is_int(dirs):
         raise InputError("dirs must be an integer")
     if dirs < 64:
         raise InputError("dirs must be at least 64")
-    Z = _as_batch(Z, f.n)
     count = Z.shape[0]
     seeds = _seed_words(seeds)
     if len(seeds) != count:
@@ -245,6 +240,13 @@ def mod_grad_fd_many(f: HoloMap, Z, seeds, dirs: int = DEFAULT_FD_DIRS) -> np.nd
     return out
 
 
+def mod_grad_fd_many(f: HoloMap, Z, seeds, dirs: int = DEFAULT_FD_DIRS) -> np.ndarray:
+    """``mod_grad_fd`` at every row of a ``(B, n)`` batch, row i with direction
+    seed ``seeds[i]`` (a uint64 array or any iterable of integers in
+    [0, 2^64)); entry i is bit for bit ``mod_grad_fd(f, Z[i], dirs, seeds[i])``."""
+    return _fd_many(f, _as_batch(Z, f.n), seeds, dirs)
+
+
 def mod_grad_fd(f: HoloMap, z, dirs: int = DEFAULT_FD_DIRS, seed: int = 0) -> float:
     """Finite-difference realization of the directional definition of
     |grad|f||(z), the supremum over unit directions of the one-sided
@@ -259,8 +261,7 @@ def mod_grad_fd(f: HoloMap, z, dirs: int = DEFAULT_FD_DIRS, seed: int = 0) -> fl
     sphere (the rows of ``sphere_rows(f.n, dirs, [seed])``) and the top
     singular direction of the Jacobian; ``seed`` keys only those samples.
     """
-    Z = _one_point(z, f.n, "mod_grad_fd")
-    return float(mod_grad_fd_many(f, Z, [seed], dirs)[0])
+    return float(_fd_many(f, _one_point(z, f.n, "mod_grad_fd"), [seed], dirs)[0])
 
 
 def _one_minus_sq(x):

@@ -195,6 +195,17 @@ def test_vector_values_may_start_with_minus(tmp_path, capsys):
     assert f.eval(-0.2)[0] == pytest.approx(-0.5, abs=1e-15)
 
 
+def test_any_flag_value_may_start_with_minus(capsys):
+    # a real in exponent form after a flag that takes no vector
+    argv = ["extremal", "--case", "nonzero", "--p", "0.3,0", "--u", "1,0", "--a", "0.5,0"]
+    assert run([*argv, "--theta", "-1e-3"]) == 0
+    spaced = capsys.readouterr().out
+    assert run([*argv, "--theta=-0.001"]) == 0
+    assert capsys.readouterr().out == spaced
+    f = parse_spec(json.loads(spaced))
+    assert f.stages[2].M == np.exp(-1e-3j)
+
+
 def _python_m(module, *args):
     src = str(Path(holoball.__file__).resolve().parent.parent)
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

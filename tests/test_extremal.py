@@ -27,7 +27,7 @@ from holoball import (
     sp_bound,
     vnorm,
 )
-from holoball import extremal, geometry
+from holoball import complexcore, extremal, geometry, holomap
 
 E1 = np.array([1.0, 0.0])
 P_HALF = np.array([0.5, 0.0])
@@ -238,6 +238,29 @@ def test_spec_validation():
     # a huge direction is reported with its finite length
     with pytest.raises(InputError, match=r"\|u\| = 1e\+200"):
         extremal_zero_case(ExtremalSpec.zero([0.1], [1e200], [1.0]))
+
+
+def test_a_witness_coerces_each_vector_once(monkeypatch):
+    seen = []
+
+    def counting(x):
+        seen.append(x)
+        return as_carray(x)
+
+    as_carray = complexcore._as_carray
+    for module in (complexcore, holomap):
+        monkeypatch.setattr(module, "_as_carray", counting)
+    # complex128 vectors come back as they are, so a second coercion of a
+    # stored vector would pass the same object again
+    p, u, beta, a = (np.array(v, dtype=np.complex128) for v in
+                     ([0.3, 0.0], [1.0, 0.0], [0.0, 1.0, 0.0], [0.5j]))
+    for build, vectors in [
+        (lambda: extremal_zero_case(ExtremalSpec.zero(p, u, beta)), (p, u, beta)),
+        (lambda: extremal_nonzero_case(ExtremalSpec.nonzero(p, u, a, 0.7)), (p, u, a)),
+    ]:
+        seen.clear()
+        build()
+        assert [sum(x is v for x in seen) for v in vectors] == [1, 1, 1]
 
 
 def test_diagnose_zero_case_round_trip():

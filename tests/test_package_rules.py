@@ -1,5 +1,5 @@
-"""The package-wide rules: integer and real arguments, result JSON and the
-public names the package re-exports."""
+"""The package-wide rules: integer, real and complex array arguments, result
+JSON and the public names the package re-exports."""
 
 import importlib
 import json
@@ -26,16 +26,28 @@ from holoball import (
     InputError,
     MobiusMap,
     PolyMap,
+    as_cvector,
+    bound_factor,
     diagnose_equality_form,
+    disk_slice,
+    equality_gap,
+    extremal_nonzero_case,
     extremal_zero_case,
     force_zero_at,
     gen_random_polymap,
+    herm_inner,
+    mod_grad,
     mod_grad_fd,
+    mod_grad_fd_many,
     sample_ball_points,
     sample_unit_sphere,
     sp_bound,
+    sp_bound_many,
     sp_bound_slice,
+    spectral_norm,
     sphere_rows,
+    vector_to_pairs,
+    vnorm,
 )
 
 IDENTITY = PolyMap.identity(1)
@@ -135,6 +147,103 @@ def test_numpy_integers_and_floats_are_numbers():
             == sp_bound_slice(IDENTITY, 0.25, 0.1, 0.5).to_dict())
     FuzzConfig(**{k: np.int64(getattr(FuzzConfig(), k)) for k in FUZZ_INTS},
                margin=np.float32(0.25), tol=np.float64(1e-9)).validate()
+    # arrays and lists of numpy numbers read as the same complex128 values
+    z = np.array([0.5, -0.25j])
+    for w in (np.array([0.5, -0.25j], np.complex64), [np.float32(0.5), np.complex64(-0.25j)]):
+        assert POLY.eval(w).tobytes() == POLY.eval(z).tobytes()
+        assert sp_bound(POLY, w).to_dict() == sp_bound(POLY, z).to_dict()
+        assert as_cvector(w).tobytes() == z.tobytes()
+    x = np.array([0.5, 0.25])
+    for w in (x.astype(np.float32), [np.float32(0.5), np.float64(0.25)]):
+        assert POLY.eval_many([w]).tobytes() == POLY.eval_many([x.astype(complex)]).tobytes()
+        assert disk_slice(w, [0.0, 0.5]).to_dict() == disk_slice(x, [0.0, 0.5]).to_dict()
+    M = np.array([[3, -4]], dtype=np.complex128)
+    for N in (M.real.astype(np.int8), [[np.int8(3), np.int64(-4)]], M.astype(np.complex64)):
+        assert AffineMap(N, [np.int8(1)]).M.tobytes() == AffineMap(M, [1.0 + 0j]).M.tobytes()
+        assert spectral_norm(N).direction.tobytes() == spectral_norm(M).direction.tobytes()
+        assert vnorm(N[0]) == vnorm(M[0]) == 5.0
+        c = PolyMap.from_arrays(1, 2, np.array([[1]], np.int8), N)._coefs
+        assert c.tobytes() == PolyMap(1, 2, {(1,): M[0]})._coefs.tobytes()
+    assert vector_to_pairs(np.float32(0.5)) == vector_to_pairs(0.5 + 0j) == [[0.5, 0.0]]
+    assert sp_bound(IDENTITY, np.float32(0.5)).to_dict() == sp_bound(IDENTITY, 0.5).to_dict()
+
+
+# -- complex array arguments -------------------------------------------------
+
+WITNESS2 = extremal_zero_case(ExtremalSpec.zero([0.0, 0.0], [1.0, 0.0], [1.0]))
+
+
+def _first(good, v):
+    """The nested list ``good`` with its first entry replaced by ``v``."""
+    return [_first(good[0], v), *good[1:]] if isinstance(good, list) else v
+
+
+# each value is wrong for any complex array argument; "None" and "ragged
+# list" also give the argument another shape
+BAD_ARRAYS = {
+    "string entry": lambda good: _first(good, "0.5"),
+    "bool entry": lambda good: _first(good, True),
+    "bool array": lambda good: np.zeros(np.shape(good), dtype=bool),
+    "None": lambda good: None,
+    "ragged list": lambda good: [[0.5, 0.25], [0.5]],
+    "int past the float range": lambda good: _first(good, 2**1100),
+}
+# argument -> (call taking it, a value it accepts, the field a map
+# constructor names, or for a reshaped value and for one, if it differs)
+ARRAYS = {
+    "eval(z)": (lambda v: POLY.eval(v), [0.1, 0.2], None),
+    "eval_many(Z)": (lambda v: POLY.eval_many(v), [[0.1, 0.2]], None),
+    "jac_many(Z)": (lambda v: POLY.jac_many(v), [[0.1, 0.2]], None),
+    "eval_jac_many(Z)": (lambda v: POLY.eval_jac_many(v), [[0.1, 0.2]], None),
+    "jacobian(z)": (lambda v: POLY.jacobian(v), [0.1, 0.2], None),
+    "sp_bound(z)": (lambda v: sp_bound(POLY, v), [0.1, 0.2], None),
+    "sp_bound_many(Z)": (lambda v: sp_bound_many(POLY, v), [[0.1, 0.2]], None),
+    "sp_bound_slice(xi)": (lambda v: sp_bound_slice(IDENTITY, v, 0.0, 0.5), [0.25], None),
+    "mod_grad(z)": (lambda v: mod_grad(POLY, v), [0.1, 0.2], None),
+    "mod_grad_fd(z)": (lambda v: mod_grad_fd(POLY, v), [0.1, 0.2], None),
+    "mod_grad_fd_many(Z)": (lambda v: mod_grad_fd_many(POLY, v, [0]), [[0.1, 0.2]], None),
+    "equality_gap(p)": (lambda v: equality_gap(POLY, v), [0.1, 0.2], None),
+    "force_zero_at(p)": (lambda v: force_zero_at(POLY, v, 0.25), [0.1, 0.2], None),
+    "spectral_norm(M)": (lambda v: spectral_norm(v), [[3.0, 4.0]], None),
+    "as_cvector(x)": (lambda v: as_cvector(v), [3.0, 4.0], None),
+    "vnorm(x)": (lambda v: vnorm(v), [3.0, 4.0], None),
+    "herm_inner(x)": (lambda v: herm_inner(v, [0.5, 0.25]), [3.0, 4.0], None),
+    "herm_inner(y)": (lambda v: herm_inner([0.5, 0.25], v), [3.0, 4.0], None),
+    "vector_to_pairs(x)": (lambda v: vector_to_pairs(v), [3.0, 4.0], None),
+    "AffineMap(M)": (lambda v: AffineMap(v, [0.0]), [[0.5, 0.25]], "M"),
+    "AffineMap(b)": (lambda v: AffineMap([[0.5, 0.25]], v), [0.25], "b"),
+    "PolyMap(coef)": (lambda v: PolyMap(1, 1, {(1,): v}), [0.5], "terms/0/coef"),
+    # from_arrays refuses arrays of the wrong shape as a whole
+    "PolyMap.from_arrays(coefs)":
+        (lambda v: PolyMap.from_arrays(1, 2, [[1]], v), [[0.5, 0.25]], ("terms/0/coef", None)),
+    "ExtremalSpec(p)": (lambda v: ExtremalSpec.zero(v, [1.0, 0.0], [1.0]), [0.1, 0.0], None),
+    "ExtremalSpec(u)": (lambda v: ExtremalSpec.zero([0.1, 0.0], v, [1.0]), [1.0, 0.0], None),
+    "ExtremalSpec(beta)": (lambda v: ExtremalSpec.zero([0.1, 0.0], [1.0, 0.0], v), [1.0, 0.0], None),
+    "ExtremalSpec(a)":
+        (lambda v: ExtremalSpec.nonzero([0.1, 0.0], [1.0, 0.0], v, 0.5), [0.5, 0.0], None),
+    "disk_slice(p)": (lambda v: disk_slice(v, [0.0, 0.5]), [0.1, 0.2], None),
+    "disk_slice(q)": (lambda v: disk_slice([0.0, 0.5], v), [0.1, 0.2], None),
+    "bound_factor(p)": (lambda v: bound_factor(v, [0.0, 0.5]), [0.1, 0.2], None),
+    "diagnose(p)": (lambda v: diagnose_equality_form(WITNESS2, v, [0.5, 0.0]), [0.0, 0.0], None),
+    "diagnose(q)": (lambda v: diagnose_equality_form(WITNESS2, [0.0, 0.0], v), [0.5, 0.0], None),
+}
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+def test_array_arguments_take_their_good_value(name):
+    call, good, _ = ARRAYS[name]
+    call(good)
+
+
+@pytest.mark.parametrize("bad", BAD_ARRAYS)
+@pytest.mark.parametrize("name", ARRAYS)
+def test_array_entries_that_are_not_numbers_are_refused(name, bad):
+    call, good, field = ARRAYS[name]
+    if isinstance(field, tuple):
+        field = field[bad in ("None", "ragged list")]
+    with pytest.raises(InputError) as exc:
+        call(BAD_ARRAYS[bad](good))
+    assert getattr(exc.value, "field", None) == field
 
 
 # -- result JSON -------------------------------------------------------------

@@ -559,8 +559,7 @@ def test_each_public_call_validates_its_points_once(monkeypatch):
         (lambda: sp_bound_many(f, zs), 1),
         (lambda: sp_bound_slice(g, 0.1, 0.0, 2.0), 1),
         (lambda: mod_grad(f, zs[0]), 1),
-        # the FD oracle's single-point view, then its batch entry
-        (lambda: mod_grad_fd(f, zs[0]), 2),
+        (lambda: mod_grad_fd(f, zs[0]), 1),
         (lambda: mod_grad_fd_many(f, zs, range(len(zs))), 1),
     ]:
         calls.clear()
