@@ -12,8 +12,12 @@ Conventions used throughout the package:
   is never parsed. A complex argument is a real or a Python or numpy
   complex, and so is each entry of a complex array argument. ``_is_int``,
   ``_is_real``, ``_as_float`` and ``_as_complex`` below, and the checks
-  built on them, are the one home of these rules; ``_as_carray``, the one
-  home of the array rule, reads each complex array a caller passes in.
+  built on them, are the one home of these rules. ``_integer``, the one
+  integer-range check, judges each integer argument; ``_carray``, the array
+  gate, judges each complex array argument: it reads the array by
+  ``_as_carray``, checks its shape, and refuses an entry that is not a
+  finite number. Their ``InputError`` has a ``field`` only when a map
+  constructor asks for one.
 * A result's ``to_dict`` is ``_to_json`` of it: a dataclass is written as an
   object of its fields in declaration order, less those marked
   ``metadata={"json": False}``; complex values are written as above, and
@@ -75,8 +79,9 @@ def _as_complex(v) -> complex:
 
 def _as_carray(x) -> np.ndarray:
     """A caller's array argument as a complex128 array of ``_as_complex`` of
-    each entry, for the caller's finiteness check to refuse a NaN: a numeric
-    array whole, a complex128 one as it is, and any other entry by entry."""
+    each entry, so that an entry that is not a number reads as NaN: a
+    numeric array whole, a complex128 one as it is, and any other entry by
+    entry. Sub-arrays of unequal shapes read as one NaN."""
     if type(x) is np.ndarray:  # a subclass (np.matrix) reads entry by entry, as a base array
         if x.dtype == np.complex128:
             return x
@@ -103,25 +108,45 @@ def _unit_interval(v, name: str) -> None:
         raise InputError(f"{name} must lie in (0, 1)")
 
 
-def _positive_ints(**args) -> None:
-    """Raises for the first keyword argument that is not an integer >= 1."""
-    for name, v in args.items():
-        if not _is_int(v) or v < 1:
-            raise InputError(f"{name} must be a positive integer")
+# how the integer check spells a lower bound
+_AT_LEAST = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
 
 
-def as_cvector(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D complex128 array."""
+def _integer(v, name: str, lo: int | None = None, hi: int | None = None, *,
+             field: bool = False) -> int:
+    """``v`` as an int; raises ``InputError`` unless it is an integer in
+    ``[lo, hi)``, a bound of None being no bound. With ``field``, the
+    error's ``field`` is ``name``."""
+    if type(v) is not int:  # a Python int, the common case, skips the type tests
+        v = int(v) if _is_int(v) else None
+    if v is None or lo is not None and v < lo:
+        raise InputError(f"{name} must be {_AT_LEAST.get(lo, f'an integer >= {lo}')}",
+                         field=name if field else None)
+    if hi is not None and v >= hi:
+        raise InputError(f"{name} = {v} is too large", field=name if field else None)
+    return v
+
+
+def _carray(x, name: str, what: str = "", ok=None, *, field: bool = False) -> np.ndarray:
+    """The array gate: ``_as_carray`` of a caller's array argument ``x``.
+    Raises ``InputError`` when ``ok`` is given and fails on the array
+    (``name`` must be ``what``), or when an entry is not a finite number;
+    with ``field``, the error's ``field`` is ``name``."""
     a = _as_carray(x)
-    if a.ndim == 0:
-        a = a.reshape(1)
-    if a.ndim != 1 or a.size == 0:
-        raise InputError(f"{name} must be a non-empty 1-D complex array")
+    if ok is not None and not ok(a):
+        raise InputError(f"{name} must be {what}", field=name if field else None)
     # count_nonzero is a Python dispatcher too in numpy 2, but at about half
     # the cost of .all() on a short vector
     if np.count_nonzero(np.isfinite(a)) != a.size:
-        raise InputError(f"{name} contains non-finite entries")
+        raise InputError(f"an entry of {name} is not a finite number",
+                         field=name if field else None)
     return a
+
+
+def as_cvector(x, name: str = "vector") -> np.ndarray:
+    """Coerce to a finite 1-D complex128 array; a number is a vector of one."""
+    a = _carray(x, name, "a non-empty 1-D complex array", lambda a: a.ndim < 2 and a.size > 0)
+    return a.reshape(1) if a.ndim == 0 else a
 
 
 def herm_inner(x, y) -> complex:
@@ -200,11 +225,8 @@ def spectral_norm(M) -> SpectralPair:
     gives a float array of sigmas and a ``(k, n)`` array of directions; row
     i of a stack equals the 2-D call on ``M[i]``.
     """
-    A = _as_carray(M)
-    if A.ndim not in (2, 3) or A.size == 0:
-        raise InputError("M must be a non-empty 2-D complex array or a stack of them")
-    if np.count_nonzero(np.isfinite(A)) != A.size:
-        raise InputError("M contains non-finite entries")
+    A = _carray(M, "M", "a non-empty 2-D complex array or a stack of them",
+                lambda a: a.ndim in (2, 3) and a.size > 0)
     _, s, vh = np.linalg.svd(A if A.ndim == 3 else A[None], full_matrices=False)
     sigma = s[:, 0]
     direction = np.conj(vh[:, 0, :])
@@ -221,10 +243,8 @@ def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:
     Standard complex Gaussians normalized to unit length; deterministic for a
     given seed. Returns an array of shape ``(count, n)``.
     """
-    _positive_ints(n=n, count=count)
-    if not _is_int(seed) or seed < 0:
-        raise InputError("seed must be a non-negative integer")
-    rng = np.random.default_rng(int(seed))
+    n, count = _integer(n, "n", 1), _integer(count, "count", 1)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     norms = _row_norms(z)
     # redraw the (measure-zero) rows that are too short to normalize stably
@@ -290,7 +310,7 @@ def sphere_rows(n: int, count: int, seeds) -> np.ndarray:
     the floats go through numpy's log, cos and sin, so their last bits are
     fixed only on one machine and numpy build.
     """
-    _positive_ints(n=n, count=count)
+    n, count = _integer(n, "n", 1), _integer(count, "count", 1)
     S = _seed_words(seeds)
     u = _open_unit(_stream_words(S, 2 * count * n)).reshape(S.shape[0], count, n, 2)
     r2 = -2.0 * np.log(u[..., 0])

@@ -12,7 +12,13 @@ __all__ = [
 
 
 class InputError(ValueError):
-    """Invalid argument: dimension mismatch, out-of-range value, bad config."""
+    """Invalid argument: dimension mismatch, out-of-range value, bad config.
+    Only a map constructor sets ``field``, the faulty argument's document
+    path relative to the map, such as ``b`` or ``terms/3/alpha``."""
+
+    def __init__(self, *args, field: str | None = None):
+        super().__init__(*args)
+        self.field = field
 
 
 class SchemaError(InputError):

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcore import (_as_float, _is_int, _norm, _positive_real, _row_norms,
-                          _to_json, as_cvector)
+from .complexcore import (_as_float, _integer, _norm, _positive_real, _row_norms, _to_json,
+                          as_cvector)
 from .errors import InputError, PreconditionError
 from .geometry import _ball_point, disk_slice
 from .holomap import (AffineMap, HoloMap, MobiusMap, Pipeline, _freeze, _functional, _rotation,
@@ -58,7 +58,7 @@ DEFAULT_DIAGNOSE_SAMPLES = 64
 DEFAULT_DIAGNOSE_TOL = 1e-10
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExtremalSpec:
     """Parameters of an equality-case construction.
 
@@ -67,7 +67,7 @@ class ExtremalSpec:
     unit target direction ``beta``; the nonzero case carries the target value
     ``a`` (0 < |a| < 1) and a rotation angle ``theta``. The spec is judged
     when it is built: each vector its case uses as ``as_cvector`` of it, theta
-    as a finite real.
+    as a finite real. It is frozen, so a judged field cannot be replaced.
     """
 
     case: str
@@ -80,9 +80,9 @@ class ExtremalSpec:
     def __post_init__(self):
         nonzero = self.case == "nonzero"
         for name in ("p", "u", "a" if nonzero else "beta"):
-            setattr(self, name, as_cvector(getattr(self, name), name))
+            object.__setattr__(self, name, as_cvector(getattr(self, name), name))
         if nonzero:
-            self.theta = _as_float(self.theta)
+            object.__setattr__(self, "theta", _as_float(self.theta))
             if not math.isfinite(self.theta):
                 raise InputError("theta must be a finite real")
 
@@ -208,10 +208,7 @@ def diagnose_equality_form(
     collinear with p; both are verified. Samples sit on the circle of radius
     0.9 r about c in the slice disk.
     """
-    if not _is_int(samples):
-        raise InputError("samples must be an integer")
-    if samples < 2:
-        raise InputError("samples must be at least 2")
+    samples = _integer(samples, "samples", 2)
     tol = _positive_real(tol, "tol")
     pv = as_cvector(p, "p")
     qv = as_cvector(q, "q")
@@ -257,5 +254,5 @@ def diagnose_equality_form(
         orth = float(np.sqrt(np.maximum(orth_sq, 0.0)).max())
         fit = {"fitted_theta": theta_fit, "fitted_a": fp, "orthogonal_max": orth}
     return Diagnosis(
-        matches=bool(resid <= tol), max_residual=resid, points_tested=int(samples), **fit
+        matches=bool(resid <= tol), max_residual=resid, points_tested=samples, **fit
     )

@@ -48,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexcore import (_GOLDEN, _is_int, _positive_ints, _positive_real, _row_norms,
-                          _splitmix64, _to_json, _unit_interval, sample_unit_sphere, spectral_norm)
+from .complexcore import (_GOLDEN, _integer, _positive_real, _row_norms, _splitmix64, _to_json,
+                          _unit_interval, sample_unit_sphere, spectral_norm)
 from .errors import InputError
 from .holomap import PolyMap
 from .schwarzpick import (
@@ -107,15 +107,12 @@ def _mix_range(prefix, count: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _multi_indices(n: int, max_degree: int) -> np.ndarray:
     """The multi-indices of total degree <= max_degree in n variables, in
-    lexicographic order, as one read-only ``(T, n)`` int64 array."""
-    alphas = np.array(
-        [
-            alpha
-            for alpha in itertools.product(range(max_degree + 1), repeat=n)
-            if sum(alpha) <= max_degree
-        ],
-        dtype=np.int64,
-    ).reshape(-1, n)
+    lexicographic order, as one read-only ``(T, n)`` int64 array: each row
+    is extended by every exponent that keeps its degree <= max_degree."""
+    rows = [()]
+    for _ in range(n):
+        rows = [r + (k,) for r in rows for k in range(max_degree + 1 - sum(r))]
+    alphas = np.array(rows, dtype=np.int64)
     alphas.setflags(write=False)
     return alphas
 
@@ -133,14 +130,11 @@ def _certified(n: int, m: int, alphas: np.ndarray, coefs: np.ndarray, margin: fl
 def gen_random_polymap(n: int, m: int, max_degree: int, margin: float, seed: int) -> PolyMap:
     """Seeded Gaussian polynomial map rescaled to the l1 containment
     certificate ``sum_k (sum_alpha |c_{k,alpha}|)^2 <= (1 - margin)^2``."""
-    _positive_ints(n=n, m=m)
-    if not _is_int(max_degree) or max_degree < 0:
-        raise InputError("max_degree must be a non-negative integer")
+    n, m = _integer(n, "n", 1), _integer(m, "m", 1)
+    max_degree = _integer(max_degree, "max_degree", 0)
     _unit_interval(margin, "margin")
-    if not _is_int(seed):
-        raise InputError("seed must be an integer")
+    rng = np.random.default_rng(_mix(_integer(seed, "seed")))
     alphas = _multi_indices(n, max_degree)
-    rng = np.random.default_rng(_mix(seed))
     T = alphas.shape[0]
     raw = rng.standard_normal((T, m)) + 1j * rng.standard_normal((T, m))
     return _certified(n, m, alphas, raw, margin)
@@ -168,8 +162,7 @@ def force_zero_at(f: PolyMap, p, margin: float) -> PolyMap:
 def sample_ball_points(n: int, count: int, seed: int) -> np.ndarray:
     """Uniform samples of the unit ball of C^n: uniform sphere direction
     times inverse-CDF radius ``U^(1/(2n))``; radii above 0.999 are redrawn."""
-    if not _is_int(seed):
-        raise InputError("seed must be an integer")
+    seed = _integer(seed, "seed")
     dirs = sample_unit_sphere(n, count, _mix(seed, 0xD12))
     rng = np.random.default_rng(_mix(seed, 0x2AD))
     radii = rng.random(count) ** (1.0 / (2 * n))
@@ -204,18 +197,15 @@ class FuzzConfig:
     def validate(self) -> None:
         """Raise ``InputError`` for a field the campaign cannot run with;
         ``fuzz_campaign`` calls this before it opens its log."""
-        for name in ("trials", "max_degree", "fd_dirs", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise InputError(f"{name} must be an integer")
-        _positive_ints(points_per_trial=self.points_per_trial, n=self.n, m=self.m)
-        if self.trials < 0:
-            raise InputError("trials must be non-negative")
-        if self.max_degree < 0:
-            raise InputError("max_degree must be non-negative")
+        for name, lo in (("trials", 0), ("points_per_trial", 1), ("n", 1), ("m", 1),
+                         ("max_degree", 0), ("seed", None), ("fd_dirs", 0)):
+            _integer(getattr(self, name), name, lo)
+        if 0 < self.fd_dirs < 64:
+            raise InputError("fd_dirs must be 0 (disabled) or at least 64")
         _unit_interval(self.margin, "margin")
         _positive_real(self.tol, "tol")
-        if self.fd_dirs != 0 and self.fd_dirs < 64:
-            raise InputError("fd_dirs must be 0 (disabled) or at least 64")
+        if not isinstance(self.pin_counterexample, (bool, np.bool_)):
+            raise InputError("pin_counterexample must be a bool")
 
 
 @dataclass

@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexcore import (_array_to_pairs, _as_carray, _as_complex, _as_float, _is_int, _is_real,
-                          complex_to_pair)
+from .complexcore import (_array_to_pairs, _as_carray, _as_complex, _as_float, _carray, _integer,
+                          _is_int, _is_real, complex_to_pair)
 from .errors import DomainError, InputError, SchemaError
 
 __all__ = [
@@ -60,15 +60,6 @@ POLE_TOL = 1e-15
 MAX_DEGREE = 1024
 
 
-class _FieldError(InputError):
-    """A constructor's ``InputError`` naming the faulty argument by its
-    document path relative to the map, such as ``z0`` or ``terms/3/alpha``."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -76,7 +67,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _as_batch(Z, n: int) -> np.ndarray:
     """Coerce evaluation points to a finite ``(B, n)`` complex batch."""
-    A = _as_carray(Z)
+    A = _carray(Z, "points")
     if A.ndim == 0:
         A = A.reshape(1, 1)
     elif A.ndim == 1:
@@ -88,7 +79,7 @@ def _as_batch(Z, n: int) -> np.ndarray:
             raise InputError(f"point has dimension {A.shape[0]}, map expects {n}")
     if A.ndim != 2 or A.shape[1] != n:
         raise InputError(f"points must have shape (B, {n}), got {A.shape}")
-    return _finite(A)
+    return A
 
 
 def _one_point(z, n: int, name: str) -> np.ndarray:
@@ -100,7 +91,8 @@ def _one_point(z, n: int, name: str) -> np.ndarray:
 
 
 def _finite(A: np.ndarray) -> np.ndarray:
-    """``A`` itself; raises ``InputError`` when it has a non-finite entry."""
+    """A pipeline's intermediate values ``A`` themselves; raises
+    ``InputError`` when one is not finite."""
     if np.count_nonzero(np.isfinite(A)) != A.size:
         raise InputError("points contain non-finite entries")
     return A
@@ -305,12 +297,8 @@ def _stack_rows(rows, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dims(n, m) -> tuple[int, int]:
-    for name, v in (("n", n), ("m", m)):
-        if not _is_int(v) or v < 1:
-            raise _FieldError(name, f"{name} must be a positive integer")
-        if v >= 2**59:  # past the largest dimension of a complex128 array
-            raise _FieldError(name, f"{name} = {v} is too large")
-    return int(n), int(m)
+    # 2^59 is past the largest dimension of a complex128 array
+    return _integer(n, "n", 1, 2**59, field=True), _integer(m, "m", 1, 2**59, field=True)
 
 
 def _key(row: np.ndarray, given) -> tuple:
@@ -440,7 +428,7 @@ def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens, given
         f"coefficient for {key} has length {coef_lens[t]}, expected {m}",
         f"coefficient for {key} is not finite",
     )
-    raise _FieldError(f"terms/{t}/{'alpha' if k < 5 else 'coef'}", messages[k])
+    raise InputError(messages[k], field=f"terms/{t}/{'alpha' if k < 5 else 'coef'}")
 
 
 class PolyMap(HoloMap):
@@ -477,7 +465,8 @@ class PolyMap(HoloMap):
         given, alphas, coefs = alphas, _as_carray(alphas), _as_carray(coefs)
         if alphas.ndim != 2 or coefs.ndim != 2 or alphas.shape[0] != coefs.shape[0]:
             raise InputError(
-                f"terms must be (T, n) and (T, m) arrays, got {alphas.shape} and {coefs.shape}"
+                f"terms must be (T, n) and (T, m) arrays, got {alphas.shape} and {coefs.shape}",
+                field="terms",
             )
         T = alphas.shape[0]
         f = cls.__new__(cls)
@@ -547,15 +536,12 @@ class AffineMap(HoloMap):
     _fields = (("M", _MATRIX), ("b", _VECTOR))
 
     def __init__(self, M, b):
-        M, b = _as_carray(M), _as_carray(b)
-        if M.ndim != 2 or M.size == 0:
-            raise _FieldError("M", "M must be a non-empty 2-D complex array")
-        if b.shape != M.shape[:1]:
-            raise _FieldError("b", f"b must be a 1-D complex array of length {M.shape[0]}")
-        K = self._own(M, b)
-        if np.count_nonzero(np.isfinite(K)) != K.size:
-            name = "M" if np.count_nonzero(np.isfinite(M)) != M.size else "b"
-            raise _FieldError(name, f"{name} contains non-finite entries")
+        M = _carray(M, "M", "a non-empty 2-D complex array", lambda a: a.ndim == 2 and a.size > 0,
+                    field=True)
+        m = M.shape[0]
+        b = _carray(b, "b", f"a 1-D complex array of length {m}", lambda a: a.shape == (m,),
+                    field=True)
+        self._own(M, b)
 
     @classmethod
     def _of(cls, M: np.ndarray, b) -> "AffineMap":
@@ -564,14 +550,13 @@ class AffineMap(HoloMap):
         f._own(M, b)
         return f
 
-    def _own(self, M: np.ndarray, b) -> np.ndarray:
-        """Copy M and b into one buffer, the map's own, and return it."""
+    def _own(self, M: np.ndarray, b) -> None:
+        """Copy M and b into one buffer, the map's own."""
         self.m, self.n = M.shape
         K = np.empty(M.size + self.m, dtype=np.complex128)
         K[: M.size], K[M.size :] = M.reshape(-1), b
         self.M, self.b = _freeze(K)[: M.size].reshape(M.shape), K[M.size :]
         self._MT = self.M.T
-        return K
 
     def __repr__(self):
         return f"AffineMap(n={self.n}, m={self.m})"
@@ -607,10 +592,10 @@ class MobiusMap(HoloMap):
         M, b = _as_complex(M), _as_complex(b)
         # parts below 1 first, so that abs(b) cannot overflow; NaN fails too
         if not (abs(b.real) < 1.0 and abs(b.imag) < 1.0 and abs(b) < 1.0):
-            raise _FieldError("b", f"b must be a complex number with |b| < 1, got {b!r}")
+            raise InputError(f"b must be a complex number with |b| < 1, got {b!r}", field="b")
         mcb = M * b.conjugate()
         if not (cmath.isfinite(M) and cmath.isfinite(mcb)):
-            raise _FieldError("M", "M and M conj(b) must be finite complex numbers")
+            raise InputError("M and M conj(b) must be finite complex numbers", field="M")
         self.M, self.b = M, b
         # the kernels' M, b, M conj(b) and M (1 - |b|^2) as 0-d arrays: numpy converts
         # a Python scalar operand on every call, a 0-d array not, with the same bits
@@ -647,15 +632,15 @@ class Pipeline(HoloMap):
     def __init__(self, stages):
         stages = tuple(stages)
         if not stages:
-            raise _FieldError("stages", "pipeline needs at least one stage")
+            raise InputError("pipeline needs at least one stage", field="stages")
         for s in stages:
             if not isinstance(s, HoloMap):
-                raise _FieldError("stages", f"pipeline stage {s!r} is not a map")
+                raise InputError(f"pipeline stage {s!r} is not a map", field="stages")
         for a, b in itertools.pairwise(stages):
             if a.m != b.n:
-                raise _FieldError(
-                    "stages",
+                raise InputError(
                     f"stage output dimension {a.m} does not match next input dimension {b.n}",
+                    field="stages",
                 )
         self.stages = stages
         self.n = stages[0].n
@@ -702,7 +687,7 @@ def _rotation(theta: float) -> complex:  # by np.exp, as stored rotations were c
 
 def _line_embed(p: list, q: list) -> AffineMap:
     if len(p) != len(q):
-        raise _FieldError("q", "p and q must have the same dimension")
+        raise InputError("p and q must have the same dimension", field="q")
     with np.errstate(over="ignore"):  # a q - p past the float range is refused
         return AffineMap(np.subtract(q, p)[:, None], p)
 
@@ -713,10 +698,12 @@ def _line_embed(p: list, q: list) -> AffineMap:
 def _legacy(fields, field, build):
     def read(doc, path) -> HoloMap:
         _expect_object(doc, path, ("kind", *dict(fields)))
-        try:  # a reader's SchemaError passes through
+        try:
             return build(*[r(doc[k], f"{path}/{k}") for k, r in fields])
-        except _FieldError as e:
-            raise _FieldError(field, str(e)) from e
+        except InputError as e:
+            if e.field is None:  # a reader's SchemaError names no field
+                raise
+            raise InputError(str(e), field=field) from e
     return read
 
 
@@ -743,10 +730,8 @@ def _parse(doc, path) -> HoloMap:
         return read(doc, path)
     except SchemaError:
         raise
-    except _FieldError as e:
-        raise SchemaError(f"{path}/{e.field}", str(e)) from e
     except InputError as e:
-        raise SchemaError(path, str(e)) from e
+        raise SchemaError(path if e.field is None else f"{path}/{e.field}", str(e)) from e
 
 
 def parse_spec(doc) -> HoloMap:

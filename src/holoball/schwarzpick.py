@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexcore import (_as_complex, _is_int, _positive_real, _row_norms, _seed_words,
+from .complexcore import (_as_complex, _integer, _positive_real, _row_norms, _seed_words,
                           _to_json, spectral_norm, sphere_rows)
 from .errors import CertificationError, InputError
 from .holomap import HoloMap, _as_batch, _freeze, _one_point
@@ -219,10 +219,7 @@ def _fd_many(f: HoloMap, Z: np.ndarray, seeds, dirs) -> np.ndarray:
     """The core of the FD oracle's two entries, on a finite ``(B, n)`` batch
     its caller has validated; the oracle's rows ``z + t d`` with finite z and
     unit d are finite, and go to the map's kernels directly."""
-    if not _is_int(dirs):
-        raise InputError("dirs must be an integer")
-    if dirs < 64:
-        raise InputError("dirs must be at least 64")
+    dirs = _integer(dirs, "dirs", 64)
     count = Z.shape[0]
     seeds = _seed_words(seeds)
     if len(seeds) != count:

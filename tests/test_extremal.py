@@ -4,6 +4,7 @@ Witness gradients are pinned by hand: the zero case attains
 1 / (1 - |p|^2) at p, the nonzero case (1 - |a|^2) / (1 - |p|^2).
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -238,6 +239,16 @@ def test_spec_validation():
     # a huge direction is reported with its finite length
     with pytest.raises(InputError, match=r"\|u\| = 1e\+200"):
         extremal_zero_case(ExtremalSpec.zero([0.1], [1e200], [1.0]))
+
+
+def test_a_judged_spec_cannot_be_reassigned():
+    # a reassigned beta used to reach the construction unjudged and raise TypeError
+    s = ExtremalSpec.zero([0.3, 0.0], [1.0, 0.0], [1.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.beta = [1.0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ExtremalSpec.nonzero([0.0], [1.0], [0.5], 0.7).theta = "0.7"
+    assert s.beta.tobytes() == np.array([1.0 + 0j]).tobytes()
 
 
 def test_a_witness_coerces_each_vector_once(monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import stat
 
@@ -498,6 +499,22 @@ def test_multi_indices_are_cached_read_only():
         gen_random_polymap(2.0, 2, max_degree=3, margin=0.25, seed=1)
     with pytest.raises(InputError):
         gen_random_polymap(2, 2, max_degree=3.0, margin=0.25, seed=1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_multi_indices_equal_the_filtered_product(n):
+    for d in range(6):
+        rows = [a for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d]
+        a = _multi_indices(n, d)
+        assert a.dtype == np.int64
+        assert np.array_equal(a, np.array(rows, dtype=np.int64))
+
+
+def test_multi_indices_grow_with_their_count_not_with_the_cube():
+    # the filtered product would walk 4^24 tuples for these 2925 rows
+    a = _multi_indices(24, 3)
+    assert a.shape == (math.comb(27, 3), 24) == (2925, 24)
+    assert (a.sum(axis=1) <= 3).all()
 
 
 def test_force_zero_equals_dict_reference():

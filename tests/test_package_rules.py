@@ -1,6 +1,7 @@
 """The package-wide rules: integer, real and complex array arguments, result
 JSON and the public names the package re-exports."""
 
+import ast
 import importlib
 import json
 import math
@@ -25,6 +26,7 @@ from holoball import (
     GradResult,
     InputError,
     MobiusMap,
+    Pipeline,
     PolyMap,
     as_cvector,
     bound_factor,
@@ -49,14 +51,15 @@ from holoball import (
     vector_to_pairs,
     vnorm,
 )
+from holoball import holomap
 
 IDENTITY = PolyMap.identity(1)
 WITNESS = extremal_zero_case(ExtremalSpec.zero([0.0], [1.0], [1.0]))
 POLY = gen_random_polymap(2, 2, 3, 0.25, 1)
 FUZZ_INTS = ("trials", "points_per_trial", "n", "m", "max_degree", "fd_dirs", "seed")
 
-# each call takes a bool where an integer belongs, or a bool or a string
-# where a real belongs
+# each call takes a bool where an integer belongs, a bool or a string where
+# a real belongs, or something else than a bool where a bool belongs
 REFUSED = {
     **{f"FuzzConfig({k}=True)": lambda k=k: FuzzConfig(**{k: True}).validate() for k in FUZZ_INTS},
     "sample_unit_sphere(n=True)": lambda: sample_unit_sphere(True, 3, 0),
@@ -90,13 +93,49 @@ REFUSED = {
     "force_zero_at(margin='0.5')": lambda: force_zero_at(POLY, [0.1, 0.2], "0.5"),
     "FuzzConfig(margin='0.5')": lambda: FuzzConfig(margin="0.5").validate(),
     "sp_bound_slice(r='0.5')": lambda: sp_bound_slice(IDENTITY, 0.25, 0.0, "0.5"),
+    **{
+        f"FuzzConfig(pin_counterexample={v!r})":
+            lambda v=v: FuzzConfig(trials=0, fd_dirs=0, pin_counterexample=v).validate()
+        for v in ("no", None, 1)
+    },
+}
+# the map constructor refusals among them, with the field each names
+REFUSED_FIELDS = {"PolyMap(n=True)": "n", "PolyMap(m=True)": "m"}
+
+
+@pytest.mark.parametrize("call, field", [(call, REFUSED_FIELDS.get(name))
+                                         for name, call in REFUSED.items()], ids=REFUSED.keys())
+def test_bools_and_strings_are_not_numbers(call, field):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert exc.value.field == field
+
+
+# the integer check's message at each of its bounds
+INTEGER_MESSAGES = {
+    "mod_grad_fd(dirs=63)": (lambda: mod_grad_fd(IDENTITY, 0.5, dirs=63),
+                             "dirs must be an integer >= 64"),
+    "diagnose(samples=1)": (lambda: diagnose_equality_form(WITNESS, [0.0], [0.5], samples=1),
+                            "samples must be an integer >= 2"),
+    "FuzzConfig(trials=-1)": (lambda: FuzzConfig(trials=-1).validate(),
+                              "trials must be a non-negative integer"),
+    "FuzzConfig(trials=1.0)": (lambda: FuzzConfig(trials=1.0).validate(),
+                               "trials must be a non-negative integer"),
+    "FuzzConfig(fd_dirs=8)": (lambda: FuzzConfig(fd_dirs=8).validate(),
+                              "fd_dirs must be 0 (disabled) or at least 64"),
+    "sample_unit_sphere(count=0)": (lambda: sample_unit_sphere(2, 0, 1),
+                                    "count must be a positive integer"),
+    "gen_random_polymap(seed='1')": (lambda: gen_random_polymap(2, 2, 3, 0.25, "1"),
+                                     "seed must be an integer"),
+    "PolyMap(n=2**59)": (lambda: PolyMap(2**59, 1, {}), f"n = {2**59} is too large"),
 }
 
 
-@pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
-def test_bools_and_strings_are_not_numbers(call):
-    with pytest.raises(InputError):
+@pytest.mark.parametrize("call, message", INTEGER_MESSAGES.values(), ids=INTEGER_MESSAGES.keys())
+def test_integer_refusals_name_their_bound(call, message):
+    with pytest.raises(InputError) as exc:
         call()
+    assert str(exc.value) == message
 
 
 # each call takes a bool or a string where a real or complex scalar belongs;
@@ -117,7 +156,7 @@ SCALARS = {
 def test_bools_and_strings_are_not_scalars(call, field):
     with pytest.raises(InputError) as exc:
         call()
-    assert getattr(exc.value, "field", None) == field
+    assert exc.value.field == field
 
 
 def test_numpy_integers_and_floats_are_numbers():
@@ -146,7 +185,8 @@ def test_numpy_integers_and_floats_are_numbers():
     assert (sp_bound_slice(IDENTITY, 0.25, np.complex128(0.1), 0.5).to_dict()
             == sp_bound_slice(IDENTITY, 0.25, 0.1, 0.5).to_dict())
     FuzzConfig(**{k: np.int64(getattr(FuzzConfig(), k)) for k in FUZZ_INTS},
-               margin=np.float32(0.25), tol=np.float64(1e-9)).validate()
+               margin=np.float32(0.25), tol=np.float64(1e-9),
+               pin_counterexample=np.bool_(True)).validate()
     # arrays and lists of numpy numbers read as the same complex128 values
     z = np.array([0.5, -0.25j])
     for w in (np.array([0.5, -0.25j], np.complex64), [np.float32(0.5), np.complex64(-0.25j)]):
@@ -215,7 +255,7 @@ ARRAYS = {
     "PolyMap(coef)": (lambda v: PolyMap(1, 1, {(1,): v}), [0.5], "terms/0/coef"),
     # from_arrays refuses arrays of the wrong shape as a whole
     "PolyMap.from_arrays(coefs)":
-        (lambda v: PolyMap.from_arrays(1, 2, [[1]], v), [[0.5, 0.25]], ("terms/0/coef", None)),
+        (lambda v: PolyMap.from_arrays(1, 2, [[1]], v), [[0.5, 0.25]], ("terms/0/coef", "terms")),
     "ExtremalSpec(p)": (lambda v: ExtremalSpec.zero(v, [1.0, 0.0], [1.0]), [0.1, 0.0], None),
     "ExtremalSpec(u)": (lambda v: ExtremalSpec.zero([0.1, 0.0], v, [1.0]), [1.0, 0.0], None),
     "ExtremalSpec(beta)": (lambda v: ExtremalSpec.zero([0.1, 0.0], [1.0, 0.0], v), [1.0, 0.0], None),
@@ -243,10 +283,59 @@ def test_array_entries_that_are_not_numbers_are_refused(name, bad):
         field = field[bad in ("None", "ragged list")]
     with pytest.raises(InputError) as exc:
         call(BAD_ARRAYS[bad](good))
-    assert getattr(exc.value, "field", None) == field
+    assert exc.value.field == field
 
 
-# -- result JSON -------------------------------------------------------------
+def test_an_entry_that_is_not_a_number_is_named_so():
+    # "not a finite number" covers a string, a bool or None as well as NaN
+    # and infinity, which alone "contains non-finite entries" named
+    for call, name in [
+        (lambda: vnorm(["3", "4"]), "x"),
+        (lambda: sp_bound(IDENTITY, [True]), "points"),
+        (lambda: spectral_norm([[None]]), "M"),
+        (lambda: AffineMap([["1j"]], [0.0]), "M"),
+        (lambda: as_cvector([0.5, np.nan], "p"), "p"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == f"an entry of {name} is not a finite number"
+
+
+# every refusal of a map constructor, with the field it names; the refusals
+# in REFUSED and ARRAYS that are not a map constructor's name none
+FIELDS = {
+    "PolyMap(n=0)": (lambda: PolyMap(0, 1, {}), "n"),
+    "PolyMap(m=2**59)": (lambda: PolyMap(1, 2**59, {}), "m"),
+    "PolyMap(alpha)": (lambda: PolyMap(1, 1, {(-1,): [0.5]}), "terms/0/alpha"),
+    "PolyMap(coef)": (lambda: PolyMap(1, 1, {(0,): [0.5], (1,): [0.5, 0.5]}), "terms/1/coef"),
+    "PolyMap.from_arrays(n=0)": (lambda: PolyMap.from_arrays(0, 1, [[1]], [[0.5]]), "n"),
+    "PolyMap.from_arrays(shape)": (lambda: PolyMap.from_arrays(1, 2, [[1]], None), "terms"),
+    "PolyMap.from_arrays(T)":
+        (lambda: PolyMap.from_arrays(1, 1, [[1], [2]], [[0.5]]), "terms"),
+    "PolyMap.from_arrays(alpha)":
+        (lambda: PolyMap.from_arrays(1, 1, [[1], [1.5]], [[0.5], [0.5]]), "terms/1/alpha"),
+    "AffineMap(M shape)": (lambda: AffineMap([], [0.0]), "M"),
+    "AffineMap(M entry)": (lambda: AffineMap([[np.inf]], [0.0]), "M"),
+    "AffineMap(b shape)": (lambda: AffineMap([[0.5]], [0.0, 0.0]), "b"),
+    "AffineMap(b entry)": (lambda: AffineMap([[0.5]], [np.nan]), "b"),
+    "MobiusMap(b)": (lambda: MobiusMap(1.0, 1.0), "b"),
+    "MobiusMap(M)": (lambda: MobiusMap(np.inf, 0.5), "M"),
+    "Pipeline(no stage)": (lambda: Pipeline([]), "stages"),
+    "Pipeline(stage)": (lambda: Pipeline([IDENTITY, "f"]), "stages"),
+    "Pipeline(dimensions)": (lambda: Pipeline([POLY, IDENTITY]), "stages"),
+    "line_embed(q)": (lambda: holomap._line_embed([0.5], [0.5, 0.0]), "q"),
+    # a reader of a replaced kind charges its constructor's error to one field
+    "mobius_quotient(a_abs)": (lambda: holomap._READERS["mobius_quotient"](
+        {"kind": "mobius_quotient", "a_abs": 1.0, "theta": 0.0}, ""), "a_abs"),
+}
+
+
+@pytest.mark.parametrize("call, field", FIELDS.values(), ids=FIELDS.keys())
+def test_map_constructors_name_the_faulty_field(call, field):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert type(exc.value) is InputError
+    assert exc.value.field == field
 
 VIOLATION = BoundReport(point=np.array([0.5 + 0.25j]), lhs=2.0, rhs=1.5, slack=-0.5,
                         holds=False, tol=1e-9, branch="zero")
@@ -321,3 +410,48 @@ def test_importing_the_package_loads_no_command_line():
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _assigned(tree, name):
+    """The literal value assigned to ``name`` at the top of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} is not assigned")
+
+
+def _hb_chains(tree):
+    """Each attribute chain ``hb.a.b`` in a module, as its names."""
+    chains = set()
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.insert(0, node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id == "hb":
+            chains.add(tuple(names))
+    return chains
+
+
+def test_every_name_the_benchmark_looks_up_exists():
+    # the tracer wraps functions by module and attribute name, and methods of
+    # the map classes by name; the workloads call hb.<name>
+    tracer = ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))
+    spans = _assigned(tracer, "FUNCTION_SPANS")
+    assert spans
+    for _, module, attr in spans:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    methods = _assigned(tracer, "METHOD_SPANS")
+    assert methods and set(methods) <= set(vars(holoball.HoloMap))
+    workloads = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    assert "import holoball as hb" in ast.unparse(workloads)
+    chains = _hb_chains(workloads)
+    assert chains
+    for chain in chains:
+        obj = holoball
+        for name in chain:
+            assert hasattr(obj, name), "hb." + ".".join(chain)
+            obj = getattr(obj, name)
