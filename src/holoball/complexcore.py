@@ -275,11 +275,7 @@ def _seed_words(seeds) -> np.ndarray:
     """Seeds as a 1-D uint64 array; each must be an integer in [0, 2^64)."""
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1:
         return seeds
-    seeds = list(seeds)
-    for s in seeds:
-        if not _is_int(s) or not 0 <= int(s) < 2**64:
-            raise InputError("seed must be a non-negative integer")
-    return np.array([int(s) for s in seeds], dtype=np.uint64)
+    return np.array([_integer(s, "seed", 0, 2**64) for s in seeds], dtype=np.uint64)
 
 
 def _stream_words(seeds: np.ndarray, k: int) -> np.ndarray:

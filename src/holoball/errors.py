@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copyreg
+
 __all__ = [
     "InputError",
     "SchemaError",
@@ -19,6 +21,11 @@ class InputError(ValueError):
     def __init__(self, *args, field: str | None = None):
         super().__init__(*args)
         self.field = field
+
+    def __reduce__(self):
+        # rebuilt from its message and attributes without __init__, whose
+        # arguments differ by subclass, so that an error crosses a process pool
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class SchemaError(InputError):

@@ -245,7 +245,7 @@ def diagnose_equality_form(
         gprime = np.matmul(at_p.jacobians, (qv - pv)[None, :, None])[0][:, 0]
         hprime = complex(gprime @ np.conj(unit_a))
         wprime = -ds.r / ((ds.r - abs(ds.c)) * (ds.r + abs(ds.c)))
-        efit = hprime / (_one_minus_sq(nfp) * wprime)
+        efit = hprime / (float(_one_minus_sq(nfp)) * wprime)
         theta_fit = float(np.angle(efit))
         rot = complex(np.exp(1j * theta_fit))
         model = (nfp + rot * W) / (1.0 + nfp * rot * W)

@@ -4,7 +4,10 @@ deterministic fuzz campaigns with a JSONL audit log.
 Generated polynomial maps carry an l1 containment certificate: after the
 global rescale, ``sum_k (sum_alpha |c_{k,alpha}|)^2 <= (1 - margin)^2``,
 which forces ``|f(z)| <= 1 - margin`` on the closed ball since every
-monomial has modulus at most 1 there.
+monomial has modulus at most 1 there. The maps of one (n, max_degree) share
+a template: the term plan of ``_multi_indices``, validated once by
+``PolyMap.from_arrays`` and cached. Each map is built on it from its
+certified coefficients alone, bit for bit the map ``from_arrays`` gives.
 
 Campaigns derive one sub-seed per (trial, purpose, point) by splitmix64
 hashing of the config seed, so trials are independent and the whole run is
@@ -51,7 +54,7 @@ import numpy as np
 from .complexcore import (_GOLDEN, _integer, _positive_real, _row_norms, _splitmix64, _to_json,
                           _unit_interval, sample_unit_sphere, spectral_norm)
 from .errors import InputError
-from .holomap import PolyMap
+from .holomap import PolyMap, _TermPlan
 from .schwarzpick import (
     DEFAULT_BOUND_TOL,
     DEFAULT_FD_DIRS,
@@ -117,14 +120,22 @@ def _multi_indices(n: int, max_degree: int) -> np.ndarray:
     return alphas
 
 
-def _certified(n: int, m: int, alphas: np.ndarray, coefs: np.ndarray, margin: float) -> PolyMap:
-    """The terms rescaled to the l1 containment certificate."""
+@functools.lru_cache(maxsize=64)
+def _template(n: int, max_degree: int) -> _TermPlan:
+    """The term plan of ``_multi_indices(n, max_degree)``, validated once by
+    ``PolyMap.from_arrays``; its order is the identity."""
+    alphas = _multi_indices(n, max_degree)
+    return PolyMap.from_arrays(n, 1, alphas, np.zeros((alphas.shape[0], 1)))._plan
+
+
+def _certified(coefs: np.ndarray, margin: float) -> np.ndarray:
+    """The coefficients rescaled to the l1 containment certificate."""
     cert = float(np.sqrt(((np.abs(coefs).sum(axis=0)) ** 2).sum()))
     if cert == 0.0:
-        return PolyMap.from_arrays(n, m, alphas, coefs)
+        return coefs
     # tiny deflation keeps the certificate strict under rounding
     scale = (1.0 - margin) / cert * (1.0 - 1e-13)
-    return PolyMap.from_arrays(n, m, alphas, coefs * scale)
+    return coefs * scale
 
 
 def gen_random_polymap(n: int, m: int, max_degree: int, margin: float, seed: int) -> PolyMap:
@@ -134,10 +145,11 @@ def gen_random_polymap(n: int, m: int, max_degree: int, margin: float, seed: int
     max_degree = _integer(max_degree, "max_degree", 0)
     _unit_interval(margin, "margin")
     rng = np.random.default_rng(_mix(_integer(seed, "seed")))
-    alphas = _multi_indices(n, max_degree)
-    T = alphas.shape[0]
+    plan = _template(n, max_degree)
+    T = plan.alphas.shape[0]
     raw = rng.standard_normal((T, m)) + 1j * rng.standard_normal((T, m))
-    return _certified(n, m, alphas, raw, margin)
+    # finite draws, fresh, in the order of the template's terms
+    return PolyMap._of(plan, _certified(raw, margin))
 
 
 def force_zero_at(f: PolyMap, p, margin: float) -> PolyMap:
@@ -156,7 +168,7 @@ def force_zero_at(f: PolyMap, p, margin: float) -> PolyMap:
         const -= f.eval(p)
         alphas = np.vstack([alphas, np.zeros((1, f.n), dtype=np.int64)])
         coefs = np.vstack([coefs, const[None, :]])
-    return _certified(f.n, f.m, alphas, coefs, margin)
+    return PolyMap.from_arrays(f.n, f.m, alphas, _certified(coefs, margin))
 
 
 def sample_ball_points(n: int, count: int, seed: int) -> np.ndarray:

@@ -7,10 +7,12 @@ differentiates exactly: term by term for polynomials, the quotient rule for
 ``_value`` and ``_value_jac`` (see ``HoloMap``) on points the public
 entries have already validated. A polynomial's terms share a cached term
 plan with every map of the same multi-indices: their sort order and
-checks, and the union of the map's multi-indices with those of its n
-partial derivatives. ``_value_jac`` builds one table of monomials over
-that union and sums the value and every Jacobian column from its columns;
-a pipeline threads values and Jacobians through its stages at once.
+checks, the union of the map's multi-indices with those of its n
+partial derivatives, and the levels that build a table of monomials one
+variable at a time, each prefix that monomials share multiplied out once.
+``_value_jac`` builds one table of monomials over that union and sums the
+value and every Jacobian column from its columns; a pipeline threads values
+and Jacobians through its stages at once.
 
 Maps are immutable after construction. Domain membership is not enforced at
 evaluation time; a map may be evaluated anywhere its poles permit (slices of
@@ -63,6 +65,11 @@ MAX_DEGREE = 1024
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+# 1 as a 0-d array: numpy converts a Python scalar operand on every call, a 0-d
+# array not, with the same bits
+_ONE = _freeze(np.array(1.0 + 0.0j))
 
 
 def _as_batch(Z, n: int) -> np.ndarray:
@@ -243,39 +250,31 @@ class HoloMap:
         return cls(*(read(doc[k], f"{path}/{k}") for k, (read, _) in cls._fields))
 
 
-def _powers(Z: np.ndarray, degrees) -> list[np.ndarray]:
-    """Per column j of the ``(B, n)`` batch, the table ``Z[:, j] ** k`` for
-    k = 0..degrees[j], by repeated multiplication (None where the degree is 0)."""
-    tables = []
-    for j, dj in enumerate(degrees):
-        if dj == 0:
-            tables.append(None)
-            continue
-        P = np.empty((Z.shape[0], dj + 1), dtype=np.complex128)
+def _monomials(X: np.ndarray, levels: tuple, rows: int) -> np.ndarray:
+    """The ``(B, rows)`` monomials of a table of multi-indices at the batch X,
+    one level of the table (see ``_TermPlan``) at a time: the powers of z_j up
+    to its degree by repeated multiplication, then each column of its level as
+    its parent column times a power. Monomial t is the product
+    ``((1 z_0^a_0) z_1^a_1) ...`` over the variables of positive degree, and a
+    prefix that several monomials share is multiplied out once."""
+    B = X.shape[0]
+    if not levels:  # no variable of positive degree: all ones, or empty
+        return np.ones((B, rows), dtype=np.complex128)
+    # one block for a level's table, parents and powers: glibc trims the heap top
+    # only above twice its largest freed block, so large batches then stop
+    # re-faulting pages. No product overlaps its output, which numpy would send to
+    # its scalar loop, whose last bits differ from the SIMD loop's; "clip" spares
+    # ``take`` a copy of ``out``, and the exponents are in range.
+    block, mono = np.empty(3 * B * rows, dtype=np.complex128), _ONE
+    for j, degree, parent, exp in levels:
+        P = np.empty((B, degree + 1), dtype=np.complex128)
         P[:, 0] = 1.0
-        for k in range(1, dj + 1):
-            P[:, k] = P[:, k - 1] * Z[:, j]
-        tables.append(P)
-    return tables
-
-
-def _monomials(tables, B: int, alphas: np.ndarray) -> np.ndarray:
-    """The ``(B, T)`` monomials ``prod_j z_j ** alphas[t, j]`` over the power
-    tables of a batch of B points, a factor per variable that has a table, in
-    variable order; the tables must reach each variable's largest exponent."""
-    # one block for the three (B, T) arrays: glibc trims the heap top only above
-    # twice its largest freed block, so large batches then stop re-faulting pages
-    mono, spare, factor = np.empty((3, B, alphas.shape[0]), dtype=np.complex128)
-    mono[...] = 1.0
-    # never in place: numpy multiplies a single complex element in place with
-    # its scalar loop, whose last bits differ from the SIMD loop's, so one
-    # monomial at one point would round unlike the same monomial in a batch;
-    # the exponents are in range, and "clip" spares ``take`` a copy of ``out``
-    for j, P in enumerate(tables):
-        if P is not None:
-            np.take(P, alphas[:, j], axis=1, out=factor, mode="clip")
-            np.multiply(mono, factor, out=spare)
-            mono, spare = spare, mono
+        for k in range(1, degree + 1):
+            P[:, k] = P[:, k - 1] * X[:, j]
+        table, parents, powers = block[: 3 * B * exp.size].reshape(3, B, exp.size)
+        if parent is not None:
+            mono = mono.take(parent, axis=1, out=parents, mode="clip")
+        mono = np.multiply(mono, P.take(exp, axis=1, out=powers, mode="clip"), out=table)
     return mono
 
 
@@ -314,25 +313,48 @@ class _TermPlan(NamedTuple):
     """What a polynomial's terms share with every map of the same
     multi-indices; all arrays are read-only.
 
-    ``order`` sorts the terms lexicographically into ``alphas`` (int64),
-    with the largest exponent of each variable in ``degrees``. ``union`` is
-    the sorted union of the rows of ``alphas`` with the multi-indices of the
-    n partial derivatives; ``value`` indexes the rows of ``alphas`` in it
-    (None when that is every row, in order). The partial derivative along
-    z_j has the terms ``lo:hi`` of ``columns`` entry ``(j, lo, hi)``: term k
-    has multi-index ``union[deriv[k]]`` and coefficient ``w[k]`` times the
-    one of term ``src[k]``. Variables that occur in no term have no entry.
+    ``order`` sorts the terms lexicographically into ``alphas`` (int64).
+    ``union`` is the sorted union of the rows of ``alphas`` with the
+    multi-indices of the n partial derivatives; ``value`` indexes the rows of
+    ``alphas`` in it (None when that is every row, in order). The partial
+    derivative along z_j has the terms ``lo:hi`` of ``columns`` entry
+    ``(j, lo, hi)``: term k has multi-index ``union[deriv[k]]`` and
+    coefficient ``w[k]`` times the one of term ``src[k]``. Variables that
+    occur in no term have no entry.
+
+    ``levels`` and ``union_levels`` build the monomials of ``alphas`` and of
+    ``union``: one level ``(j, degree, parent, exp)`` per variable z_j of
+    positive degree (its largest exponent), in variable order. Its columns are
+    the distinct prefixes, up to z_j, of the table's rows, in order; column c
+    is column ``parent[c]`` of the level before (None at the first) times
+    ``z_j ** exp[c]``. The columns of the last level are the table's rows.
     """
 
     order: np.ndarray
     alphas: np.ndarray
-    degrees: list
+    levels: tuple
     union: np.ndarray
+    union_levels: tuple
     value: np.ndarray | None
     deriv: np.ndarray
     src: np.ndarray
     w: np.ndarray
     columns: tuple
+
+
+def _levels(table: np.ndarray, degrees: list) -> tuple:
+    """The levels of a lexicographic table of distinct multi-indices whose
+    variable j has the largest exponent ``degrees[j]`` (see ``_TermPlan``)."""
+    levels, prefix = [], np.zeros(table.shape[0], dtype=np.int64)
+    for j in np.flatnonzero(degrees).tolist():
+        # the rows that start a new prefix up to z_j, then each row's prefix
+        new = np.ones(table.shape[0], dtype=bool)
+        new[1:] = (prefix[1:] != prefix[:-1]) | (table[1:, j] != table[:-1, j])
+        first = np.flatnonzero(new)
+        parent = _freeze(prefix[first]) if levels else None
+        levels.append((j, degrees[j], parent, _freeze(table[first, j])))
+        prefix = np.cumsum(new) - 1
+    return tuple(levels)
 
 
 @functools.lru_cache(maxsize=64)
@@ -376,12 +398,14 @@ def _term_plan(n: int, shape: tuple, table: bytes, lens: bytes) -> _TermPlan | t
         inverse = inverse.reshape(-1)
     value = inverse[:T] if union.shape[0] > T else None
     counts = np.bincount(jj).tolist()
+    # a map without terms needs no power tables, whatever its n
+    degrees = ranked.max(axis=0).tolist() if T else []
     return _TermPlan(
         order=_freeze(order),
         alphas=_freeze(ranked),
-        # a map without terms needs no power tables, whatever its n
-        degrees=ranked.max(axis=0).tolist() if T else [],
+        levels=_levels(ranked, degrees),
         union=_freeze(union),
+        union_levels=_levels(union, degrees),
         value=None if value is None else _freeze(value),
         deriv=_freeze(inverse[T:]),
         src=_freeze(src),
@@ -454,7 +478,7 @@ class PolyMap(HoloMap):
         given = [alpha for alpha, _ in items]
         alphas, alpha_lens = _stack_rows([_as_carray(a).reshape(-1) for a in given], np.complex128)
         coefs, coef_lens = _stack_rows([_as_carray(c).reshape(-1) for _, c in items], np.complex128)
-        self._setup(n, m, alphas, coefs, alpha_lens, coef_lens, given)
+        self._own(*_normalise_terms(n, m, alphas, coefs, alpha_lens, coef_lens, given))
 
     @classmethod
     def from_arrays(cls, n: int, m: int, alphas, coefs) -> "PolyMap":
@@ -469,23 +493,22 @@ class PolyMap(HoloMap):
                 field="terms",
             )
         T = alphas.shape[0]
+        lens = (np.full(T, a.shape[1], dtype=np.int64) for a in (alphas, coefs))
         f = cls.__new__(cls)
-        f._setup(
-            n,
-            m,
-            alphas,
-            coefs,
-            np.full(T, alphas.shape[1], dtype=np.int64),
-            np.full(T, coefs.shape[1], dtype=np.int64),
-            given,
-        )
+        f._own(*_normalise_terms(n, m, alphas, coefs, *lens, given))
         return f
 
-    def _setup(self, n: int, m: int, alphas, coefs, alpha_lens, coef_lens, given) -> None:
-        self._plan, self._coefs = _normalise_terms(n, m, alphas, coefs, alpha_lens, coef_lens, given)
-        self._alphas = self._plan.alphas
-        self.n = n
-        self.m = m
+    @classmethod
+    def _of(cls, plan: _TermPlan, coefs: np.ndarray) -> "PolyMap":
+        """A map on a validated plan, unchecked: ``coefs`` is a finite ``(T, m)``
+        complex128 array in the plan's order, which the map takes as its own."""
+        f = cls.__new__(cls)
+        f._own(plan, _freeze(coefs))
+        return f
+
+    def _own(self, plan: _TermPlan, coefs: np.ndarray) -> None:
+        self._plan, self._coefs, self._alphas = plan, coefs, plan.alphas
+        self.n, self.m = plan.alphas.shape[1], coefs.shape[1]
 
     @classmethod
     def identity(cls, n: int) -> "PolyMap":
@@ -510,8 +533,7 @@ class PolyMap(HoloMap):
         return _freeze(self._coefs[self._plan.src] * self._plan.w[:, None])
 
     def _value(self, X: np.ndarray) -> np.ndarray:
-        mono = _monomials(_powers(X, self._plan.degrees), X.shape[0], self._alphas)
-        return _sum_terms(mono, self._coefs)
+        return _sum_terms(_monomials(X, self._plan.levels, self._alphas.shape[0]), self._coefs)
 
     def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the derivative terms never exceed the map's own degrees, so one
@@ -520,7 +542,7 @@ class PolyMap(HoloMap):
         # which change no bit but the sign of a zero part, so each column
         # sums what a table of its own terms would hold
         plan, B = self._plan, X.shape[0]
-        mono = _monomials(_powers(X, plan.degrees), B, plan.union)
+        mono = _monomials(X, plan.union_levels, plan.union.shape[0])
         V = _sum_terms(mono if plan.value is None else mono.take(plan.value, axis=1), self._coefs)
         J = np.zeros((B, self.m, self.n), dtype=np.complex128)
         for j, lo, hi in plan.columns:
@@ -586,7 +608,6 @@ class MobiusMap(HoloMap):
     m = 1
     kind = "mobius"
     _fields = (("M", _PAIR), ("b", _PAIR))
-    _one = _freeze(np.array(1.0 + 0.0j))  # a kernel constant, as _k
 
     def __init__(self, M, b):
         M, b = _as_complex(M), _as_complex(b)
@@ -597,15 +618,14 @@ class MobiusMap(HoloMap):
         if not (cmath.isfinite(M) and cmath.isfinite(mcb)):
             raise InputError("M and M conj(b) must be finite complex numbers", field="M")
         self.M, self.b = M, b
-        # the kernels' M, b, M conj(b) and M (1 - |b|^2) as 0-d arrays: numpy converts
-        # a Python scalar operand on every call, a 0-d array not, with the same bits
+        # the kernels' M, b, M conj(b) and M (1 - |b|^2) as 0-d arrays, as _ONE
         self._k = tuple(map(np.array, (M, b, mcb, M * (1.0 - abs(b) ** 2))))
 
     def __repr__(self):
         return f"MobiusMap(M={self.M}, b={self.b})"
 
     def _den(self, X: np.ndarray) -> np.ndarray:
-        den = self._one + self._k[2] * X
+        den = _ONE + self._k[2] * X
         # one reduction, which skips NaN as a comparison would
         if np.fmin.reduce(np.abs(den), axis=None, initial=np.inf) < POLE_TOL:
             raise DomainError(f"evaluation at a pole of {self!r}")

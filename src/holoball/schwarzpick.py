@@ -72,6 +72,10 @@ __all__ = [
 # |f(z)| at or below this is treated as a zero of f; the decade just below it
 # is reported as ambiguous
 ZERO_BRANCH_TOL = 1e-13
+# it, the floor of |f| in the nonzero quotient, 1 and the unit ball's centre as
+# 0-d arrays, which numpy does not convert on every call as it does a Python float
+_ZERO_TOL, _FLOOR, _UNIT, _ORIGIN = map(
+    _freeze, map(np.array, (ZERO_BRANCH_TOL, ZERO_BRANCH_TOL / 10.0, 1.0, 0.0)))
 
 # the FD oracle's two steps; its quotients are extrapolated to step 0 from them
 FD_STEPS = (1e-4, 5e-5)
@@ -139,9 +143,9 @@ def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray):
     A = _contract(V, J)
     # rows at or below ZERO_BRANCH_TOL/10 use only the zero branch; the
     # floor just keeps 0/0 out of their unused quotient
-    quotient = _row_norms(A) / np.maximum(nv, ZERO_BRANCH_TOL / 10.0)
+    quotient = _row_norms(A) / np.maximum(nv, _FLOOR)
     value = quotient
-    zero = nv <= ZERO_BRANCH_TOL
+    zero = nv <= _ZERO_TOL
     top = None
     if np.logical_or.reduce(zero, axis=None):
         value = quotient.copy()
@@ -263,13 +267,13 @@ def mod_grad_fd(f: HoloMap, z, dirs: int = DEFAULT_FD_DIRS, seed: int = 0) -> fl
 
 def _one_minus_sq(x):
     # compensated 1 - x^2 to keep accuracy near the boundary
-    return (1.0 - x) * (1.0 + x)
+    return (_UNIT - x) * (_UNIT + x)
 
 
 def _image_norms(V: np.ndarray) -> np.ndarray:
     """|f(z)| per row; raises for the first row whose image leaves the ball."""
     nv = _row_norms(V)
-    inside = nv < 1.0
+    inside = nv < _UNIT
     if not np.logical_and.reduce(inside, axis=None):
         k = int(inside.argmin())
         if not np.isfinite(V[k]).all():
@@ -313,7 +317,7 @@ class _BoundBatch:
         ]
 
 
-def _bound_batch(f: HoloMap, Z, tol: float, c: complex = 0.0, r: float = 1.0) -> _BoundBatch:
+def _bound_batch(f: HoloMap, Z, tol: float, c=_ORIGIN, r=_UNIT) -> _BoundBatch:
     """The array core of the bound checks: the bound
     ``|grad|f||(z) <= r (1 - |f(z)|^2) / (r^2 - |z - c|^2)`` on the ball
     |z - c| < r (the unit ball is c = 0, r = 1) at every row of ``Z``, a

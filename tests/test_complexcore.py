@@ -424,8 +424,11 @@ def test_sphere_rows_distribution(n):
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, np.int64(-3), "1"])
 def test_sphere_rows_seed_rejection(seed):
-    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+    with pytest.raises(InputError) as exc:
         sphere_rows(2, 3, [0, seed])
+    too_large = isinstance(seed, int) and seed == 2**64
+    assert str(exc.value) == (f"seed = {2**64} is too large" if too_large
+                              else "seed must be a non-negative integer")
 
 
 def test_sphere_rows_validation():

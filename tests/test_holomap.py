@@ -29,7 +29,8 @@ from holoball import (
     sp_bound,
     vector_to_pairs,
 )
-from holoball import holomap
+from holoball import harness, holomap
+from holoball.harness import _multi_indices
 from holoball.holomap import _KINDS, MAX_DEGREE
 from holoball.schwarzpick import FD_STEPS
 
@@ -700,16 +701,47 @@ def test_jacobian_columns_equal_derivative_maps(f):
         assert np.array_equal(J[:, :, j], PolyMap(f.n, f.m, terms).eval_many(zs))
 
 
+# the monomial kernel before the levels, kept as the reference: a power table
+# per variable, and every monomial multiplied out in full, from a table of ones
+def ref_powers(Z, degrees):
+    """Per column j of the ``(B, n)`` batch, the table ``Z[:, j] ** k`` for
+    k = 0..degrees[j], by repeated multiplication (None where the degree is 0)."""
+    tables = []
+    for j, dj in enumerate(degrees):
+        if dj == 0:
+            tables.append(None)
+            continue
+        P = np.empty((Z.shape[0], dj + 1), dtype=np.complex128)
+        P[:, 0] = 1.0
+        for k in range(1, dj + 1):
+            P[:, k] = P[:, k - 1] * Z[:, j]
+        tables.append(P)
+    return tables
+
+
+def ref_monomials(tables, B, alphas):
+    """The ``(B, T)`` monomials ``prod_j z_j ** alphas[t, j]``, a factor per
+    variable that has a table, in variable order, never multiplied in place."""
+    mono, spare, factor = np.empty((3, B, alphas.shape[0]), dtype=np.complex128)
+    mono[...] = 1.0
+    for j, P in enumerate(tables):
+        if P is not None:
+            np.take(P, alphas[:, j], axis=1, out=factor, mode="clip")
+            np.multiply(mono, factor, out=spare)
+            mono, spare = spare, mono
+    return mono
+
+
 def column_by_column(f, Z):
-    """A PolyMap's value and Jacobian from one monomial table per term set:
-    the map's terms and those of each partial derivative, each table reading
-    only the variables that occur in its set."""
-    tables = holomap._powers(Z, f._plan.degrees)
+    """A PolyMap's value and Jacobian from one reference monomial table per
+    term set: the map's terms and those of each partial derivative, each
+    table reading only the variables that occur in its set."""
+    tables = ref_powers(Z, f._alphas.max(axis=0, initial=0).tolist())
 
     def eval_terms(alphas, coefs):
         active = alphas.max(axis=0, initial=0)
         own = [P if d else None for P, d in zip(tables, active.tolist())]
-        return holomap._sum_terms(holomap._monomials(own, Z.shape[0], alphas), coefs)
+        return holomap._sum_terms(ref_monomials(own, Z.shape[0], alphas), coefs)
 
     V = eval_terms(f._alphas, f._coefs)
     cols = []
@@ -731,6 +763,8 @@ def test_fused_kernel_is_bit_identical_to_one_table_per_set(f, B):
     for got, ref in ((V, V_ref), (J, J_ref)):
         assert got.shape == ref.shape and got.dtype == ref.dtype == np.complex128
         assert got.tobytes() == ref.tobytes()
+    # the value-only kernel, the FD oracle's path, over the map's own terms
+    assert f._value(zs).tobytes() == V_ref.tobytes()
     assert V.tobytes() == f.eval_many(zs).tobytes()
     # fresh, writable results on every call
     V2, J2 = f.eval_jac_many(zs)
@@ -740,12 +774,27 @@ def test_fused_kernel_is_bit_identical_to_one_table_per_set(f, B):
     assert J2.tobytes() == J_ref.tobytes()
 
 
+def plan_arrays(plan):
+    """Every array of a term plan, those of its levels included."""
+    levels = [v for lv in (*plan.levels, *plan.union_levels) for v in lv]
+    return [v for v in (*plan, *levels) if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("f", KERNEL_MAPS, ids=KERNEL_IDS)
+def test_an_empty_batch_has_empty_results(f):
+    V, J = f.eval_jac_many(np.zeros((0, f.n)))
+    assert V.shape == (0, f.m) and J.shape == (0, f.m, f.n)
+    assert f.eval_many(np.zeros((0, f.n))).shape == (0, f.m)
+
+
 def test_maps_share_the_term_plan_of_their_multi_indices():
     holomap._term_plan.cache_clear()
+    harness._template.cache_clear()
     f = gen_random_polymap(2, 3, max_degree=4, margin=0.25, seed=1)
     hits = holomap._term_plan.cache_info().hits
     g = gen_random_polymap(2, 3, max_degree=4, margin=0.25, seed=2)
-    assert holomap._term_plan.cache_info().hits == hits + 1
+    # the second map is built on the generator's template of the shape
+    assert holomap._term_plan.cache_info().hits == hits
     assert g._plan is f._plan and g._alphas is f._alphas
     zs = sample_ball_points(2, 9, seed=3)
     for h in (f, g):
@@ -759,15 +808,33 @@ def test_maps_share_the_term_plan_of_their_multi_indices():
     assert a._plan is not b._plan
     assert a._alphas.shape == (2, 2) and b._alphas.shape == (4, 1)
     for plan in (f._plan, a._plan, b._plan, SPARSE_MAPS[0]._plan):
-        arrays = [v for v in plan if isinstance(v, np.ndarray)]
+        arrays = plan_arrays(plan)
         assert len(arrays) >= 6 and not any(v.flags.writeable for v in arrays)
     # a map built on a cold cache evaluates bit for bit as before
     V, J = f.eval_jac_many(zs)
     holomap._term_plan.cache_clear()
+    harness._template.cache_clear()
     cold = gen_random_polymap(2, 3, max_degree=4, margin=0.25, seed=1)
     assert cold._plan is not f._plan
     V2, J2 = cold.eval_jac_many(zs)
     assert V.tobytes() == V2.tobytes() and J.tobytes() == J2.tobytes()
+
+
+@pytest.mark.parametrize("n, m, d", [(1, 1, 0), (1, 2, 4), (2, 2, 3), (3, 1, 2), (4, 4, 4)])
+def test_generated_maps_equal_their_validated_terms(n, m, d):
+    harness._template.cache_clear()
+    f = gen_random_polymap(n, m, max_degree=d, margin=0.25, seed=17 * n + m)
+    g = PolyMap.from_arrays(n, m, _multi_indices(n, d), f._coefs)
+    assert g._plan is f._plan
+    assert np.array_equal(f._plan.order, np.arange(f._alphas.shape[0]))
+    assert f._coefs.tobytes() == g._coefs.tobytes() and not f._coefs.flags.writeable
+    assert emit_spec(f) == emit_spec(g)
+    zs = sample_ball_points(n, 50, seed=d)
+    for h in (f, g):
+        assert not any(v.flags.writeable for v in plan_arrays(h._plan))
+    for got, ref in zip(f.eval_jac_many(zs), g.eval_jac_many(zs)):
+        assert got.tobytes() == ref.tobytes()
+    assert f.eval_many(zs).tobytes() == g.eval_many(zs).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -51,7 +52,7 @@ from holoball import (
     vector_to_pairs,
     vnorm,
 )
-from holoball import holomap
+from holoball import errors, holomap
 
 IDENTITY = PolyMap.identity(1)
 WITNESS = extremal_zero_case(ExtremalSpec.zero([0.0], [1.0], [1.0]))
@@ -381,6 +382,23 @@ SCHEMAS = [
                          ids=[f"{type(r).__name__}-{i}" for i, (r, _) in enumerate(SCHEMAS)])
 def test_result_json_schema_is_pinned(result, text):
     assert json.dumps(result.to_dict()) == text
+
+
+# every error class, and a constructor's error that names its field; a
+# SchemaError takes a path and a message
+ERRORS = [
+    errors.SchemaError("/terms/0", "bad") if name == "SchemaError" else getattr(errors, name)("bad")
+    for name in errors.__all__
+] + [errors.SchemaError("", "bad"), InputError("b must be finite", field="b")]
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=repr)
+def test_errors_survive_a_pickle_round_trip(error):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(error, protocol))
+        assert type(back) is type(error)
+        assert (str(back), back.args, vars(back)) == (str(error), error.args, vars(error))
+    assert getattr(back, "field", None) == getattr(error, "field", None)
 
 
 # -- public names ------------------------------------------------------------
