@@ -15,9 +15,9 @@ Conventions used throughout the package:
   built on them, are the one home of these rules. ``_integer``, the one
   integer-range check, judges each integer argument; ``_carray``, the array
   gate, judges each complex array argument: it reads the array by
-  ``_as_carray``, checks its shape, and refuses an entry that is not a
-  finite number. Their ``InputError`` has a ``field`` only when a map
-  constructor asks for one.
+  ``_as_carray``, checks its shape, and refuses a nesting of unequal shapes
+  or an entry that is not a finite number. Their ``InputError`` has a
+  ``field`` only when a map constructor asks for one.
 * A result's ``to_dict`` is ``_to_json`` of it: a dataclass is written as an
   object of its fields in declaration order, less those marked
   ``metadata={"json": False}``; complex values are written as above, and
@@ -81,7 +81,7 @@ def _as_carray(x) -> np.ndarray:
     """A caller's array argument as a complex128 array of ``_as_complex`` of
     each entry, so that an entry that is not a number reads as NaN: a
     numeric array whole, a complex128 one as it is, and any other entry by
-    entry. Sub-arrays of unequal shapes read as one NaN."""
+    entry. A nesting of unequal shapes reads as NaN."""
     if type(x) is np.ndarray:  # a subclass (np.matrix) reads entry by entry, as a base array
         if x.dtype == np.complex128:
             return x
@@ -129,18 +129,23 @@ def _integer(v, name: str, lo: int | None = None, hi: int | None = None, *,
 
 def _carray(x, name: str, what: str = "", ok=None, *, field: bool = False) -> np.ndarray:
     """The array gate: ``_as_carray`` of a caller's array argument ``x``.
-    Raises ``InputError`` when ``ok`` is given and fails on the array
-    (``name`` must be ``what``), or when an entry is not a finite number;
-    with ``field``, the error's ``field`` is ``name``."""
+    Raises ``InputError`` when ``x`` nests sequences of unequal shapes, when
+    ``ok`` is given and fails on the array (``name`` must be ``what``), or
+    when an entry is not a finite number; with ``field``, the error's
+    ``field`` is ``name``."""
     a = _as_carray(x)
-    if ok is not None and not ok(a):
-        raise InputError(f"{name} must be {what}", field=name if field else None)
+    shaped = ok is None or ok(a)
     # count_nonzero is a Python dispatcher too in numpy 2, but at about half
     # the cost of .all() on a short vector
-    if np.count_nonzero(np.isfinite(a)) != a.size:
-        raise InputError(f"an entry of {name} is not a finite number",
-                         field=name if field else None)
-    return a
+    if shaped and np.count_nonzero(np.isfinite(a)) == a.size:
+        return a
+    try:  # numpy refuses the nesting of unequal shapes that _as_carray reads as NaN
+        np.asarray(x)
+        message = (f"an entry of {name} is not a finite number" if shaped
+                   else f"{name} must be {what}")
+    except ValueError:
+        message = f"{name} has sub-arrays of unequal shapes"
+    raise InputError(message, field=name if field else None)
 
 
 def as_cvector(x, name: str = "vector") -> np.ndarray:

@@ -7,7 +7,8 @@ which forces ``|f(z)| <= 1 - margin`` on the closed ball since every
 monomial has modulus at most 1 there. The maps of one (n, max_degree) share
 a template: the term plan of ``_multi_indices``, validated once by
 ``PolyMap.from_arrays`` and cached. Each map is built on it from its
-certified coefficients alone, bit for bit the map ``from_arrays`` gives.
+certified coefficients alone, bit for bit the map ``from_arrays`` gives,
+as ``force_zero_at`` builds its map on the plan of its argument.
 
 Campaigns derive one sub-seed per (trial, purpose, point) by splitmix64
 hashing of the config seed, so trials are independent and the whole run is
@@ -123,7 +124,7 @@ def _multi_indices(n: int, max_degree: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _template(n: int, max_degree: int) -> _TermPlan:
     """The term plan of ``_multi_indices(n, max_degree)``, validated once by
-    ``PolyMap.from_arrays``; its order is the identity."""
+    ``PolyMap.from_arrays``."""
     alphas = _multi_indices(n, max_degree)
     return PolyMap.from_arrays(n, 1, alphas, np.zeros((alphas.shape[0], 1)))._plan
 
@@ -155,7 +156,8 @@ def gen_random_polymap(n: int, m: int, max_degree: int, margin: float, seed: int
 def force_zero_at(f: PolyMap, p, margin: float) -> PolyMap:
     """Shift ``f`` by ``-f(p)`` and rescale so the containment certificate is
     restored; the result vanishes at p (up to roundoff well below the
-    zero-branch threshold)."""
+    zero-branch threshold). A map with a constant term, as every generated
+    map has, keeps its plan, and only the shifted row is judged."""
     _unit_interval(margin, "margin")
     alphas, coefs = f._alphas, f._coefs.copy()
     # the zero multi-index sorts first when present; a missing one is
@@ -163,11 +165,11 @@ def force_zero_at(f: PolyMap, p, margin: float) -> PolyMap:
     # rounds according to that order
     if alphas.shape[0] and not alphas[0].any():
         coefs[0] -= f.eval(p)
-    else:
-        const = np.zeros(f.m, dtype=np.complex128)
-        const -= f.eval(p)
-        alphas = np.vstack([alphas, np.zeros((1, f.n), dtype=np.int64)])
-        coefs = np.vstack([coefs, const[None, :]])
+        if np.count_nonzero(np.isfinite(coefs[0])) == f.m:
+            return PolyMap._of(f._plan, _certified(coefs, margin))
+        return PolyMap.from_arrays(f.n, f.m, alphas, coefs)  # raises the constructor's error
+    alphas = np.vstack([alphas, np.zeros((1, f.n), dtype=np.int64)])
+    coefs = np.vstack([coefs, 0.0 - f.eval(p)[None, :]])
     return PolyMap.from_arrays(f.n, f.m, alphas, _certified(coefs, margin))
 
 

@@ -5,14 +5,14 @@ and pipelines. Each evaluates by plain arithmetic on its description and
 differentiates exactly: term by term for polynomials, the quotient rule for
 ``MobiusMap``, the chain rule for pipelines. A kind implements the kernels
 ``_value`` and ``_value_jac`` (see ``HoloMap``) on points the public
-entries have already validated. A polynomial's terms share a cached term
-plan with every map of the same multi-indices: their sort order and
-checks, the union of the map's multi-indices with those of its n
-partial derivatives, and the levels that build a table of monomials one
-variable at a time, each prefix that monomials share multiplied out once.
-``_value_jac`` builds one table of monomials over that union and sums the
-value and every Jacobian column from its columns; a pipeline threads values
-and Jacobians through its stages at once.
+entries have already validated. A polynomial's terms are judged once per
+construction; their sorted table keys a cached term plan that every map of
+the same multi-indices shares: the union of the multi-indices with those
+of the n partial derivatives, and the levels that build one table of
+monomials over it a variable at a time, each shared prefix multiplied out
+once. Both kernels build that table and sum the value from its columns,
+``_value_jac`` every Jacobian column too; a pipeline threads values and
+Jacobians through its stages at once.
 
 Maps are immutable after construction. Domain membership is not enforced at
 evaluation time; a map may be evaluated anywhere its poles permit (slices of
@@ -279,7 +279,8 @@ def _monomials(X: np.ndarray, levels: tuple, rows: int) -> np.ndarray:
 
 
 def _sum_terms(mono: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """``sum_t coefs[t] * mono[:, t]``, zero where there are no terms."""
+    """``sum_t mono[i, t] * coefs[t]`` per row i of ``mono``, zero without terms;
+    ``coefs`` is one ``(T, k)`` matrix or a ``(B, T, k)`` stack of one per row."""
     # one vector-matrix product per row: ``mono @ coefs`` switches kernels
     # with the batch size, which changes the last bits of row i
     return np.matmul(mono[:, None, :], coefs)[:, 0, :]
@@ -311,30 +312,28 @@ def _key(row: np.ndarray, given) -> tuple:
 
 class _TermPlan(NamedTuple):
     """What a polynomial's terms share with every map of the same
-    multi-indices; all arrays are read-only.
+    multi-indices, in any input order; all arrays are read-only.
 
-    ``order`` sorts the terms lexicographically into ``alphas`` (int64).
-    ``union`` is the sorted union of the rows of ``alphas`` with the
-    multi-indices of the n partial derivatives; ``value`` indexes the rows of
-    ``alphas`` in it (None when that is every row, in order). The partial
-    derivative along z_j has the terms ``lo:hi`` of ``columns`` entry
-    ``(j, lo, hi)``: term k has multi-index ``union[deriv[k]]`` and
-    coefficient ``w[k]`` times the one of term ``src[k]``. Variables that
-    occur in no term have no entry.
+    ``alphas`` holds the multi-indices in lexicographic order (int64).
+    ``union`` is the sorted union of its rows with the multi-indices of the
+    n partial derivatives; ``value`` indexes the rows of ``alphas`` in it
+    (None when that is every row, in order). The partial derivative along
+    z_j has the terms ``lo:hi`` of ``columns`` entry ``(j, lo, hi)``: term k
+    has multi-index ``union[deriv[k]]`` and coefficient ``w[k]`` times the
+    one of term ``src[k]``. Variables that occur in no term have no entry.
 
-    ``levels`` and ``union_levels`` build the monomials of ``alphas`` and of
-    ``union``: one level ``(j, degree, parent, exp)`` per variable z_j of
-    positive degree (its largest exponent), in variable order. Its columns are
-    the distinct prefixes, up to z_j, of the table's rows, in order; column c
-    is column ``parent[c]`` of the level before (None at the first) times
-    ``z_j ** exp[c]``. The columns of the last level are the table's rows.
+    ``levels`` build the monomials of ``union``, one level ``(j, degree,
+    parent, exp)`` per variable z_j of positive degree (its largest
+    exponent), in variable order: column c of a level, a distinct prefix up
+    to z_j of the rows of ``union``, is column ``parent[c]`` of the level
+    before (None at the first) times ``z_j ** exp[c]``, and the last level's
+    columns are the rows. ``alphas`` has a level for the same variables, so
+    each of its monomials is the same product chain in the union's table.
     """
 
-    order: np.ndarray
     alphas: np.ndarray
-    levels: tuple
     union: np.ndarray
-    union_levels: tuple
+    levels: tuple
     value: np.ndarray | None
     deriv: np.ndarray
     src: np.ndarray
@@ -342,71 +341,40 @@ class _TermPlan(NamedTuple):
     columns: tuple
 
 
-def _levels(table: np.ndarray, degrees: list) -> tuple:
-    """The levels of a lexicographic table of distinct multi-indices whose
-    variable j has the largest exponent ``degrees[j]`` (see ``_TermPlan``)."""
-    levels, prefix = [], np.zeros(table.shape[0], dtype=np.int64)
-    for j in np.flatnonzero(degrees).tolist():
-        # the rows that start a new prefix up to z_j, then each row's prefix
-        new = np.ones(table.shape[0], dtype=bool)
-        new[1:] = (prefix[1:] != prefix[:-1]) | (table[1:, j] != table[:-1, j])
-        first = np.flatnonzero(new)
-        parent = _freeze(prefix[first]) if levels else None
-        levels.append((j, degrees[j], parent, _freeze(table[first, j])))
-        prefix = np.cumsum(new) - 1
-    return tuple(levels)
-
-
 @functools.lru_cache(maxsize=64)
-def _term_plan(n: int, shape: tuple, table: bytes, lens: bytes) -> _TermPlan | tuple[int, int]:
-    """The term plan of the complex128 multi-index table with the given shape
-    and bytes, row t of which has ``lens[t]`` (int64 bytes) entries; or
-    ``(t, k)`` for the first term t with a faulty multi-index, k numbering
-    the first check it fails in ``_normalise_terms``'s order. An entry off
-    the real axis is not a number, so it is not an integer either."""
-    alphas = np.frombuffer(table, dtype=np.complex128).reshape(shape)
-    alphas = np.where(alphas.imag == 0.0, alphas.real, np.nan)
-    alpha_lens = np.frombuffer(lens, dtype=np.int64)
+def _term_plan(n: int, table: bytes) -> _TermPlan:
+    """The term plan of a table of multi-indices of length n, given as its
+    int64 bytes: a lexicographic table of distinct rows with entries in
+    [0, MAX_DEGREE], as ``_normalise_terms`` passes it."""
+    alphas = np.frombuffer(table, dtype=np.int64).reshape(-1, n)
     T = alphas.shape[0]
-    order = np.lexsort(alphas.T[::-1]) if alphas.shape[1] else np.arange(T)
-    ranked = alphas[order]
-    dup = np.zeros(T, dtype=bool)
-    # the sort is stable, so the later rows of a run of equal rows are the
-    # later occurrences in input order
-    dup[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
-    checks = (
-        alpha_lens != n,
-        (np.floor(alphas) != alphas).any(axis=1),
-        (alphas < 0).any(axis=1),
-        (alphas > MAX_DEGREE).any(axis=1),
-        dup,
-    )
-    bad = np.logical_or.reduce(checks)
-    if bad.any():
-        t = int(bad.argmax())
-        return t, next(k for k, c in enumerate(checks) if c[t])
-    ranked = ranked.reshape(T, n).astype(np.int64)
     # derivative term k: d/dz_jj[k] of term src[k], in the map's term order
-    jj, src = np.nonzero(ranked.T)
-    w = ranked[src, jj]
-    lowered = ranked[src]
+    jj, src = np.nonzero(alphas.T)
+    w = alphas[src, jj]
+    lowered = alphas[src]
     lowered[np.arange(jj.shape[0]), jj] -= 1
-    union, inverse = ranked, np.arange(T)
+    union, inverse = alphas, np.arange(T)
     if T:  # np.unique of an empty table along axis 0 takes time in its width
-        union, inverse = np.unique(np.vstack([ranked, lowered]), axis=0, return_inverse=True)
+        union, inverse = np.unique(np.vstack([alphas, lowered]), axis=0, return_inverse=True)
         # the shape of the inverse changed within the numpy 2.0 releases
         inverse = inverse.reshape(-1)
-    value = inverse[:T] if union.shape[0] > T else None
+    # the levels of the union (a table without rows needs no power tables)
+    degrees = union.max(axis=0).tolist() if T else []
+    levels, prefix = [], np.zeros(union.shape[0], dtype=np.int64)
+    for j in np.flatnonzero(degrees).tolist():
+        # the rows that start a new prefix up to z_j, then each row's prefix
+        new = np.ones(union.shape[0], dtype=bool)
+        new[1:] = (prefix[1:] != prefix[:-1]) | (union[1:, j] != union[:-1, j])
+        first = np.flatnonzero(new)
+        parent = _freeze(prefix[first]) if levels else None
+        levels.append((j, degrees[j], parent, _freeze(union[first, j])))
+        prefix = np.cumsum(new) - 1
     counts = np.bincount(jj).tolist()
-    # a map without terms needs no power tables, whatever its n
-    degrees = ranked.max(axis=0).tolist() if T else []
     return _TermPlan(
-        order=_freeze(order),
-        alphas=_freeze(ranked),
-        levels=_levels(ranked, degrees),
+        alphas=alphas,
         union=_freeze(union),
-        union_levels=_levels(union, degrees),
-        value=None if value is None else _freeze(value),
+        levels=tuple(levels),
+        value=_freeze(inverse[:T]) if union.shape[0] > T else None,
         deriv=_freeze(inverse[T:]),
         src=_freeze(src),
         w=_freeze(w),
@@ -417,31 +385,44 @@ def _term_plan(n: int, shape: tuple, table: bytes, lens: bytes) -> _TermPlan | t
 
 
 def _normalise_terms(n: int, m: int, alphas, coefs, alpha_lens, coef_lens, given):
-    """Validate T polynomial terms and sort them lexicographically.
+    """Judge T polynomial terms and sort them lexicographically.
 
     Row t of the complex128 arrays ``alphas`` and ``coefs`` (from
     ``_as_carray``) holds multi-index t, which the caller gave as
     ``given[t]``, in its first ``alpha_lens[t]`` entries and its coefficient
     vector in the first ``coef_lens[t]``; any further entries are zero
-    padding. An error names the first faulty term t in input order,
-    checked for length, entries that are not integers, negative entries,
-    entries above ``MAX_DEGREE``, an earlier duplicate, coefficient length
-    and finiteness in that order, and its field is ``terms/t/alpha`` or
-    ``terms/t/coef``. The multi-index checks come from the cached term
-    plan. Returns the plan and the frozen ``(T, m)`` coefficients in its
-    order.
+    padding. Seven checks run over all terms at once: length, an entry that
+    is not an integer, a negative entry, an entry above ``MAX_DEGREE``, an
+    earlier duplicate, coefficient length and finiteness. An error names
+    the first faulty term t in input order and the first check it fails,
+    at field ``terms/t/alpha`` or ``terms/t/coef``, and plans nothing.
+    Returns the cached plan of the sorted table, which every map of the same
+    multi-indices shares, and the frozen ``(T, m)`` coefficients in its order.
     """
-    bad = (coef_lens != m) | ~np.isfinite(coefs).all(axis=1)
-    # with a faulty coefficient only the terms up to it are planned, so that
-    # a faulty multi-index among them raises first
-    T = int(bad.argmax()) + 1 if bad.any() else alphas.shape[0]
-    plan = _term_plan(n, alphas[:T].shape, alphas[:T].tobytes(), alpha_lens[:T].tobytes())
-    if not isinstance(plan, _TermPlan):
-        t, k = plan
-    elif bad.any():
-        t, k = T - 1, 5 if coef_lens[T - 1] != m else 6
-    else:
-        return plan, _freeze(coefs[plan.order].reshape(T, m))
+    # an entry off the real axis is not a number, so not an integer either
+    real = np.where(alphas.imag == 0.0, alphas.real, np.nan)
+    T = real.shape[0]
+    order = np.lexsort(real.T[::-1]) if real.shape[1] else np.arange(T)
+    ranked = real[order]
+    dup = np.zeros(T, dtype=bool)
+    # the sort is stable, so the later rows of a run of equal rows are the
+    # later occurrences in input order
+    dup[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
+    checks = (
+        alpha_lens != n,
+        (np.floor(real) != real).any(axis=1),
+        (real < 0).any(axis=1),
+        (real > MAX_DEGREE).any(axis=1),
+        dup,
+        coef_lens != m,
+        ~np.isfinite(coefs).all(axis=1),
+    )
+    bad = np.logical_or.reduce(checks)
+    if not bad.any():
+        table = ranked.reshape(T, n).astype(np.int64)
+        return _term_plan(n, table.tobytes()), _freeze(coefs[order].reshape(T, m))
+    t = int(bad.argmax())
+    k = next(k for k, c in enumerate(checks) if c[t])
     key = _key(alphas[t, : alpha_lens[t]], given[t])
     messages = (
         f"multi-index {key} has length {len(key)}, expected {n}",
@@ -494,9 +475,7 @@ class PolyMap(HoloMap):
             )
         T = alphas.shape[0]
         lens = (np.full(T, a.shape[1], dtype=np.int64) for a in (alphas, coefs))
-        f = cls.__new__(cls)
-        f._own(*_normalise_terms(n, m, alphas, coefs, *lens, given))
-        return f
+        return cls._of(*_normalise_terms(n, m, alphas, coefs, *lens, given))
 
     @classmethod
     def _of(cls, plan: _TermPlan, coefs: np.ndarray) -> "PolyMap":
@@ -532,19 +511,24 @@ class PolyMap(HoloMap):
         order; a coefficient past the float range overflows here."""
         return _freeze(self._coefs[self._plan.src] * self._plan.w[:, None])
 
+    def _table(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The monomials of the plan's union at X, and the values from them."""
+        plan = self._plan
+        mono = _monomials(X, plan.levels, plan.union.shape[0])
+        own = mono if plan.value is None else mono.take(plan.value, axis=1)
+        return mono, _sum_terms(own, self._coefs)
+
     def _value(self, X: np.ndarray) -> np.ndarray:
-        return _sum_terms(_monomials(X, self._plan.levels, self._alphas.shape[0]), self._coefs)
+        return self._table(X)[1]
 
     def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the derivative terms never exceed the map's own degrees, so one
-        # table of monomials over the plan's union serves the value and every
-        # column; a monomial only gains factors 1.0 for variables it lacks,
-        # which change no bit but the sign of a zero part, so each column
-        # sums what a table of its own terms would hold
-        plan, B = self._plan, X.shape[0]
-        mono = _monomials(X, plan.union_levels, plan.union.shape[0])
-        V = _sum_terms(mono if plan.value is None else mono.take(plan.value, axis=1), self._coefs)
-        J = np.zeros((B, self.m, self.n), dtype=np.complex128)
+        # the derivative terms never exceed the map's degrees, so the value's
+        # table over the union serves every column too; a monomial gains only
+        # factors 1.0 for variables it lacks, which change no bit but the sign
+        # of a zero part, so each column sums what its own terms' table holds
+        plan = self._plan
+        mono, V = self._table(X)
+        J = np.zeros((X.shape[0], self.m, self.n), dtype=np.complex128)
         for j, lo, hi in plan.columns:
             J[:, :, j] = _sum_terms(mono.take(plan.deriv[lo:hi], axis=1), self._dcoefs[lo:hi])
         return V, J
@@ -585,8 +569,8 @@ class AffineMap(HoloMap):
 
     def _value(self, X: np.ndarray) -> np.ndarray:
         # the products of the replaced kinds, whose bits verdicts keep: X times a
-        # 2-D row at n = 1 (a 1-D row rounds differently at B = 1), else as _sum_terms
-        V = X * self._MT if self.n == 1 else np.matmul(X[:, None, :], self._MT)[:, 0, :]
+        # 2-D row at n = 1 (a 1-D row rounds differently at B = 1), else _sum_terms
+        V = X * self._MT if self.n == 1 else _sum_terms(X, self._MT)
         V += self.b  # in place, which rounds as a fresh sum does
         return V
 

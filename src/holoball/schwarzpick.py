@@ -53,7 +53,7 @@ import numpy as np
 from .complexcore import (_as_complex, _integer, _positive_real, _row_norms, _seed_words,
                           _to_json, spectral_norm, sphere_rows)
 from .errors import CertificationError, InputError
-from .holomap import HoloMap, _as_batch, _freeze, _one_point
+from .holomap import HoloMap, _as_batch, _freeze, _one_point, _sum_terms
 
 __all__ = [
     "ZERO_BRANCH_TOL",
@@ -126,9 +126,8 @@ class BoundReport:
 
 
 def _contract(V: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """``A = conj(f(z)) . Df(z)`` per row. One vector-matrix product per row
-    keeps ``A[i] == J[i].T @ conj(V[i])`` bit for bit at any batch size."""
-    return np.matmul(np.conj(V)[:, None, :], J)[:, 0, :]
+    """``A = conj(f(z)) . Df(z)`` per row, by ``_sum_terms``."""
+    return _sum_terms(np.conj(V), J)
 
 
 def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray):
@@ -154,11 +153,19 @@ def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray):
     return A, quotient, value, zero, top
 
 
+def _finite_values(V: np.ndarray) -> np.ndarray:
+    """``V``, values of f; raises ``InputError`` when one is not finite."""
+    if np.count_nonzero(np.isfinite(V)) != V.size:
+        raise InputError("map value is not finite at the point")
+    return V
+
+
 def mod_grad(f: HoloMap, z) -> GradResult:
     """Closed-form |grad|f||(z) with branch selection on |f(z)| against
-    ``ZERO_BRANCH_TOL``."""
-    V, J = f._value_jac(_one_point(z, f.n, "mod_grad"))
-    nv = _row_norms(V)
+    ``ZERO_BRANCH_TOL``; a value of f that overflows is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        V, J = f._value_jac(_one_point(z, f.n, "mod_grad"))
+    nv = _row_norms(_finite_values(V))
     A, quotient, value, zero, top = _grad_many(V, J, nv)
     if not zero[0]:
         return GradResult(value=float(value[0]), branch="nonzero", A=A[0])
@@ -229,7 +236,9 @@ def _fd_many(f: HoloMap, Z: np.ndarray, seeds, dirs) -> np.ndarray:
     if len(seeds) != count:
         raise InputError(f"{len(seeds)} seeds for {count} points")
 
-    base = _row_norms(f._value(Z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = f._value(Z)
+    base = _row_norms(_finite_values(V))
     out = np.empty(count)
     zero = base <= ZERO_BRANCH_TOL
     rows = np.flatnonzero(~zero)
@@ -276,11 +285,9 @@ def _image_norms(V: np.ndarray) -> np.ndarray:
     inside = nv < _UNIT
     if not np.logical_and.reduce(inside, axis=None):
         k = int(inside.argmin())
-        if not np.isfinite(V[k]).all():
-            raise InputError("map value is not finite at the point")
-        raise CertificationError(
-            f"map value leaves the unit ball at the point, |f(z)| = {float(nv[k])}"
-        )
+        _finite_values(V[k])
+        raise CertificationError("map value leaves the unit ball at the point, "
+                                 f"|f(z)| = {float(nv[k])}")
     return nv
 
 

@@ -99,6 +99,14 @@ def test_tol_outside_the_positive_reals_is_an_error(tmp_path, capsys, tol):
         assert "tol must be a positive real" in capsys.readouterr().err
 
 
+def test_grad_where_the_map_overflows_is_an_input_error(tmp_path):
+    # 0.5 z^3 overflows at 1e120: one error line and exit 2, no numpy warning
+    path = write_map(tmp_path, PolyMap.from_scalar_coeffs([0.0, 0.0, 0.0, 0.5]))
+    proc = _python_m("holoball", "grad", "--map", path, "--point", "1e120,0")
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", "error: map value is not finite at the point\n")
+
+
 def test_bad_map_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -526,6 +526,39 @@ def test_force_zero_equals_dict_reference():
     assert_same_terms(force_zero_at(g, p, 0.25), dict_force_zero(g, p, 0.25))
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (4, 2)])
+def test_force_zero_keeps_the_plan_of_a_generated_map(n, m):
+    f = gen_random_polymap(n, m, max_degree=3, margin=0.25, seed=60 + n + m)
+    p = sample_ball_points(n, 1, seed=61)[0]
+    g = force_zero_at(f, p, 0.3)
+    assert g._plan is f._plan and not g._coefs.flags.writeable
+    # bit for bit the map the constructor builds from the shifted terms
+    coefs = f._coefs.copy()
+    coefs[0] -= f.eval(p)
+    ref = PolyMap.from_arrays(n, m, f._alphas, harness._certified(coefs, 0.3))
+    assert g._coefs.tobytes() == ref._coefs.tobytes()
+    assert emit_spec(g) == emit_spec(ref)
+    for B in (1, 7, 100, 1400):
+        zs = sample_ball_points(n, B, seed=B)
+        for got, want in zip(g.eval_jac_many(zs), ref.eval_jac_many(zs)):
+            assert got.tobytes() == want.tobytes()
+        assert g._value(zs).tobytes() == ref._value(zs).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_force_zero_refuses_a_shift_that_is_not_finite(n):
+    f = gen_random_polymap(n, 2, max_degree=3, margin=0.25, seed=62)
+    coefs = f._coefs.copy()
+    coefs[0] = np.inf
+    with pytest.raises(InputError) as want:
+        PolyMap.from_arrays(n, 2, f._alphas, coefs)
+    # f overflows far outside the ball, and its value there is the shift
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InputError) as got:
+        force_zero_at(f, [1e120] * n, 0.25)
+    assert type(got.value) is InputError and got.value.field == "terms/0/coef"
+    assert (str(got.value), got.value.field) == (str(want.value), want.value.field)
+
+
 def absorb_reference(report, rep, fd):
     """The per-point campaign aggregate, as the reference."""
     report.points_checked += 1

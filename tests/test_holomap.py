@@ -776,7 +776,7 @@ def test_fused_kernel_is_bit_identical_to_one_table_per_set(f, B):
 
 def plan_arrays(plan):
     """Every array of a term plan, those of its levels included."""
-    levels = [v for lv in (*plan.levels, *plan.union_levels) for v in lv]
+    levels = [v for lv in plan.levels for v in lv]
     return [v for v in (*plan, *levels) if isinstance(v, np.ndarray)]
 
 
@@ -826,7 +826,9 @@ def test_generated_maps_equal_their_validated_terms(n, m, d):
     f = gen_random_polymap(n, m, max_degree=d, margin=0.25, seed=17 * n + m)
     g = PolyMap.from_arrays(n, m, _multi_indices(n, d), f._coefs)
     assert g._plan is f._plan
-    assert np.array_equal(f._plan.order, np.arange(f._alphas.shape[0]))
+    # the template's table is _multi_indices as it stands, and its own union
+    assert np.array_equal(f._alphas, _multi_indices(n, d))
+    assert f._plan.value is None and np.array_equal(f._plan.union, f._alphas)
     assert f._coefs.tobytes() == g._coefs.tobytes() and not f._coefs.flags.writeable
     assert emit_spec(f) == emit_spec(g)
     zs = sample_ball_points(n, 50, seed=d)
@@ -859,6 +861,57 @@ def test_cached_plans_raise_what_a_cold_cache_raises(terms):
     assert error() == cold
     PolyMap(2, 1, [(alpha, [0.5]) for alpha, _ in terms[:2]])  # plans a valid table
     assert error() == cold
+
+
+@pytest.mark.parametrize("f", KERNEL_MAPS, ids=KERNEL_IDS)
+def test_terms_in_any_order_share_one_plan(f):
+    perm = np.random.default_rng(f.n + 10 * f.m).permutation(f._alphas.shape[0])[::-1]
+    sorted_ = PolyMap.from_arrays(f.n, f.m, f._alphas, f._coefs)
+    g = PolyMap.from_arrays(f.n, f.m, f._alphas[perm], f._coefs[perm])
+    h = PolyMap(f.n, f.m, [(tuple(a), c) for a, c in zip(f._alphas[perm].tolist(), f._coefs[perm])])
+    assert g._plan is sorted_._plan and h._plan is sorted_._plan
+    assert g._coefs.tobytes() == h._coefs.tobytes() == f._coefs.tobytes()
+    for B in (1, 7, 100):
+        zs = sample_ball_points(f.n, B, seed=B + f.n)
+        for got, ref in zip(g.eval_jac_many(zs), f.eval_jac_many(zs)):
+            assert got.tobytes() == ref.tobytes()
+        assert g._value(zs).tobytes() == f._value(zs).tobytes()
+
+
+@pytest.mark.parametrize("f", SPARSE_MAPS, ids=repr)
+@pytest.mark.parametrize("B", [1, 7, 100, 1400])
+def test_the_value_kernel_reads_the_fused_kernels_table(f, B):
+    # _value sums the columns of the map's own terms from the union's table
+    zs = sample_ball_points(f.n, B, seed=1300 + B)
+    assert f._value(zs).tobytes() == f.eval_jac_many(zs)[0].tobytes()
+
+
+# one faulty term, after a valid one, per check of _normalise_terms
+REFUSED_TERMS = {
+    "length": ([((1,), [0.5])], "terms/1/alpha"),
+    "integer": ([((1.5, 0), [0.5])], "terms/1/alpha"),
+    "negative": ([((-1, 0), [0.5])], "terms/1/alpha"),
+    "MAX_DEGREE": ([((MAX_DEGREE + 1, 0), [0.5])], "terms/1/alpha"),
+    "duplicate": ([((0, 1), [0.25])], "terms/1/alpha"),
+    "coefficient length": ([((1, 0), [0.5, 0.5])], "terms/1/coef"),
+    "coefficient finiteness": ([((1, 0), [np.nan])], "terms/1/coef"),
+}
+
+
+@pytest.mark.parametrize("check", REFUSED_TERMS)
+def test_a_refused_construction_never_touches_the_plan_cache(check):
+    bad, field = REFUSED_TERMS[check]
+    terms = [((0, 1), [0.5])] + bad
+    builds = [lambda: PolyMap(2, 1, terms)]
+    if check not in ("length", "coefficient length"):  # arrays of one width
+        builds.append(lambda: PolyMap.from_arrays(2, 1, [a for a, _ in terms], [c for _, c in terms]))
+    holomap._term_plan.cache_clear()
+    for build in builds:
+        with pytest.raises(InputError) as exc:
+            build()
+        assert exc.value.field == field
+        info = holomap._term_plan.cache_info()
+        assert info.currsize == info.hits == info.misses == 0
 
 
 # -- documents: property tests ------------------------------------------------

@@ -230,61 +230,78 @@ BAD_ARRAYS = {
     "int past the float range": lambda good: _first(good, 2**1100),
 }
 # argument -> (call taking it, a value it accepts, the field a map
-# constructor names, or for a reshaped value and for one, if it differs)
+# constructor names, or for a reshaped value and for one, if it differs, the
+# name a ragged value is refused under, or None where a term's message stays)
 ARRAYS = {
-    "eval(z)": (lambda v: POLY.eval(v), [0.1, 0.2], None),
-    "eval_many(Z)": (lambda v: POLY.eval_many(v), [[0.1, 0.2]], None),
-    "jac_many(Z)": (lambda v: POLY.jac_many(v), [[0.1, 0.2]], None),
-    "eval_jac_many(Z)": (lambda v: POLY.eval_jac_many(v), [[0.1, 0.2]], None),
-    "jacobian(z)": (lambda v: POLY.jacobian(v), [0.1, 0.2], None),
-    "sp_bound(z)": (lambda v: sp_bound(POLY, v), [0.1, 0.2], None),
-    "sp_bound_many(Z)": (lambda v: sp_bound_many(POLY, v), [[0.1, 0.2]], None),
-    "sp_bound_slice(xi)": (lambda v: sp_bound_slice(IDENTITY, v, 0.0, 0.5), [0.25], None),
-    "mod_grad(z)": (lambda v: mod_grad(POLY, v), [0.1, 0.2], None),
-    "mod_grad_fd(z)": (lambda v: mod_grad_fd(POLY, v), [0.1, 0.2], None),
-    "mod_grad_fd_many(Z)": (lambda v: mod_grad_fd_many(POLY, v, [0]), [[0.1, 0.2]], None),
-    "equality_gap(p)": (lambda v: equality_gap(POLY, v), [0.1, 0.2], None),
-    "force_zero_at(p)": (lambda v: force_zero_at(POLY, v, 0.25), [0.1, 0.2], None),
-    "spectral_norm(M)": (lambda v: spectral_norm(v), [[3.0, 4.0]], None),
-    "as_cvector(x)": (lambda v: as_cvector(v), [3.0, 4.0], None),
-    "vnorm(x)": (lambda v: vnorm(v), [3.0, 4.0], None),
-    "herm_inner(x)": (lambda v: herm_inner(v, [0.5, 0.25]), [3.0, 4.0], None),
-    "herm_inner(y)": (lambda v: herm_inner([0.5, 0.25], v), [3.0, 4.0], None),
-    "vector_to_pairs(x)": (lambda v: vector_to_pairs(v), [3.0, 4.0], None),
-    "AffineMap(M)": (lambda v: AffineMap(v, [0.0]), [[0.5, 0.25]], "M"),
-    "AffineMap(b)": (lambda v: AffineMap([[0.5, 0.25]], v), [0.25], "b"),
-    "PolyMap(coef)": (lambda v: PolyMap(1, 1, {(1,): v}), [0.5], "terms/0/coef"),
+    "eval(z)": (lambda v: POLY.eval(v), [0.1, 0.2], None, "points"),
+    "eval_many(Z)": (lambda v: POLY.eval_many(v), [[0.1, 0.2]], None, "points"),
+    "jac_many(Z)": (lambda v: POLY.jac_many(v), [[0.1, 0.2]], None, "points"),
+    "eval_jac_many(Z)": (lambda v: POLY.eval_jac_many(v), [[0.1, 0.2]], None, "points"),
+    "jacobian(z)": (lambda v: POLY.jacobian(v), [0.1, 0.2], None, "points"),
+    "sp_bound(z)": (lambda v: sp_bound(POLY, v), [0.1, 0.2], None, "points"),
+    "sp_bound_many(Z)": (lambda v: sp_bound_many(POLY, v), [[0.1, 0.2]], None, "points"),
+    "sp_bound_slice(xi)": (lambda v: sp_bound_slice(IDENTITY, v, 0.0, 0.5), [0.25], None, "points"),
+    "mod_grad(z)": (lambda v: mod_grad(POLY, v), [0.1, 0.2], None, "points"),
+    "mod_grad_fd(z)": (lambda v: mod_grad_fd(POLY, v), [0.1, 0.2], None, "points"),
+    "mod_grad_fd_many(Z)": (lambda v: mod_grad_fd_many(POLY, v, [0]), [[0.1, 0.2]], None, "points"),
+    "equality_gap(p)": (lambda v: equality_gap(POLY, v), [0.1, 0.2], None, "points"),
+    "force_zero_at(p)": (lambda v: force_zero_at(POLY, v, 0.25), [0.1, 0.2], None, "points"),
+    "spectral_norm(M)": (lambda v: spectral_norm(v), [[3.0, 4.0]], None, "M"),
+    "as_cvector(x)": (lambda v: as_cvector(v), [3.0, 4.0], None, "vector"),
+    "vnorm(x)": (lambda v: vnorm(v), [3.0, 4.0], None, "x"),
+    "herm_inner(x)": (lambda v: herm_inner(v, [0.5, 0.25]), [3.0, 4.0], None, "x"),
+    "herm_inner(y)": (lambda v: herm_inner([0.5, 0.25], v), [3.0, 4.0], None, "y"),
+    "vector_to_pairs(x)": (lambda v: vector_to_pairs(v), [3.0, 4.0], None, "vector"),
+    "AffineMap(M)": (lambda v: AffineMap(v, [0.0]), [[0.5, 0.25]], "M", "M"),
+    "AffineMap(b)": (lambda v: AffineMap([[0.5, 0.25]], v), [0.25], "b", "b"),
+    "PolyMap(coef)": (lambda v: PolyMap(1, 1, {(1,): v}), [0.5], "terms/0/coef", None),
     # from_arrays refuses arrays of the wrong shape as a whole
     "PolyMap.from_arrays(coefs)":
-        (lambda v: PolyMap.from_arrays(1, 2, [[1]], v), [[0.5, 0.25]], ("terms/0/coef", "terms")),
-    "ExtremalSpec(p)": (lambda v: ExtremalSpec.zero(v, [1.0, 0.0], [1.0]), [0.1, 0.0], None),
-    "ExtremalSpec(u)": (lambda v: ExtremalSpec.zero([0.1, 0.0], v, [1.0]), [1.0, 0.0], None),
-    "ExtremalSpec(beta)": (lambda v: ExtremalSpec.zero([0.1, 0.0], [1.0, 0.0], v), [1.0, 0.0], None),
+        (lambda v: PolyMap.from_arrays(1, 2, [[1]], v), [[0.5, 0.25]], ("terms/0/coef", "terms"),
+         None),
+    "ExtremalSpec(p)": (lambda v: ExtremalSpec.zero(v, [1.0, 0.0], [1.0]), [0.1, 0.0], None, "p"),
+    "ExtremalSpec(u)": (lambda v: ExtremalSpec.zero([0.1, 0.0], v, [1.0]), [1.0, 0.0], None, "u"),
+    "ExtremalSpec(beta)":
+        (lambda v: ExtremalSpec.zero([0.1, 0.0], [1.0, 0.0], v), [1.0, 0.0], None, "beta"),
     "ExtremalSpec(a)":
-        (lambda v: ExtremalSpec.nonzero([0.1, 0.0], [1.0, 0.0], v, 0.5), [0.5, 0.0], None),
-    "disk_slice(p)": (lambda v: disk_slice(v, [0.0, 0.5]), [0.1, 0.2], None),
-    "disk_slice(q)": (lambda v: disk_slice([0.0, 0.5], v), [0.1, 0.2], None),
-    "bound_factor(p)": (lambda v: bound_factor(v, [0.0, 0.5]), [0.1, 0.2], None),
-    "diagnose(p)": (lambda v: diagnose_equality_form(WITNESS2, v, [0.5, 0.0]), [0.0, 0.0], None),
-    "diagnose(q)": (lambda v: diagnose_equality_form(WITNESS2, [0.0, 0.0], v), [0.5, 0.0], None),
+        (lambda v: ExtremalSpec.nonzero([0.1, 0.0], [1.0, 0.0], v, 0.5), [0.5, 0.0], None, "a"),
+    "disk_slice(p)": (lambda v: disk_slice(v, [0.0, 0.5]), [0.1, 0.2], None, "p"),
+    "disk_slice(q)": (lambda v: disk_slice([0.0, 0.5], v), [0.1, 0.2], None, "q"),
+    "bound_factor(p)": (lambda v: bound_factor(v, [0.0, 0.5]), [0.1, 0.2], None, "p"),
+    "diagnose(p)":
+        (lambda v: diagnose_equality_form(WITNESS2, v, [0.5, 0.0]), [0.0, 0.0], None, "p"),
+    "diagnose(q)":
+        (lambda v: diagnose_equality_form(WITNESS2, [0.0, 0.0], v), [0.5, 0.0], None, "q"),
 }
 
 
 @pytest.mark.parametrize("name", ARRAYS)
 def test_array_arguments_take_their_good_value(name):
-    call, good, _ = ARRAYS[name]
+    call, good, _, _ = ARRAYS[name]
     call(good)
 
 
 @pytest.mark.parametrize("bad", BAD_ARRAYS)
 @pytest.mark.parametrize("name", ARRAYS)
 def test_array_entries_that_are_not_numbers_are_refused(name, bad):
-    call, good, field = ARRAYS[name]
+    call, good, field, _ = ARRAYS[name]
     if isinstance(field, tuple):
         field = field[bad in ("None", "ragged list")]
     with pytest.raises(InputError) as exc:
         call(BAD_ARRAYS[bad](good))
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+def test_a_ragged_array_is_refused_as_a_shape_fault(name):
+    # a nesting of unequal lengths is not read as entries that are not numbers
+    call, good, field, arg = ARRAYS[name]
+    for ragged in ([[0.5, 0.25], [0.5]], [[[0.5, 0.25]], [[0.5]]], [np.zeros(2), np.zeros(3)]):
+        with pytest.raises(InputError) as exc:
+            call(ragged)
+        if arg is not None:
+            assert str(exc.value) == f"{arg} has sub-arrays of unequal shapes"
+            assert exc.value.field == (field if isinstance(field, str) else None)
 
 
 def test_an_entry_that_is_not_a_number_is_named_so():

@@ -159,6 +159,18 @@ def test_fd_validation():
         mod_grad_fd(f, 0.0, seed=-1)
 
 
+def test_a_value_that_overflows_is_refused():
+    # f(1e120) overflows: the gradient and the FD oracle refuse the point
+    # with the bound's error, and no numpy warning escapes
+    f = PolyMap.from_scalar_coeffs([0.1, 0.2, 0.3, 0.1])
+    for call in (lambda: mod_grad(f, 1e120), lambda: mod_grad_fd(f, 1e120),
+                 lambda: mod_grad_fd_many(f, [[0.5], [1e120], [0.25]], [0, 1, 2])):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert type(exc.value) is InputError
+        assert str(exc.value) == "map value is not finite at the point"
+
+
 def test_one_dim_scalar_specialization():
     # n = m = 1: the modulus gradient is |f'|
     rng = np.random.default_rng(43)
