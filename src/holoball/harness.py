@@ -14,9 +14,9 @@ Campaigns derive one sub-seed per (trial, purpose, point) by splitmix64
 hashing of the config seed, so trials are independent and the whole run is
 reproducible; identical configs produce byte-identical JSONL (the summary's
 ``runtime_ms`` is the only non-deterministic output). A trial is checked in
-one batch: the array core of ``sp_bound_many`` over its sampled points,
-which pass in without a second validation, and one ``mod_grad_fd_many``
-call when the oracle is on. Each point keeps its own direction seed
+one batch: the array cores of ``sp_bound_many`` and, when the oracle is
+on, of ``mod_grad_fd_many``, which take its sampled points without a second
+validation. Each point keeps its own direction seed
 ``_mix(seed, trial, 2, idx)`` (derived for the whole trial as one uint64
 array); the seed keys the sampled directions in ``complexcore.sphere_rows``
 that the oracle uses only at points on or near the zero set of f, where it
@@ -63,7 +63,7 @@ from .schwarzpick import (
     BoundReport,
     _bound_batch,
     _BoundBatch,
-    mod_grad_fd_many,
+    _fd_many,
 )
 
 __all__ = [
@@ -337,7 +337,7 @@ def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> Campai
             fds = None
             if cfg.fd_dirs:
                 seeds = _mix_range((cfg.seed, trial, 2), points.shape[0])
-                fds = mod_grad_fd_many(f, points, seeds, cfg.fd_dirs)
+                fds = _fd_many(f, points, seeds, cfg.fd_dirs)
             if out is not None:
                 out.write(_record_lines(trial, b, fds))
             _absorb(report, b, fds)

@@ -22,11 +22,12 @@ asserted by the bound-checking and harness layers instead.
 Document format (``parse_spec`` / ``emit_spec``): a JSON object whose
 ``kind`` field names the map class; complex scalars are ``[re, im]`` pairs,
 vectors lists of pairs. Each class owns its format: its ``kind`` and its
-``_fields``, which the inherited ``to_spec`` and ``from_spec`` follow.
-``from_spec`` checks only the JSON shape; the constructor is the one place
-a value is judged, and its ``InputError`` comes back as a ``SchemaError``
-at the field the error names. Documents of the six kinds that the affine
-and Moebius kinds replaced still parse (``_READERS``), into the new kinds.
+``_fields``, which the inherited ``to_spec`` follows. One reader,
+``_parse``, reads all ten kinds from one registry, ``_READERS``: the four
+classes by their ``_fields``, and the six kinds that the affine and Moebius
+kinds replaced, into the new kinds. It checks only the JSON shape; the
+constructor is the one place a value is judged, and its ``InputError``
+comes back as a ``SchemaError`` at the field the kind's row charges.
 """
 
 from __future__ import annotations
@@ -179,11 +180,6 @@ def _terms(v, path) -> list:
     return terms
 
 
-def _stages(v, path) -> list:
-    """A pipeline document's stages, parsed."""
-    return [_parse(s, f"{path}/{i}") for i, s in enumerate(_list(v, path))]
-
-
 # a document field's reader (JSON value, path -> constructor argument) and
 # writer (attribute -> JSON value)
 _INT = (_int, int)
@@ -192,7 +188,8 @@ _VECTOR = (_pairs, _array_to_pairs)
 _MATRIX = (_matrix, _array_to_pairs)
 _TERMS = (_terms, lambda terms: [{"alpha": list(a), "coef": _array_to_pairs(c)}
                                  for a, c in terms.items()])
-_STAGES = (_stages, lambda stages: [s.to_spec() for s in stages])
+_STAGES = (lambda v, path: [_parse(s, f"{path}/{i}") for i, s in enumerate(_list(v, path))],
+           lambda stages: [s.to_spec() for s in stages])
 
 
 class HoloMap:
@@ -241,13 +238,6 @@ class HoloMap:
         if not hasattr(self, "kind"):
             raise InputError(f"cannot serialize {type(self).__name__}")
         return {"kind": self.kind, **{k: write(getattr(self, k)) for k, (_, write) in self._fields}}
-
-    @classmethod
-    def from_spec(cls, doc, path: str) -> "HoloMap":
-        """The map of a document of this kind, ``path`` locating the document
-        in ``SchemaError``; checks only the JSON shape."""
-        _expect_object(doc, path, ("kind", *dict(cls._fields)))
-        return cls(*(read(doc[k], f"{path}/{k}") for k, (read, _) in cls._fields))
 
 
 def _monomials(X: np.ndarray, levels: tuple, rows: int) -> np.ndarray:
@@ -506,10 +496,20 @@ class PolyMap(HoloMap):
         return f"PolyMap(n={self.n}, m={self.m}, terms={self._alphas.shape[0]})"
 
     @functools.cached_property
-    def _dcoefs(self) -> np.ndarray:
-        """The coefficients of the partial derivatives' terms, in the plan's
-        order; a coefficient past the float range overflows here."""
-        return _freeze(self._coefs[self._plan.src] * self._plan.w[:, None])
+    def _dcoefs(self) -> tuple[np.ndarray, list]:
+        """The partial derivatives' term coefficients in the plan's order, and
+        the scale of each entry of ``columns`` ([] when all are 1): a column
+        where some ``coef * exponent`` overflows holds ``coef * (exponent /
+        MAX_DEGREE)``, the bits of a normal product, at scale MAX_DEGREE = 2^10."""
+        plan = self._plan
+        with np.errstate(over="ignore"):
+            dc = self._coefs[plan.src] * plan.w[:, None]
+        if np.count_nonzero(np.isfinite(dc)) == dc.size:
+            return _freeze(dc), []
+        scales = [1.0 if np.isfinite(dc[lo:hi]).all() else float(MAX_DEGREE)
+                  for _, lo, hi in plan.columns]
+        w = plan.w / np.repeat(scales, [hi - lo for _, lo, hi in plan.columns])
+        return _freeze(self._coefs[plan.src] * w[:, None]), scales
 
     def _table(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The monomials of the plan's union at X, and the values from them."""
@@ -528,9 +528,12 @@ class PolyMap(HoloMap):
         # of a zero part, so each column sums what its own terms' table holds
         plan = self._plan
         mono, V = self._table(X)
+        dcoefs, scales = self._dcoefs
         J = np.zeros((X.shape[0], self.m, self.n), dtype=np.complex128)
         for j, lo, hi in plan.columns:
-            J[:, :, j] = _sum_terms(mono.take(plan.deriv[lo:hi], axis=1), self._dcoefs[lo:hi])
+            J[:, :, j] = _sum_terms(mono.take(plan.deriv[lo:hi], axis=1), dcoefs[lo:hi])
+        if scales:
+            J[:, :, [j for j, _, _ in plan.columns]] *= scales
         return V, J
 
 
@@ -696,46 +699,38 @@ def _line_embed(p: list, q: list) -> AffineMap:
         return AffineMap(np.subtract(q, p)[:, None], p)
 
 
-# the document reader of a kind that AffineMap and MobiusMap replaced: its fields and
-# their readers, the field a constructor's error is charged to, the map its values make
-# (pair readers refuse non-finite numbers, the one check _functional and _times skip)
-def _legacy(fields, field, build):
-    def read(doc, path) -> HoloMap:
-        _expect_object(doc, path, ("kind", *dict(fields)))
-        try:
-            return build(*[r(doc[k], f"{path}/{k}") for k, r in fields])
-        except InputError as e:
-            if e.field is None:  # a reader's SchemaError names no field
-                raise
-            raise InputError(str(e), field=field) from e
-    return read
-
-
+# each kind's fields with their readers, the map their values make, and the field a
+# constructor's error is charged to (None: the field it names); the pair readers of
+# the replaced kinds refuse non-finite numbers, the one check _functional and _times skip
 _READERS = {
-    **{kind: cls.from_spec for kind, cls in _KINDS.items()},
-    "mobius_scalar": _legacy((("z0", _pair),), "z0", lambda z0: MobiusMap(-1.0, z0)),
-    "mobius_quotient": _legacy((("a_abs", _real), ("theta", _real)), "a_abs",
-                               lambda a_abs, theta: MobiusMap(_rotation(theta), a_abs)),
-    "line_embed": _legacy((("p", _pairs), ("q", _pairs)), "q", _line_embed),
-    "linear_functional": _legacy((("u", _pairs),), "u", _functional),
-    "scalar_times_vector": _legacy((("beta", _pairs),), "beta", _times),
-    "affine_scalar": _legacy((("r", _pair), ("c", _pair)), "r", lambda r, c: AffineMap([[r]], [c])),
+    **{kind: (tuple((k, read) for k, (read, _) in cls._fields), cls, None)
+       for kind, cls in _KINDS.items()},
+    "mobius_scalar": ((("z0", _pair),), lambda z0: MobiusMap(-1.0, z0), "z0"),
+    "mobius_quotient": ((("a_abs", _real), ("theta", _real)),
+                        lambda a_abs, theta: MobiusMap(_rotation(theta), a_abs), "a_abs"),
+    "line_embed": ((("p", _pairs), ("q", _pairs)), _line_embed, "q"),
+    "linear_functional": ((("u", _pairs),), _functional, "u"),
+    "scalar_times_vector": ((("beta", _pairs),), _times, "beta"),
+    "affine_scalar": ((("r", _pair), ("c", _pair)), lambda r, c: AffineMap([[r]], [c]), "r"),
 }
 
 
 def _parse(doc, path) -> HoloMap:
+    """The map of a document at ``path``, by its kind's row of ``_READERS``."""
     if not isinstance(doc, dict):
         raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
     kind = doc.get("kind")
-    read = _READERS.get(kind) if isinstance(kind, str) else None
-    if read is None:
+    row = _READERS.get(kind) if isinstance(kind, str) else None
+    if row is None:
         raise SchemaError(f"{path}/kind", f"unknown kind {kind!r}")
+    fields, build, charge = row
+    _expect_object(doc, path, ("kind", *dict(fields)))
+    args = [read(doc[k], f"{path}/{k}") for k, read in fields]
     try:
-        return read(doc, path)
-    except SchemaError:
-        raise
+        return build(*args)
     except InputError as e:
-        raise SchemaError(path if e.field is None else f"{path}/{e.field}", str(e)) from e
+        field = charge or e.field
+        raise SchemaError(path if field is None else f"{path}/{field}", str(e)) from e
 
 
 def parse_spec(doc) -> HoloMap:

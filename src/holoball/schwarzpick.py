@@ -138,8 +138,8 @@ def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray):
     value is sigma_max(Df) from one ``spectral_norm`` call on their stacked
     Jacobians; and ``top``, the top singular direction on those rows and 0
     elsewhere (None when no row is a zero row, and ``value`` is then
-    ``quotient`` itself)."""
-    A = _contract(V, J)
+    ``quotient`` itself). A Jacobian that is not finite is refused."""
+    A = _contract(V, _all_finite(J, "derivative"))
     # rows at or below ZERO_BRANCH_TOL/10 use only the zero branch; the
     # floor just keeps 0/0 out of their unused quotient
     quotient = _row_norms(A) / np.maximum(nv, _FLOOR)
@@ -153,19 +153,20 @@ def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray):
     return A, quotient, value, zero, top
 
 
-def _finite_values(V: np.ndarray) -> np.ndarray:
-    """``V``, values of f; raises ``InputError`` when one is not finite."""
-    if np.count_nonzero(np.isfinite(V)) != V.size:
-        raise InputError("map value is not finite at the point")
-    return V
+def _all_finite(A: np.ndarray, what: str = "value") -> np.ndarray:
+    """``A``, values or derivatives of f; raises when an entry is not finite."""
+    if np.count_nonzero(np.isfinite(A)) != A.size:
+        raise InputError(f"map {what} is not finite at the point")
+    return A
 
 
 def mod_grad(f: HoloMap, z) -> GradResult:
     """Closed-form |grad|f||(z) with branch selection on |f(z)| against
-    ``ZERO_BRANCH_TOL``; a value of f that overflows is refused."""
+    ``ZERO_BRANCH_TOL``; a value of f or an entry of Df that is not finite
+    is refused."""
     with np.errstate(over="ignore", invalid="ignore"):
         V, J = f._value_jac(_one_point(z, f.n, "mod_grad"))
-    nv = _row_norms(_finite_values(V))
+    nv = _row_norms(_all_finite(V))
     A, quotient, value, zero, top = _grad_many(V, J, nv)
     if not zero[0]:
         return GradResult(value=float(value[0]), branch="nonzero", A=A[0])
@@ -219,7 +220,9 @@ def _fd_sampled(
     sphere samples (``sphere_rows(n, dirs, seeds)``) and the top singular
     direction of its Jacobian. ``base`` is |f| at the points."""
     t0, t1 = FD_STEPS
-    top = spectral_norm(f._value_jac(Z)[1]).direction
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = f._value_jac(Z)[1]
+    top = spectral_norm(_all_finite(J, "derivative")).direction
     D = np.concatenate([sphere_rows(Z.shape[1], dirs, seeds), top[:, None, :]], axis=1)
     q = (_fd_moduli(f, Z, D) - base[:, None, None]) / _FD_TS
     # Richardson extrapolation of the two quotients to step 0
@@ -238,7 +241,7 @@ def _fd_many(f: HoloMap, Z: np.ndarray, seeds, dirs) -> np.ndarray:
 
     with np.errstate(over="ignore", invalid="ignore"):
         V = f._value(Z)
-    base = _row_norms(_finite_values(V))
+    base = _row_norms(_all_finite(V))
     out = np.empty(count)
     zero = base <= ZERO_BRANCH_TOL
     rows = np.flatnonzero(~zero)
@@ -285,7 +288,7 @@ def _image_norms(V: np.ndarray) -> np.ndarray:
     inside = nv < _UNIT
     if not np.logical_and.reduce(inside, axis=None):
         k = int(inside.argmin())
-        _finite_values(V[k])
+        _all_finite(V[k])
         raise CertificationError("map value leaves the unit ball at the point, "
                                  f"|f(z)| = {float(nv[k])}")
     return nv
@@ -339,7 +342,8 @@ def _bound_batch(f: HoloMap, Z, tol: float, c=_ORIGIN, r=_UNIT) -> _BoundBatch:
         raise InputError(
             f"point must lie strictly inside |z - c| < r = {r}, c = {c}: |z - c| = {float(dist[k])}"
         )
-    V, J = f._value_jac(Z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        V, J = f._value_jac(Z)
     nv = _image_norms(V)
     _, _, lhs, zero, _ = _grad_many(V, J, nv)
     rhs = r * _one_minus_sq(nv) / ((r - dist) * (r + dist))

@@ -107,6 +107,21 @@ def test_grad_where_the_map_overflows_is_an_input_error(tmp_path):
     assert (proc.stdout, proc.stderr) == ("", "error: map value is not finite at the point\n")
 
 
+def test_bound_where_the_derivative_overflows_is_an_input_error(tmp_path):
+    # a constant last stage, whose chain-rule product at 1e-311 is 0 * inf:
+    # one error line and exit 2, not a NaN verdict, no numpy warning
+    doc = {"kind": "pipeline", "stages": [
+        {"kind": "mobius", "M": [1e308, 0.0], "b": [0.0, 0.0]},
+        {"kind": "affine", "M": [[[10.0, 0.0]]], "b": [[0.0, 0.0]]},
+        {"kind": "affine", "M": [[[0.0, 0.0]]], "b": [[0.5, 0.0]]},
+    ]}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    proc = _python_m("holoball", "bound", "--map", str(path), "--point", "1e-311,0")
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", "error: map derivative is not finite at the point\n")
+
+
 def test_bad_map_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -406,15 +406,15 @@ def test_log_over_a_longer_file_equals_a_fresh_log(tmp_path):
 def test_raising_campaign_leaves_the_lines_it_wrote(tmp_path, monkeypatch):
     log = tmp_path / "run.jsonl"
     fuzz_campaign(FuzzConfig(trials=20, points_per_trial=4, seed=32), log)
-    calls = []
+    calls, fd_many = [], harness._fd_many
 
     def failing(*args, **kwargs):
         calls.append(None)
         if len(calls) == 4:
             raise RuntimeError("trial 3 fails")
-        return mod_grad_fd_many(*args, **kwargs)
+        return fd_many(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "mod_grad_fd_many", failing)
+    monkeypatch.setattr(harness, "_fd_many", failing)
     with pytest.raises(RuntimeError, match="trial 3 fails"):
         fuzz_campaign(SMALL, log)
     records = [json.loads(line) for line in log.read_text().splitlines()]

@@ -342,9 +342,6 @@ FIELDS = {
     "Pipeline(stage)": (lambda: Pipeline([IDENTITY, "f"]), "stages"),
     "Pipeline(dimensions)": (lambda: Pipeline([POLY, IDENTITY]), "stages"),
     "line_embed(q)": (lambda: holomap._line_embed([0.5], [0.5, 0.0]), "q"),
-    # a reader of a replaced kind charges its constructor's error to one field
-    "mobius_quotient(a_abs)": (lambda: holomap._READERS["mobius_quotient"](
-        {"kind": "mobius_quotient", "a_abs": 1.0, "theta": 0.0}, ""), "a_abs"),
 }
 
 

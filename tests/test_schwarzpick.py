@@ -171,6 +171,34 @@ def test_a_value_that_overflows_is_refused():
         assert str(exc.value) == "map value is not finite at the point"
 
 
+def test_a_derivative_that_overflows_is_refused():
+    # the last stage is constant, so Df = 0, but the chain-rule product at
+    # 1e-311 is 0 * inf: every verdict refuses the point, and so does the FD
+    # oracle where f = 0, since it reads Df there; no numpy warning escapes
+    g = Pipeline([MobiusMap(1e308, 0.0), AffineMap([[10.0]], [0.0]), AffineMap([[0.0]], [0.5])])
+    g0 = Pipeline([*g.stages[:2], AffineMap([[0.0]], [0.0])])
+    for call in (lambda: sp_bound(g, 1e-311), lambda: sp_bound_many(g, [[2e-311], [1e-311]]),
+                 lambda: mod_grad(g, 1e-311), lambda: mod_grad(g0, 1e-311),
+                 lambda: mod_grad_fd(g0, 1e-311)):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert type(exc.value) is InputError
+        assert str(exc.value) == "map derivative is not finite at the point"
+
+
+def test_a_derivative_coefficient_past_the_float_range():
+    # 2 * 1e308 overflows, yet f'(1e-110) = 2e198 and A = 2e286 are finite;
+    # the column without an overflow keeps the plain product's bits
+    f = PolyMap(1, 1, {(2,): [1e308]})
+    g = mod_grad(f, 1e-110)
+    assert g.branch == "nonzero"
+    assert abs(g.value - 2e198) <= 1e-15 * 2e198
+    h = PolyMap(2, 1, {(2, 0): [1e308], (0, 3): [0.25 + 0.5j]})
+    z = np.array([1e-110, 0.3 - 0.2j])
+    assert abs(h.jacobian(z)[0, 0] - 2e198) <= 1e-15 * 2e198
+    assert h.jacobian(z)[0, 1] == PolyMap(2, 1, {(0, 3): [0.25 + 0.5j]}).jacobian(z)[0, 1]
+
+
 def test_one_dim_scalar_specialization():
     # n = m = 1: the modulus gradient is |f'|
     rng = np.random.default_rng(43)
