@@ -12,22 +12,25 @@ as ``force_zero_at`` builds its map on the plan of its argument.
 
 Campaigns derive one sub-seed per (trial, purpose, point) by splitmix64
 hashing of the config seed, so trials are independent and the whole run is
-reproducible; identical configs produce byte-identical JSONL (the summary's
-``runtime_ms`` is the only non-deterministic output). A trial is checked in
-one batch: the array cores of ``sp_bound_many`` and, when the oracle is
-on, of ``mod_grad_fd_many``, which take its sampled points without a second
-validation. Each point keeps its own direction seed
-``_mix(seed, trial, 2, idx)`` (derived for the whole trial as one uint64
-array); the seed keys the sampled directions in ``complexcore.sphere_rows``
-that the oracle uses only at points on or near the zero set of f, where it
-cannot differentiate along the real axes. The aggregate and the log lines
-are read off the result arrays. A trial's lines are spelled from one float
-matrix and one row template per branch, byte for byte what ``json.dumps``
-gives each record, and the log is rewritten in place: opened without
-truncation, written from its start and cut to the written length on exit
-(a regular file only), so an existing file keeps its inode, mode and links.
-Since row i of a batch equals the point checked alone, every record can be
-re-derived with ``sp_bound`` and ``mod_grad_fd``. Each log line is
+reproducible; identical configs produce byte-identical JSONL (the
+summary's ``runtime_ms`` is the only non-deterministic output). A trial is
+checked in one batch: the array cores of ``sp_bound_many`` and, when the
+oracle is on, of ``mod_grad_fd_many``, which take its sampled points
+without a second validation. f is evaluated at the points once, in the
+bound core: the oracle takes |f| there from it and evaluates f only at its
+own 8n rows per point, which for a default trial is one kernel call. Each
+point keeps its own direction seed ``_mix(seed, trial, 2, idx)`` (derived
+for the whole trial as one uint64 array); the seed keys the sampled
+directions in ``complexcore.sphere_rows`` that the oracle uses only at
+points on or near the zero set of f, where it cannot differentiate along
+the real axes. The aggregate and the log lines are read off the result
+arrays. A trial's lines are spelled from one float matrix and one row
+template per branch, byte for byte what ``json.dumps`` gives each record,
+and the log is rewritten in place: opened without truncation, written from
+its start and cut to the written length on exit (a regular file only), so
+an existing file keeps its inode, mode and links. Since row i of a batch
+equals the point checked alone, every record can be re-derived with
+``sp_bound`` and ``mod_grad_fd``. Each log line is
 
     {"trial": int, "point": [[re, im], ...], "lhs": real, "rhs": real,
      "slack": real, "branch": "zero"|"nonzero", "fd": real, "fd_dev": real}
@@ -250,16 +253,19 @@ class CampaignReport:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _record_lines(trial: int, b: _BoundBatch, fds: np.ndarray | None) -> str:
+def _record_lines(trial: int, b: _BoundBatch, fds: np.ndarray | None,
+                  devs: np.ndarray | None) -> str:
     """The JSONL records of one checked batch, one line per row, with the
     bytes of ``json.dumps`` per record: every float field goes into one
     matrix and is spelled by ``%s``, which is ``float.__repr__`` as in
-    json's encoder, and every row fills the template of its branch."""
+    json's encoder, and every row fills the template of its branch. ``fds``
+    are the oracle's readings and ``devs`` their deviations ``|lhs - fd|``,
+    both None when the oracle is off."""
     n = b.points.shape[1]
     cols = [b.points.view(np.float64), b.lhs, b.rhs, b.slack]
     fd = '"fd": null, "fd_dev": null'
     if fds is not None:
-        cols += [fds, np.abs(b.lhs - fds)]
+        cols += [fds, devs]
         fd = '"fd": %s, "fd_dev": %s'
     M = np.column_stack(cols)
     vals = M.ravel().tolist()
@@ -291,8 +297,10 @@ def _rewrite(path: str | Path):
                 out.truncate()
 
 
-def _absorb(report: CampaignReport, b: _BoundBatch, fds: np.ndarray | None) -> None:
-    """Fold one checked batch, in row order, into the campaign aggregate."""
+def _absorb(report: CampaignReport, b: _BoundBatch, fds: np.ndarray | None,
+            devs: np.ndarray | None) -> None:
+    """Fold one checked batch, in row order, into the campaign aggregate;
+    ``fds`` and ``devs`` as for ``_record_lines``."""
     report.points_checked += b.lhs.shape[0]
     worst = float(b.slack.min())
     if report.worst_slack is None or worst < report.worst_slack:
@@ -300,12 +308,12 @@ def _absorb(report: CampaignReport, b: _BoundBatch, fds: np.ndarray | None) -> N
     if not b.holds.all():
         report.violations += b.reports(np.flatnonzero(~b.holds).tolist())
     if fds is not None:
-        dev = float(np.abs(b.lhs - fds).max())
+        dev = float(devs.max())
         if report.oracle_max_dev is None or dev > report.oracle_max_dev:
             report.oracle_max_dev = dev
         report.fd_anomalies += int((fds > b.lhs + FD_ANOMALY_TOL).sum())
         B = b.points.shape[0]
-        near = _row_norms(b.values) < 10.0 * FD_STEPS[0] * _row_norms(b.jacobians.reshape(B, -1))
+        near = b.norms < 10.0 * FD_STEPS[0] * _row_norms(b.jacobians.reshape(B, -1))
         report.fd_undecided += int((near & ~b.zero).sum())
 
 
@@ -334,13 +342,14 @@ def fuzz_campaign(cfg: FuzzConfig, log_path: str | Path | None = None) -> Campai
                 )
                 points = sample_ball_points(cfg.n, cfg.points_per_trial, _mix(cfg.seed, trial, 1))
             b = _bound_batch(f, points, cfg.tol)
-            fds = None
+            fds = devs = None
             if cfg.fd_dirs:
                 seeds = _mix_range((cfg.seed, trial, 2), points.shape[0])
-                fds = _fd_many(f, points, seeds, cfg.fd_dirs)
+                fds = _fd_many(f, points, b.norms, seeds, cfg.fd_dirs)
+                devs = np.abs(b.lhs - fds)
             if out is not None:
-                out.write(_record_lines(trial, b, fds))
-            _absorb(report, b, fds)
+                out.write(_record_lines(trial, b, fds, devs))
+            _absorb(report, b, fds, devs)
             if trial >= 0:
                 report.trials_run += 1
             else:

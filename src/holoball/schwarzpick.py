@@ -30,7 +30,8 @@ of a point come from ``complexcore.sphere_rows``, a counter-based
 splitmix64 stream keyed by the point's seed, so a batch draws the
 directions of all its points in a few array operations. Both readings
 take their values of |f| from one loop, ``_fd_moduli``, and differ only in
-how they combine them.
+how they combine them. |f| at the points themselves is an argument of the
+oracle's core, so a campaign passes the norms its bound check computed.
 
 Every check runs on a ``(B, n)`` batch of points: ``sp_bound_many`` and
 ``mod_grad_fd_many`` evaluate the map once per batch and vectorise the
@@ -46,6 +47,7 @@ builds a ``GradResult`` from them.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +85,9 @@ _FD_TS = _freeze(np.array(FD_STEPS))
 DEFAULT_FD_DIRS = 64
 DEFAULT_BOUND_TOL = 1e-9
 # rows per kernel call in the FD oracle, which keeps its peak memory small:
-# 1400 // (8n) points off the zero set (87 at n = 2), and 1400 // (2 (dirs + 1))
-# on it (ten at the default directions)
-_FD_MAX_ROWS = 1400
+# 1600 // (8n) points off the zero set (100 at n = 2, a default trial in one
+# call), and 1600 // (2 (dirs + 1)) on it (12 at the default directions)
+_FD_MAX_ROWS = 1600
 
 
 @dataclass(eq=False)
@@ -181,19 +183,30 @@ def mod_grad(f: HoloMap, z) -> GradResult:
 
 
 def _fd_moduli(f: HoloMap, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """|f(z + t d)| at every row z of ``Z``, each of its unit directions d
-    (row i takes the ``(k, n)`` block ``D[i]``) and each step t of
-    ``FD_STEPS``, shape ``(B, k, 2)``. The evaluations go to ``f._value``, up
-    to ``_FD_MAX_ROWS`` rows per call."""
-    count, k, n = D.shape
-    ts = _FD_TS
-    out = np.empty((count, k, ts.size))
-    chunk = max(1, _FD_MAX_ROWS // (k * ts.size))
+    """|f(z + t d)| at every row z of ``Z``, each unit direction d and each
+    step t of ``FD_STEPS``, shape ``(B, k, 2)``: the ``(k, n)`` directions
+    ``D`` serve every row, a ``(B, k, n)`` stack gives row i the block
+    ``D[i]``. The steps ``t d`` are formed once, so a chunk of rows is one
+    broadcast sum ``z + t d``; the evaluations go to ``f._value``, up to
+    ``_FD_MAX_ROWS`` rows per call."""
+    count, n = Z.shape
+    k = D.shape[-2]
+    steps = _FD_TS[:, None] * D[..., None, :]
+    out = np.empty((count, k, _FD_TS.size))
+    chunk = max(1, _FD_MAX_ROWS // (k * _FD_TS.size))
     for lo in range(0, count, chunk):
         hi = min(count, lo + chunk)
-        pts = Z[lo:hi, None, None, :] + ts[None, None, :, None] * D[lo:hi, :, None, :]
-        out[lo:hi] = _row_norms(f._value(pts.reshape(-1, n))).reshape(hi - lo, k, ts.size)
+        pts = Z[lo:hi, None, None, :] + (steps if D.ndim == 2 else steps[lo:hi])
+        out[lo:hi] = _row_norms(f._value(pts.reshape(-1, n))).reshape(hi - lo, k, _FD_TS.size)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_table(n: int) -> np.ndarray:
+    """The oracle's ``(4n, n)`` directions off the zero set, read-only: the
+    real axes ``e_j``, then ``i e_j``, then their negatives."""
+    axes = np.concatenate([np.eye(n), 1j * np.eye(n)])
+    return _freeze(np.concatenate([axes, -axes]))
 
 
 def _fd_axes(f: HoloMap, Z: np.ndarray) -> np.ndarray:
@@ -201,11 +214,9 @@ def _fd_axes(f: HoloMap, Z: np.ndarray) -> np.ndarray:
     R^{2n}: component k is the central difference of |f| along the real axis
     ``e_k`` (k < n) or ``i e_{k-n}``, taken at both ``FD_STEPS`` and
     Richardson-extrapolated to step 0, from 8n values of f per point."""
-    count, n = Z.shape
+    n = Z.shape[1]
     t0, t1 = FD_STEPS
-    axes = np.concatenate([np.eye(n), 1j * np.eye(n)])
-    D = np.broadcast_to(np.concatenate([axes, -axes]), (count, 4 * n, n))
-    mods = _fd_moduli(f, Z, D)
+    mods = _fd_moduli(f, Z, _axis_table(n))
     d = (mods[:, : 2 * n] - mods[:, 2 * n :]) / (2.0 * _FD_TS)
     # Richardson extrapolation of the two central differences to step 0
     return _row_norms((t0 * t0 * d[..., 1] - t1 * t1 * d[..., 0]) / (t0 * t0 - t1 * t1))
@@ -229,19 +240,18 @@ def _fd_sampled(
     return ((t0 * q[..., 1] - t1 * q[..., 0]) / (t0 - t1)).max(axis=1)
 
 
-def _fd_many(f: HoloMap, Z: np.ndarray, seeds, dirs) -> np.ndarray:
-    """The core of the FD oracle's two entries, on a finite ``(B, n)`` batch
-    its caller has validated; the oracle's rows ``z + t d`` with finite z and
-    unit d are finite, and go to the map's kernels directly."""
+def _fd_many(f: HoloMap, Z: np.ndarray, base: np.ndarray, seeds, dirs) -> np.ndarray:
+    """The core of the FD oracle, on a finite ``(B, n)`` batch its caller has
+    validated, with ``base``, |f| at its rows: its two entries take it from
+    ``_value_norms``, a campaign from its bound core. The oracle's rows
+    ``z + t d`` with finite z and unit d are finite, and go to the map's
+    kernels directly."""
     dirs = _integer(dirs, "dirs", 64)
     count = Z.shape[0]
     seeds = _seed_words(seeds)
     if len(seeds) != count:
         raise InputError(f"{len(seeds)} seeds for {count} points")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        V = f._value(Z)
-    base = _row_norms(_all_finite(V))
     out = np.empty(count)
     zero = base <= ZERO_BRANCH_TOL
     rows = np.flatnonzero(~zero)
@@ -253,11 +263,19 @@ def _fd_many(f: HoloMap, Z: np.ndarray, seeds, dirs) -> np.ndarray:
     return out
 
 
+def _value_norms(f: HoloMap, Z: np.ndarray) -> np.ndarray:
+    """|f| at every row of a validated batch; a value that is not finite is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = f._value(Z)
+    return _row_norms(_all_finite(V))
+
+
 def mod_grad_fd_many(f: HoloMap, Z, seeds, dirs: int = DEFAULT_FD_DIRS) -> np.ndarray:
     """``mod_grad_fd`` at every row of a ``(B, n)`` batch, row i with direction
     seed ``seeds[i]`` (a uint64 array or any iterable of integers in
     [0, 2^64)); entry i is bit for bit ``mod_grad_fd(f, Z[i], dirs, seeds[i])``."""
-    return _fd_many(f, _as_batch(Z, f.n), seeds, dirs)
+    Z = _as_batch(Z, f.n)
+    return _fd_many(f, Z, _value_norms(f, Z), seeds, dirs)
 
 
 def mod_grad_fd(f: HoloMap, z, dirs: int = DEFAULT_FD_DIRS, seed: int = 0) -> float:
@@ -274,7 +292,8 @@ def mod_grad_fd(f: HoloMap, z, dirs: int = DEFAULT_FD_DIRS, seed: int = 0) -> fl
     sphere (the rows of ``sphere_rows(f.n, dirs, [seed])``) and the top
     singular direction of the Jacobian; ``seed`` keys only those samples.
     """
-    return float(_fd_many(f, _one_point(z, f.n, "mod_grad_fd"), [seed], dirs)[0])
+    Z = _one_point(z, f.n, "mod_grad_fd")
+    return float(_fd_many(f, Z, _value_norms(f, Z), [seed], dirs)[0])
 
 
 def _one_minus_sq(x):
@@ -296,11 +315,13 @@ def _image_norms(V: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _BoundBatch:
-    """The bound at every row of a batch, as arrays, with the map's values and
-    Jacobians there; ``zero`` marks the rows whose gradient took the zero branch."""
+    """The bound at every row of a batch, as arrays, with the map's values,
+    their norms |f| and its Jacobians there; ``zero`` marks the rows whose
+    gradient took the zero branch."""
 
     points: np.ndarray
     values: np.ndarray
+    norms: np.ndarray
     jacobians: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
@@ -338,7 +359,9 @@ def _bound_batch(f: HoloMap, Z, tol: float, c=_ORIGIN, r=_UNIT) -> _BoundBatch:
     if np.logical_or.reduce(outside, axis=None):
         k = int(outside.argmax())
         if k:
-            _image_norms(f._value(Z[:k]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                V = f._value(Z[:k])
+            _image_norms(V)
         raise InputError(
             f"point must lie strictly inside |z - c| < r = {r}, c = {c}: |z - c| = {float(dist[k])}"
         )
@@ -348,7 +371,7 @@ def _bound_batch(f: HoloMap, Z, tol: float, c=_ORIGIN, r=_UNIT) -> _BoundBatch:
     _, _, lhs, zero, _ = _grad_many(V, J, nv)
     rhs = r * _one_minus_sq(nv) / ((r - dist) * (r + dist))
     slack = rhs - lhs
-    return _BoundBatch(Z.copy(), V, J, lhs, rhs, slack, slack >= -tol, zero, tol)
+    return _BoundBatch(Z.copy(), V, nv, J, lhs, rhs, slack, slack >= -tol, zero, tol)
 
 
 def sp_bound_many(f: HoloMap, Z, tol: float = DEFAULT_BOUND_TOL) -> list[BoundReport]:

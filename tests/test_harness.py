@@ -220,8 +220,31 @@ def test_points_near_a_zero_are_fd_undecided():
     for fds, count in ((None, None), (mod_grad_fd_many(f, zs, range(11)), want)):
         rep = CampaignReport(trials_run=0, points_checked=0,
                              fd_undecided=None if fds is None else 0)
-        _absorb(rep, b, fds)
+        _absorb(rep, b, fds, deviations(b, fds))
         assert rep.fd_undecided == rep.to_dict()["fd_undecided"] == count
+
+
+def test_a_default_trial_sends_its_fd_rows_in_one_kernel_call(tmp_path, monkeypatch):
+    cfg = FuzzConfig(trials=1)
+    rows, value = [], PolyMap._value
+
+    def recording(self, X):
+        rows.append(X.shape[0])
+        return value(self, X)
+
+    monkeypatch.setattr(PolyMap, "_value", recording)
+    log = tmp_path / "trial.jsonl"
+    fuzz_campaign(cfg, log)
+    monkeypatch.undo()
+    # the bound core evaluates f at the points (by _value_jac) and the oracle
+    # takes |f| there from it: its 8n rows per point go to _value in one call
+    assert rows == [cfg.points_per_trial * 8 * cfg.n] == [1600]
+    f = gen_random_polymap(cfg.n, cfg.m, cfg.max_degree, cfg.margin, _mix(cfg.seed, 0, 0))
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(records) == cfg.points_per_trial
+    for idx, rec in enumerate(records):
+        z = np.array([complex(re, im) for re, im in rec["point"]])
+        assert rec["fd"] == mod_grad_fd(f, z, cfg.fd_dirs, seed=_mix(cfg.seed, 0, 2, idx))
 
 
 def test_default_campaign_has_no_fd_undecided_points():
@@ -298,6 +321,11 @@ def test_mix_range_equals_per_point_mix():
         assert got.tolist() == [_mix(seed, trial, 2, idx) for idx in range(1000)]
 
 
+def deviations(b, fds):
+    """The ``devs`` argument of ``_record_lines`` and ``_absorb``."""
+    return None if fds is None else np.abs(b.lhs - fds)
+
+
 def record_lines_reference(trial, b, fds):
     """One ``json.dumps`` call per record, as the reference for the log."""
     lines = []
@@ -336,6 +364,7 @@ def special_batch(n):
     b = _BoundBatch(
         points=points,
         values=np.zeros((k, 1), dtype=np.complex128),
+        norms=np.zeros(k),
         jacobians=np.zeros((k, 1, n), dtype=np.complex128),
         lhs=col(1),
         rhs=col(2),
@@ -371,7 +400,8 @@ def test_record_lines_equal_per_record_dumps():
         b, fds = special_batch(n)
         batches += [(7, b, fds), (7, b, None)]
     for trial, b, fds in batches:
-        assert _record_lines(trial, b, fds) == record_lines_reference(trial, b, fds)
+        got = _record_lines(trial, b, fds, deviations(b, fds))
+        assert got == record_lines_reference(trial, b, fds)
 
 
 def test_special_batch_spells_every_float_in_every_field():
@@ -380,7 +410,8 @@ def test_special_batch_spells_every_float_in_every_field():
     assert spellings == {
         "NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "1e-05", "1e+16", "1e+22"
     }
-    records = [json.loads(line) for line in _record_lines(7, b, fds).splitlines()]
+    lines = _record_lines(7, b, fds, deviations(b, fds))
+    records = [json.loads(line) for line in lines.splitlines()]
     fields = [[r[key] for r in records] for key in ("lhs", "rhs", "slack", "fd")]
     fields += [[r["point"][j][k] for r in records] for j in range(2) for k in range(2)]
     for values in fields:
@@ -538,7 +569,7 @@ def test_force_zero_keeps_the_plan_of_a_generated_map(n, m):
     ref = PolyMap.from_arrays(n, m, f._alphas, harness._certified(coefs, 0.3))
     assert g._coefs.tobytes() == ref._coefs.tobytes()
     assert emit_spec(g) == emit_spec(ref)
-    for B in (1, 7, 100, 1400):
+    for B in (1, 7, 100, 1400, 1600):
         zs = sample_ball_points(n, B, seed=B)
         for got, want in zip(g.eval_jac_many(zs), ref.eval_jac_many(zs)):
             assert got.tobytes() == want.tobytes()

@@ -755,7 +755,7 @@ def column_by_column(f, Z):
 
 
 @pytest.mark.parametrize("f", KERNEL_MAPS, ids=KERNEL_IDS)
-@pytest.mark.parametrize("B", [1, 7, 1400])
+@pytest.mark.parametrize("B", [1, 7, 1400, 1600])
 def test_fused_kernel_is_bit_identical_to_one_table_per_set(f, B):
     zs = sample_ball_points(f.n, B, seed=900 + B + 10 * f.n + f.m)
     V, J = f.eval_jac_many(zs)
@@ -879,7 +879,7 @@ def test_terms_in_any_order_share_one_plan(f):
 
 
 @pytest.mark.parametrize("f", SPARSE_MAPS, ids=repr)
-@pytest.mark.parametrize("B", [1, 7, 100, 1400])
+@pytest.mark.parametrize("B", [1, 7, 100, 1400, 1600])
 def test_the_value_kernel_reads_the_fused_kernels_table(f, B):
     # _value sums the columns of the map's own terms from the union's table
     zs = sample_ball_points(f.n, B, seed=1300 + B)

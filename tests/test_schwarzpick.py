@@ -9,6 +9,8 @@ Frozen cases:
 * z^2 at 1/2: equality gap exactly 0.25
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,19 @@ def test_a_value_that_overflows_is_refused():
             call()
         assert type(exc.value) is InputError
         assert str(exc.value) == "map value is not finite at the point"
+
+
+def test_rows_ahead_of_a_point_outside_the_ball_are_read_without_a_warning():
+    # the rows before the first point outside the ball are evaluated, so that
+    # an image which is not finite there is refused first; that evaluation
+    # runs under the same errstate as the batch's kernel call
+    f = PolyMap(1, 1, {(1,): [1e308], (2,): [1e308]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as exc:
+            sp_bound_many(f, [[0.99], [2.0]])
+    assert type(exc.value) is InputError
+    assert str(exc.value) == "map value is not finite at the point"
 
 
 def test_a_derivative_that_overflows_is_refused():
@@ -415,17 +430,17 @@ def test_fd_many_rows_equal_single_point():
     for i, z in enumerate(zs):
         assert got[i] == mod_grad_fd(f, z, seed=seeds[i])
     # rows past one kernel chunk off the zero set: 8n = 24 rows per point at
-    # n = 3, so 1400 // 24 = 58 points per chunk and 150 points take 3 chunks
-    assert schwarzpick._FD_MAX_ROWS // (8 * 3) == 58
+    # n = 3, so 1600 // 24 = 66 points per chunk and 150 points take 3 chunks
+    assert schwarzpick._FD_MAX_ROWS // (8 * 3) == 66
     g = gen_random_polymap(3, 2, max_degree=3, margin=0.25, seed=4)
     ws = sample_ball_points(3, 150, seed=5)
     got = mod_grad_fd_many(g, ws, range(150))
     for i, w in enumerate(ws):
         assert got[i] == mod_grad_fd(g, w, seed=i)
-    # and on it: (140 + 1) * 2 rows per point, 4 points per chunk, so the 8
+    # and on it: (140 + 1) * 2 rows per point, 5 points per chunk, so the 8
     # zero rows of a witness (which vanishes on a hyperplane) take 2 chunks
     # between the nonzero rows
-    assert schwarzpick._FD_MAX_ROWS // ((140 + 1) * len(FD_STEPS)) == 4
+    assert schwarzpick._FD_MAX_ROWS // ((140 + 1) * len(FD_STEPS)) == 5
     p = np.array([0.3 - 0.1j, 0.2j])
     u = p / vnorm(p)
     h = extremal_zero_case(ExtremalSpec.zero(p, u, [0.6, 0.8j]))
