@@ -42,7 +42,7 @@ from .errors import InputError, PreconditionError
 from .geometry import _ball_point, disk_slice
 from .holomap import (AffineMap, HoloMap, MobiusMap, Pipeline, _freeze, _functional, _rotation,
                       _times)
-from .schwarzpick import DEFAULT_BOUND_TOL, _bound_batch, _one_minus_sq
+from .schwarzpick import DEFAULT_BOUND_TOL, _bound_batch, _evaluate, _one_minus_sq
 
 __all__ = [
     "ExtremalSpec",
@@ -228,9 +228,9 @@ def diagnose_equality_form(
     # canonical disk factor on the slice: w(z) = phi_{-c/r}((z - c)/r), from its finite constants
     canonical = Pipeline([AffineMap._of(np.array([[1.0 / ds.r]]), -ds.c / ds.r),
                           MobiusMap(-1.0, -ds.c / ds.r)])
-    zs = ds.c + 0.9 * ds.r * _roots_of_unity(samples)
-    W = canonical.eval_many(zs[:, None])[:, 0]
-    G = g.eval_many(zs[:, None])
+    zs = (ds.c + 0.9 * ds.r * _roots_of_unity(samples))[:, None]
+    W = _evaluate(canonical, zs)[:, 0]
+    G = _evaluate(g, zs)
 
     fp = at_p.values[0]
     if at_p.zero[0]:

@@ -98,11 +98,11 @@ def _one_point(z, n: int, name: str) -> np.ndarray:
     return Z
 
 
-def _finite(A: np.ndarray) -> np.ndarray:
-    """A pipeline's intermediate values ``A`` themselves; raises
-    ``InputError`` when one is not finite."""
+def _finite(A: np.ndarray, message: str = "points contain non-finite entries") -> np.ndarray:
+    """``A`` itself, values of a map or of its derivatives; raises
+    ``InputError(message)`` when an entry is not finite."""
     if np.count_nonzero(np.isfinite(A)) != A.size:
-        raise InputError("points contain non-finite entries")
+        raise InputError(message)
     return A
 
 

@@ -38,10 +38,12 @@ Every check runs on a ``(B, n)`` batch of points: ``sp_bound_many`` and
 nonzero branch. Row i of a batch is bit for bit the same point checked
 alone; ``mod_grad``, ``mod_grad_fd``, ``sp_bound``, ``sp_bound_slice`` and
 ``equality_gap`` run the same code at B = 1. Each public entry validates
-its points once; the cores below it take the validated batch and call the
-map's kernels ``_value`` and ``_value_jac`` directly. The closed-form core
-``_grad_many`` returns arrays, and ``mod_grad`` is the one place that
-builds a ``GradResult`` from them.
+its points once; the cores below it pass the validated batch to
+``_evaluate``, the layer's one call into the map's kernels ``_value`` and
+``_value_jac``. It runs them and A = conj(f) Df under one numpy errstate,
+and an overflow is refused as an entry that is not finite, never a warning.
+The closed-form core ``_grad_many`` returns arrays, and ``mod_grad`` is the
+one place that builds a ``GradResult`` from them.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import numpy as np
 from .complexcore import (_as_complex, _integer, _positive_real, _row_norms, _seed_words,
                           _to_json, spectral_norm, sphere_rows)
 from .errors import CertificationError, InputError
-from .holomap import HoloMap, _as_batch, _freeze, _one_point, _sum_terms
+from .holomap import HoloMap, _as_batch, _finite, _freeze, _one_point, _sum_terms
 
 __all__ = [
     "ZERO_BRANCH_TOL",
@@ -84,6 +86,7 @@ FD_STEPS = (1e-4, 5e-5)
 _FD_TS = _freeze(np.array(FD_STEPS))
 DEFAULT_FD_DIRS = 64
 DEFAULT_BOUND_TOL = 1e-9
+_VALUE_NOT_FINITE = "map value is not finite at the point"
 # rows per kernel call in the FD oracle, which keeps its peak memory small:
 # 1600 // (8n) points off the zero set (100 at n = 2, a default trial in one
 # call), and 1600 // (2 (dirs + 1)) on it (12 at the default directions)
@@ -132,16 +135,30 @@ def _contract(V: np.ndarray, J: np.ndarray) -> np.ndarray:
     return _sum_terms(np.conj(V), J)
 
 
-def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray):
-    """Closed form for the batch ``f = V``, ``Df = J``, ``|f| = nv``, as
-    arrays ``(A, quotient, value, zero, top)``: ``A = conj(f) . Df`` and the
+def _evaluate(f: HoloMap, Z: np.ndarray, jac: bool = False):
+    """The layer's one call into the map's kernels, on a validated batch
+    ``Z``, under one errstate. Value mode returns ``f._value(Z)`` and refuses
+    a value that is not finite; Jacobian mode returns ``(V, J, A)``: values,
+    Jacobians and ``A = conj(f) . Df``, unjudged, for the caller's rule."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not jac:
+            return _finite(f._value(Z), _VALUE_NOT_FINITE)
+        V, J = f._value_jac(Z)
+        return V, J, _contract(V, J)
+
+
+def _grad_many(J: np.ndarray, A: np.ndarray, nv: np.ndarray):
+    """Closed form for the batch ``Df = J``, ``A = conj(f) . Df``,
+    ``|f| = nv``, as arrays ``(quotient, value, zero, top)``: the
     nonzero-branch quotient |A|/|f| of every row, vectorised; the value of
     every row; the mask of the rows at or below ``ZERO_BRANCH_TOL``, whose
     value is sigma_max(Df) from one ``spectral_norm`` call on their stacked
     Jacobians; and ``top``, the top singular direction on those rows and 0
     elsewhere (None when no row is a zero row, and ``value`` is then
-    ``quotient`` itself). A Jacobian that is not finite is refused."""
-    A = _contract(V, _all_finite(J, "derivative"))
+    ``quotient`` itself). A Jacobian that is not finite is refused, then an
+    A that is not finite."""
+    _finite(J, "map derivative is not finite at the point")
+    _finite(A, "A = conj(f) Df is not finite at the point")
     # rows at or below ZERO_BRANCH_TOL/10 use only the zero branch; the
     # floor just keeps 0/0 out of their unused quotient
     quotient = _row_norms(A) / np.maximum(nv, _FLOOR)
@@ -152,24 +169,16 @@ def _grad_many(V: np.ndarray, J: np.ndarray, nv: np.ndarray):
         value = quotient.copy()
         top = np.zeros((J.shape[0], J.shape[2]), dtype=np.complex128)
         value[zero], top[zero] = spectral_norm(J[zero])
-    return A, quotient, value, zero, top
-
-
-def _all_finite(A: np.ndarray, what: str = "value") -> np.ndarray:
-    """``A``, values or derivatives of f; raises when an entry is not finite."""
-    if np.count_nonzero(np.isfinite(A)) != A.size:
-        raise InputError(f"map {what} is not finite at the point")
-    return A
+    return quotient, value, zero, top
 
 
 def mod_grad(f: HoloMap, z) -> GradResult:
     """Closed-form |grad|f||(z) with branch selection on |f(z)| against
-    ``ZERO_BRANCH_TOL``; a value of f or an entry of Df that is not finite
-    is refused."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        V, J = f._value_jac(_one_point(z, f.n, "mod_grad"))
-    nv = _row_norms(_all_finite(V))
-    A, quotient, value, zero, top = _grad_many(V, J, nv)
+    ``ZERO_BRANCH_TOL``; a value of f, an entry of Df or of A that is not
+    finite is refused."""
+    V, J, A = _evaluate(f, _one_point(z, f.n, "mod_grad"), True)
+    nv = _row_norms(_finite(V, _VALUE_NOT_FINITE))
+    quotient, value, zero, top = _grad_many(J, A, nv)
     if not zero[0]:
         return GradResult(value=float(value[0]), branch="nonzero", A=A[0])
     ambiguous = bool(nv[0] > ZERO_BRANCH_TOL / 10.0)
@@ -187,7 +196,7 @@ def _fd_moduli(f: HoloMap, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
     step t of ``FD_STEPS``, shape ``(B, k, 2)``: the ``(k, n)`` directions
     ``D`` serve every row, a ``(B, k, n)`` stack gives row i the block
     ``D[i]``. The steps ``t d`` are formed once, so a chunk of rows is one
-    broadcast sum ``z + t d``; the evaluations go to ``f._value``, up to
+    broadcast sum ``z + t d``; the evaluations go to ``_evaluate``, up to
     ``_FD_MAX_ROWS`` rows per call."""
     count, n = Z.shape
     k = D.shape[-2]
@@ -197,7 +206,7 @@ def _fd_moduli(f: HoloMap, Z: np.ndarray, D: np.ndarray) -> np.ndarray:
     for lo in range(0, count, chunk):
         hi = min(count, lo + chunk)
         pts = Z[lo:hi, None, None, :] + (steps if D.ndim == 2 else steps[lo:hi])
-        out[lo:hi] = _row_norms(f._value(pts.reshape(-1, n))).reshape(hi - lo, k, _FD_TS.size)
+        out[lo:hi] = _row_norms(_evaluate(f, pts.reshape(-1, n))).reshape(hi - lo, k, _FD_TS.size)
     return out
 
 
@@ -229,11 +238,10 @@ def _fd_sampled(
     one-sided difference quotient of |f| at both ``FD_STEPS``,
     Richardson-extrapolated to step 0, over each point's ``dirs`` seeded
     sphere samples (``sphere_rows(n, dirs, seeds)``) and the top singular
-    direction of its Jacobian. ``base`` is |f| at the points."""
+    direction of its Jacobian, from ``_grad_many``. ``base`` is |f| there."""
     t0, t1 = FD_STEPS
-    with np.errstate(over="ignore", invalid="ignore"):
-        J = f._value_jac(Z)[1]
-    top = spectral_norm(_all_finite(J, "derivative")).direction
+    _, J, A = _evaluate(f, Z, True)
+    top = _grad_many(J, A, base)[3]
     D = np.concatenate([sphere_rows(Z.shape[1], dirs, seeds), top[:, None, :]], axis=1)
     q = (_fd_moduli(f, Z, D) - base[:, None, None]) / _FD_TS
     # Richardson extrapolation of the two quotients to step 0
@@ -243,9 +251,9 @@ def _fd_sampled(
 def _fd_many(f: HoloMap, Z: np.ndarray, base: np.ndarray, seeds, dirs) -> np.ndarray:
     """The core of the FD oracle, on a finite ``(B, n)`` batch its caller has
     validated, with ``base``, |f| at its rows: its two entries take it from
-    ``_value_norms``, a campaign from its bound core. The oracle's rows
-    ``z + t d`` with finite z and unit d are finite, and go to the map's
-    kernels directly."""
+    ``_evaluate``, a campaign from its bound core. The oracle's rows
+    ``z + t d`` go through ``_evaluate`` too, which refuses a value of f
+    there that is not finite."""
     dirs = _integer(dirs, "dirs", 64)
     count = Z.shape[0]
     seeds = _seed_words(seeds)
@@ -263,19 +271,12 @@ def _fd_many(f: HoloMap, Z: np.ndarray, base: np.ndarray, seeds, dirs) -> np.nda
     return out
 
 
-def _value_norms(f: HoloMap, Z: np.ndarray) -> np.ndarray:
-    """|f| at every row of a validated batch; a value that is not finite is refused."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        V = f._value(Z)
-    return _row_norms(_all_finite(V))
-
-
 def mod_grad_fd_many(f: HoloMap, Z, seeds, dirs: int = DEFAULT_FD_DIRS) -> np.ndarray:
     """``mod_grad_fd`` at every row of a ``(B, n)`` batch, row i with direction
     seed ``seeds[i]`` (a uint64 array or any iterable of integers in
     [0, 2^64)); entry i is bit for bit ``mod_grad_fd(f, Z[i], dirs, seeds[i])``."""
     Z = _as_batch(Z, f.n)
-    return _fd_many(f, Z, _value_norms(f, Z), seeds, dirs)
+    return _fd_many(f, Z, _row_norms(_evaluate(f, Z)), seeds, dirs)
 
 
 def mod_grad_fd(f: HoloMap, z, dirs: int = DEFAULT_FD_DIRS, seed: int = 0) -> float:
@@ -293,7 +294,7 @@ def mod_grad_fd(f: HoloMap, z, dirs: int = DEFAULT_FD_DIRS, seed: int = 0) -> fl
     singular direction of the Jacobian; ``seed`` keys only those samples.
     """
     Z = _one_point(z, f.n, "mod_grad_fd")
-    return float(_fd_many(f, Z, _value_norms(f, Z), [seed], dirs)[0])
+    return float(_fd_many(f, Z, _row_norms(_evaluate(f, Z)), [seed], dirs)[0])
 
 
 def _one_minus_sq(x):
@@ -307,7 +308,7 @@ def _image_norms(V: np.ndarray) -> np.ndarray:
     inside = nv < _UNIT
     if not np.logical_and.reduce(inside, axis=None):
         k = int(inside.argmin())
-        _all_finite(V[k])
+        _finite(V[k], _VALUE_NOT_FINITE)
         raise CertificationError("map value leaves the unit ball at the point, "
                                  f"|f(z)| = {float(nv[k])}")
     return nv
@@ -352,23 +353,19 @@ def _bound_batch(f: HoloMap, Z, tol: float, c=_ORIGIN, r=_UNIT) -> _BoundBatch:
     """The array core of the bound checks: the bound
     ``|grad|f||(z) <= r (1 - |f(z)|^2) / (r^2 - |z - c|^2)`` on the ball
     |z - c| < r (the unit ball is c = 0, r = 1) at every row of ``Z``, a
-    finite ``(B, n)`` complex batch its caller has validated."""
+    finite ``(B, n)`` batch its caller has validated, evaluated up to its
+    first point outside the ball, so that the first bad row decides."""
     tol = _positive_real(tol, "tol")
     dist = _row_norms(Z - c)
     outside = dist >= r
-    if np.logical_or.reduce(outside, axis=None):
-        k = int(outside.argmax())
-        if k:
-            with np.errstate(over="ignore", invalid="ignore"):
-                V = f._value(Z[:k])
-            _image_norms(V)
+    k = int(outside.argmax()) if np.logical_or.reduce(outside, axis=None) else Z.shape[0]
+    V, J, A = _evaluate(f, Z[:k], True)
+    nv = _image_norms(V)
+    if k < Z.shape[0]:
         raise InputError(
             f"point must lie strictly inside |z - c| < r = {r}, c = {c}: |z - c| = {float(dist[k])}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        V, J = f._value_jac(Z)
-    nv = _image_norms(V)
-    _, _, lhs, zero, _ = _grad_many(V, J, nv)
+    _, lhs, zero, _ = _grad_many(J, A, nv)
     rhs = r * _one_minus_sq(nv) / ((r - dist) * (r + dist))
     slack = rhs - lhs
     return _BoundBatch(Z.copy(), V, nv, J, lhs, rhs, slack, slack >= -tol, zero, tol)

@@ -107,6 +107,21 @@ def test_grad_where_the_map_overflows_is_an_input_error(tmp_path):
     assert (proc.stdout, proc.stderr) == ("", "error: map value is not finite at the point\n")
 
 
+@pytest.mark.parametrize("argv, coefs, message", [
+    # A = conj(f) Df of 1.7976e308 z overflows at 1e-10, where f and Df are finite
+    (["grad", "--point", "1e-10,0"], {(1,): [1.7976e308]},
+     "A = conj(f) Df is not finite at the point"),
+    # z + 1.7e308 (z^2 + z^3) attains equality at 0 and overflows on the sample circle
+    (["diagnose", "--p", "0,0", "--q", "0.5,0"], {(1,): [1.0], (2,): [1.7e308], (3,): [1.7e308]},
+     "map value is not finite at the point"),
+])
+def test_an_overflow_inside_a_verdict_is_an_input_error(tmp_path, argv, coefs, message):
+    path = write_map(tmp_path, PolyMap(1, 1, coefs))
+    proc = _python_m("holoball", argv[0], "--map", path, *argv[1:])
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
+
+
 def test_bound_where_the_derivative_overflows_is_an_input_error(tmp_path):
     # a constant last stage, whose chain-rule product at 1e-311 is 0 * inf:
     # one error line and exit 2, not a NaN verdict, no numpy warning

@@ -5,6 +5,7 @@ Witness gradients are pinned by hand: the zero case attains
 """
 
 import dataclasses
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -352,6 +353,19 @@ def test_diagnose_flags_perturbed_map():
     d = diagnose_equality_form(s, [0.0], [0.5])
     assert not d.matches
     assert d.max_residual > 1e-4
+
+
+def test_diagnose_refuses_a_sample_where_f_overflows():
+    # z + 1.7e308 (z^2 + z^3) attains equality at 0, but its values on the
+    # sample circle overflow: refused, with no numpy warning
+    g = PolyMap(1, 1, {(1,): [1.0], (2,): [1.7e308], (3,): [1.7e308]})
+    assert equality_gap(g, 0.0) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as exc:
+            diagnose_equality_form(g, [0.0], [0.5])
+    assert type(exc.value) is InputError
+    assert str(exc.value) == "map value is not finite at the point"
 
 
 def test_diagnose_validation():

@@ -39,7 +39,7 @@ from holoball import (
 )
 from holoball import holomap, schwarzpick
 from holoball.complexcore import sphere_rows
-from holoball.schwarzpick import FD_STEPS, ZERO_BRANCH_TOL, _grad_many, _row_norms
+from holoball.schwarzpick import FD_STEPS, ZERO_BRANCH_TOL, _contract, _grad_many, _row_norms
 
 S = 1.0 / np.sqrt(2.0)
 HALFSUM = PolyMap(2, 1, {(1, 0): [0.5], (0, 1): [0.5]})
@@ -199,6 +199,72 @@ def test_a_derivative_that_overflows_is_refused():
             call()
         assert type(exc.value) is InputError
         assert str(exc.value) == "map derivative is not finite at the point"
+
+
+# 1.7976e308 z: at 1e-10 its value and derivative are finite but A = conj(f) Df
+# is not; at 0.9999999 its value is finite but the FD oracle's rows z +- t e
+# are not
+HUGE_LINEAR = PolyMap(1, 1, {(1,): [1.7976e308]})
+
+
+def refused_without_a_warning(call) -> str:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as exc:
+            call()
+    assert type(exc.value) is InputError
+    return str(exc.value)
+
+
+def test_an_A_that_overflows_is_refused():
+    assert refused_without_a_warning(lambda: mod_grad(HUGE_LINEAR, 1e-10)) == (
+        "A = conj(f) Df is not finite at the point")
+
+
+def test_fd_rows_that_overflow_are_refused():
+    assert np.isfinite(HUGE_LINEAR.eval(0.9999999)).all()
+    for call in (lambda: mod_grad_fd(HUGE_LINEAR, 0.9999999),
+                 lambda: mod_grad_fd_many(HUGE_LINEAR, [[0.5], [0.9999999], [0.25]], [0, 1, 2])):
+        assert refused_without_a_warning(call) == "map value is not finite at the point"
+
+
+@pytest.mark.parametrize("kind", ["poly", "affine", "mobius", "witness"])
+def test_a_batch_calls_the_kernels_once(monkeypatch, kind):
+    # sp_bound_many evaluates the map in one kernel call: on the whole batch,
+    # or on the rows ahead of its first point outside the ball, which are
+    # none when that is the first row; a kernel that calls another of the
+    # same map, as AffineMap's Jacobian kernel calls its value kernel, is one
+    # call
+    p = np.array([0.3 - 0.1j, 0.2j])
+    f = {
+        "poly": gen_random_polymap(2, 2, max_degree=3, margin=0.25, seed=5),
+        "affine": AffineMap([[0.5, 0.25j]], [0.1]),
+        "mobius": MobiusMap(-1.0, 0.3 + 0.1j),
+        "witness": extremal_zero_case(ExtremalSpec.zero(p, p / vnorm(p), [0.6, 0.8j])),
+    }[kind]
+    calls, open_calls = [], []
+    for name in ("_value", "_value_jac"):
+        def counting(self, X, kernel=getattr(type(f), name), name=name):
+            if not open_calls:
+                calls.append((name, X.shape[0]))
+            open_calls.append(name)
+            try:
+                return kernel(self, X)
+            finally:
+                open_calls.pop()
+
+        monkeypatch.setattr(type(f), name, counting)
+    inside = sample_ball_points(f.n, 4, seed=6)
+    outside = np.full((1, f.n), 1.2)
+    for zs, rows in ((inside, 4), (np.concatenate([inside[:2], outside, inside[2:]]), 2),
+                     (np.concatenate([outside, inside]), 0)):
+        calls.clear()
+        if rows == zs.shape[0]:
+            sp_bound_many(f, zs)
+        else:
+            with pytest.raises(InputError, match="point must lie strictly inside"):
+                sp_bound_many(f, zs)
+        assert calls == [("_value_jac", rows)]
 
 
 def test_a_derivative_coefficient_past_the_float_range():
@@ -479,9 +545,10 @@ def several_zeros_batch(case):
 @pytest.mark.parametrize("case", ["tied", "witness"])
 def test_batches_with_several_zero_rows_match_single_points(case):
     f, zs, zero_count = several_zeros_batch(case)
-    V = f.eval_many(zs)
+    V, J = f.eval_jac_many(zs)
     nv = _row_norms(V)
-    A, quotient, value, zero, top = _grad_many(V, f.jac_many(zs), nv)
+    A = _contract(V, J)
+    quotient, value, zero, top = _grad_many(J, A, nv)
     singles = [mod_grad(f, z) for z in zs]
     assert [s.branch for s in singles].count("zero") == zero_count + 1
     assert [s.ambiguous for s in singles] == [False] * 3 + [True] + [False] * (zero_count + 1)
