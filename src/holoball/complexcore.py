@@ -201,8 +201,8 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a finite 1-D complex128 vector: ``_row_norms`` of it
-    as one row."""
+    """Euclidean norm of a finite 1-D complex128 or float64 vector:
+    ``_row_norms`` of it as one row."""
     return float(_row_norms(v[None])[0])
 
 

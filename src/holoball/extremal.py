@@ -40,9 +40,9 @@ from .complexcore import (_as_float, _integer, _norm, _positive_real, _row_norms
                           as_cvector)
 from .errors import InputError, PreconditionError
 from .geometry import _ball_point, disk_slice
-from .holomap import (AffineMap, HoloMap, MobiusMap, Pipeline, _freeze, _functional, _rotation,
-                      _times)
-from .schwarzpick import DEFAULT_BOUND_TOL, _bound_batch, _evaluate, _one_minus_sq
+from .holomap import (AffineMap, HoloMap, MobiusMap, Pipeline, _evaluate, _freeze, _functional,
+                      _rotation, _times)
+from .schwarzpick import DEFAULT_BOUND_TOL, _bound_batch, _one_minus_sq
 
 __all__ = [
     "ExtremalSpec",
@@ -250,8 +250,8 @@ def diagnose_equality_form(
         rot = complex(np.exp(1j * theta_fit))
         model = (nfp + rot * W) / (1.0 + nfp * rot * W)
         resid = float(np.abs(h - model).max())
-        orth_sq = (np.abs(G) ** 2).sum(axis=1) - np.abs(h) ** 2
-        orth = float(np.sqrt(np.maximum(orth_sq, 0.0)).max())
+        # the norm of G minus its projection onto a/|a|, as in the zero case
+        orth = float(_row_norms(G - h[:, None] * unit_a).max())
         fit = {"fitted_theta": theta_fit, "fitted_a": fp, "orthogonal_max": orth}
     return Diagnosis(
         matches=bool(resid <= tol), max_residual=resid, points_tested=samples, **fit

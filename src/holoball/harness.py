@@ -55,8 +55,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexcore import (_GOLDEN, _integer, _positive_real, _row_norms, _splitmix64, _to_json,
-                          _unit_interval, sample_unit_sphere, spectral_norm)
+from .complexcore import (_GOLDEN, _integer, _norm, _positive_real, _row_norms, _splitmix64,
+                          _to_json, _unit_interval, sample_unit_sphere, spectral_norm)
 from .errors import InputError
 from .holomap import PolyMap, _TermPlan
 from .schwarzpick import (
@@ -133,8 +133,9 @@ def _template(n: int, max_degree: int) -> _TermPlan:
 
 
 def _certified(coefs: np.ndarray, margin: float) -> np.ndarray:
-    """The coefficients rescaled to the l1 containment certificate."""
-    cert = float(np.sqrt(((np.abs(coefs).sum(axis=0)) ** 2).sum()))
+    """The coefficients rescaled to the l1 containment certificate, whose
+    norm ``_norm`` takes without squaring past the float range."""
+    cert = _norm(np.add.reduce(np.abs(coefs), axis=0))
     if cert == 0.0:
         return coefs
     # tiny deflation keeps the certificate strict under rounding
@@ -160,19 +161,23 @@ def force_zero_at(f: PolyMap, p, margin: float) -> PolyMap:
     """Shift ``f`` by ``-f(p)`` and rescale so the containment certificate is
     restored; the result vanishes at p (up to roundoff well below the
     zero-branch threshold). A map with a constant term, as every generated
-    map has, keeps its plan, and only the shifted row is judged."""
+    map has, keeps its plan, and only the shifted row is judged. A map that
+    is not a ``PolyMap`` and an f(p) that is not finite are refused."""
+    if not isinstance(f, PolyMap):
+        raise InputError(f"force_zero_at shifts a PolyMap, got {type(f).__name__}")
     _unit_interval(margin, "margin")
-    alphas, coefs = f._alphas, f._coefs.copy()
+    alphas, coefs, fp = f._alphas, f._coefs.copy(), f.eval(p)
     # the zero multi-index sorts first when present; a missing one is
     # appended as the last row, and the certificate's sum over the rows
     # rounds according to that order
     if alphas.shape[0] and not alphas[0].any():
-        coefs[0] -= f.eval(p)
+        with np.errstate(over="ignore"):  # a shift past the float range is refused
+            coefs[0] -= fp
         if np.count_nonzero(np.isfinite(coefs[0])) == f.m:
             return PolyMap._of(f._plan, _certified(coefs, margin))
         return PolyMap.from_arrays(f.n, f.m, alphas, coefs)  # raises the constructor's error
     alphas = np.vstack([alphas, np.zeros((1, f.n), dtype=np.int64)])
-    coefs = np.vstack([coefs, 0.0 - f.eval(p)[None, :]])
+    coefs = np.vstack([coefs, 0.0 - fp[None, :]])
     return PolyMap.from_arrays(f.n, f.m, alphas, _certified(coefs, margin))
 
 

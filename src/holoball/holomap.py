@@ -5,14 +5,17 @@ and pipelines. Each evaluates by plain arithmetic on its description and
 differentiates exactly: term by term for polynomials, the quotient rule for
 ``MobiusMap``, the chain rule for pipelines. A kind implements the kernels
 ``_value`` and ``_value_jac`` (see ``HoloMap``) on points the public
-entries have already validated. A polynomial's terms are judged once per
-construction; their sorted table keys a cached term plan that every map of
-the same multi-indices shares: the union of the multi-indices with those
-of the n partial derivatives, and the levels that build one table of
-monomials over it a variable at a time, each shared prefix multiplied out
-once. Both kernels build that table and sum the value from its columns,
-``_value_jac`` every Jacobian column too; a pipeline threads values and
-Jacobians through its stages at once.
+entries have already validated, and judges nothing but a pole.
+``_evaluate`` is the one way into them from outside a kernel, for the
+public entries and the verdicts alike, under the one ``np.errstate`` of map
+evaluation: an overflow, in any stage, is refused and never warns. A
+polynomial's terms are judged once per construction; their sorted table
+keys a cached term plan that every map of the same multi-indices shares:
+the union of the multi-indices with those of the n partial derivatives, and
+the levels that build one table of monomials over it a variable at a time,
+each shared prefix multiplied out once. Both kernels build that table and
+sum the value from its columns, ``_value_jac`` every Jacobian column too; a
+pipeline threads values and Jacobians through its stages at once.
 
 Maps are immutable after construction. Domain membership is not enforced at
 evaluation time; a map may be evaluated anywhere its poles permit (slices of
@@ -98,12 +101,42 @@ def _one_point(z, n: int, name: str) -> np.ndarray:
     return Z
 
 
-def _finite(A: np.ndarray, message: str = "points contain non-finite entries") -> np.ndarray:
+_VALUE_NOT_FINITE = "map value is not finite at the point"
+_JAC_NOT_FINITE = "map derivative is not finite at the point"
+
+
+def _finite(A: np.ndarray, message: str) -> np.ndarray:
     """``A`` itself, values of a map or of its derivatives; raises
     ``InputError(message)`` when an entry is not finite."""
     if np.count_nonzero(np.isfinite(A)) != A.size:
         raise InputError(message)
     return A
+
+
+def _contract(V: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """``A = conj(f(z)) . Df(z)`` per row, by ``_sum_terms``."""
+    return _sum_terms(np.conj(V), J)
+
+
+def _evaluate(f: HoloMap, Z: np.ndarray, jac: bool = False):
+    """The one way into a map's kernels from outside a kernel, on a validated
+    batch ``Z``, under the one errstate of map evaluation, so that an
+    overflow is never a numpy warning. Value mode returns ``f._value(Z)`` and
+    refuses a value that is not finite; Jacobian mode returns ``(V, J, A)``:
+    values, Jacobians and ``A = conj(f) . Df``, unjudged, for the caller's
+    rule."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not jac:
+            return _finite(f._value(Z), _VALUE_NOT_FINITE)
+        V, J = f._value_jac(Z)
+        return V, J, _contract(V, J)
+
+
+def _judged(f: HoloMap, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and Jacobians of f at a validated batch, from ``_evaluate``:
+    a value that is not finite is refused, then a derivative."""
+    V, J, _ = _evaluate(f, Z, True)
+    return _finite(V, _VALUE_NOT_FINITE), _finite(J, _JAC_NOT_FINITE)
 
 
 # document fields: JSON shape checks, each raising SchemaError at its path
@@ -198,8 +231,12 @@ class HoloMap:
     A map kind implements two kernels on a finite ``(B, n)`` complex128
     batch X, row i of each result depending on row i of X alone:
     ``_value(X)``, the ``(B, m)`` values, and ``_value_jac(X)``, the values
-    with the ``(B, m, n)`` Jacobians from one pass. The public entries below
-    validate the points once, with ``_as_batch``, and a kernel coerces nothing.
+    with the ``(B, m, n)`` Jacobians from one pass. A kernel coerces nothing
+    and judges nothing but a pole (``DomainError``): an entry that overflows
+    stays in its own row as inf or NaN. The public entries below validate
+    the points once, with ``_as_batch``, and reach the kernels through
+    ``_evaluate``; each refuses a value that is not finite, and the
+    Jacobian entries then a derivative that is not finite, with ``InputError``.
 
     A class with a document format is listed in ``_KINDS`` under its
     ``kind``. Its ``_fields`` are the document's fields after ``kind``, each
@@ -214,24 +251,24 @@ class HoloMap:
 
     def eval_many(self, Z) -> np.ndarray:
         """Evaluate at a batch of points, ``(B, n) -> (B, m)``."""
-        return self._value(_as_batch(Z, self.n))
+        return _evaluate(self, _as_batch(Z, self.n))
 
     def jac_many(self, Z) -> np.ndarray:
         """Complex Jacobians at a batch of points, ``(B, n) -> (B, m, n)``;
         column j holds the partial derivatives with respect to z_j."""
-        return self._value_jac(_as_batch(Z, self.n))[1]
+        return _judged(self, _as_batch(Z, self.n))[1]
 
     def eval_jac_many(self, Z) -> tuple[np.ndarray, np.ndarray]:
         """``(eval_many(Z), jac_many(Z))``, computed in one pass."""
-        return self._value_jac(_as_batch(Z, self.n))
+        return _judged(self, _as_batch(Z, self.n))
 
     def eval(self, z) -> np.ndarray:
         """Evaluate at one point, returns a vector of length m."""
-        return self._value(_one_point(z, self.n, "eval"))[0]
+        return _evaluate(self, _one_point(z, self.n, "eval"))[0]
 
     def jacobian(self, z) -> np.ndarray:
         """Complex Jacobian at one point, shape ``(m, n)``."""
-        return self._value_jac(_one_point(z, self.n, "jacobian"))[1][0]
+        return _judged(self, _one_point(z, self.n, "jacobian"))[1][0]
 
     def to_spec(self) -> dict:
         """The map's document; ``parse_spec`` of it rebuilds the map."""
@@ -500,10 +537,10 @@ class PolyMap(HoloMap):
         """The partial derivatives' term coefficients in the plan's order, and
         the scale of each entry of ``columns`` ([] when all are 1): a column
         where some ``coef * exponent`` overflows holds ``coef * (exponent /
-        MAX_DEGREE)``, the bits of a normal product, at scale MAX_DEGREE = 2^10."""
+        MAX_DEGREE)``, the bits of a normal product, at scale MAX_DEGREE = 2^10.
+        Built by the first Jacobian, which runs under ``_evaluate``'s errstate."""
         plan = self._plan
-        with np.errstate(over="ignore"):
-            dc = self._coefs[plan.src] * plan.w[:, None]
+        dc = self._coefs[plan.src] * plan.w[:, None]
         if np.count_nonzero(np.isfinite(dc)) == dc.size:
             return _freeze(dc), []
         scales = [1.0 if np.isfinite(dc[lo:hi]).all() else float(MAX_DEGREE)
@@ -630,8 +667,10 @@ class MobiusMap(HoloMap):
 
 class Pipeline(HoloMap):
     """Composition of maps, applied first to last; the Jacobian is the
-    (batched) chain-rule product of the stage Jacobians. A non-finite value
-    between two stages raises ``InputError``."""
+    (batched) chain-rule product of the stage Jacobians. A value that
+    overflows between two stages is passed on like any other: only the
+    row's final value and Jacobian are judged, by ``_evaluate`` and its
+    callers, and a later stage's pole still raises ``DomainError``."""
 
     kind = "pipeline"
     _fields = (("stages", _STAGES),)
@@ -658,15 +697,14 @@ class Pipeline(HoloMap):
         return f"Pipeline([{inner}])"
 
     def _value(self, X: np.ndarray) -> np.ndarray:
-        X = self.stages[0]._value(X)
-        for stage in self.stages[1:]:
-            X = stage._value(_finite(X))
+        for stage in self.stages:
+            X = stage._value(X)
         return X
 
     def _value_jac(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         X, J = self.stages[0]._value_jac(X)
         for stage in self.stages[1:]:
-            X, Ji = stage._value_jac(_finite(X))
+            X, Ji = stage._value_jac(X)
             J = np.matmul(Ji, J)
         return X, J
 

@@ -39,10 +39,13 @@ nonzero branch. Row i of a batch is bit for bit the same point checked
 alone; ``mod_grad``, ``mod_grad_fd``, ``sp_bound``, ``sp_bound_slice`` and
 ``equality_gap`` run the same code at B = 1. Each public entry validates
 its points once; the cores below it pass the validated batch to
-``_evaluate``, the layer's one call into the map's kernels ``_value`` and
-``_value_jac``. It runs them and A = conj(f) Df under one numpy errstate,
-and an overflow is refused as an entry that is not finite, never a warning.
-The closed-form core ``_grad_many`` returns arrays, and ``mod_grad`` is the
+``holomap._evaluate``, the one way into the map's kernels, as the map's
+own entries do. It runs them and A = conj(f) Df under one errstate, so an
+overflow is refused as an entry that is not finite, never a warning. Its
+Jacobian mode judges nothing, so the bound core keeps its row order: the
+first row whose image is not finite or leaves the ball, then the first
+point outside the ball, then Df, then A. The
+closed-form core ``_grad_many`` returns arrays, and ``mod_grad`` is the
 one place that builds a ``GradResult`` from them.
 """
 
@@ -57,7 +60,8 @@ import numpy as np
 from .complexcore import (_as_complex, _integer, _positive_real, _row_norms, _seed_words,
                           _to_json, spectral_norm, sphere_rows)
 from .errors import CertificationError, InputError
-from .holomap import HoloMap, _as_batch, _finite, _freeze, _one_point, _sum_terms
+from .holomap import (_JAC_NOT_FINITE, _VALUE_NOT_FINITE, HoloMap, _as_batch, _evaluate, _finite,
+                      _freeze, _one_point)
 
 __all__ = [
     "ZERO_BRANCH_TOL",
@@ -86,7 +90,6 @@ FD_STEPS = (1e-4, 5e-5)
 _FD_TS = _freeze(np.array(FD_STEPS))
 DEFAULT_FD_DIRS = 64
 DEFAULT_BOUND_TOL = 1e-9
-_VALUE_NOT_FINITE = "map value is not finite at the point"
 # rows per kernel call in the FD oracle, which keeps its peak memory small:
 # 1600 // (8n) points off the zero set (100 at n = 2, a default trial in one
 # call), and 1600 // (2 (dirs + 1)) on it (12 at the default directions)
@@ -130,23 +133,6 @@ class BoundReport:
     to_dict = _to_json
 
 
-def _contract(V: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """``A = conj(f(z)) . Df(z)`` per row, by ``_sum_terms``."""
-    return _sum_terms(np.conj(V), J)
-
-
-def _evaluate(f: HoloMap, Z: np.ndarray, jac: bool = False):
-    """The layer's one call into the map's kernels, on a validated batch
-    ``Z``, under one errstate. Value mode returns ``f._value(Z)`` and refuses
-    a value that is not finite; Jacobian mode returns ``(V, J, A)``: values,
-    Jacobians and ``A = conj(f) . Df``, unjudged, for the caller's rule."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not jac:
-            return _finite(f._value(Z), _VALUE_NOT_FINITE)
-        V, J = f._value_jac(Z)
-        return V, J, _contract(V, J)
-
-
 def _grad_many(J: np.ndarray, A: np.ndarray, nv: np.ndarray):
     """Closed form for the batch ``Df = J``, ``A = conj(f) . Df``,
     ``|f| = nv``, as arrays ``(quotient, value, zero, top)``: the
@@ -157,7 +143,7 @@ def _grad_many(J: np.ndarray, A: np.ndarray, nv: np.ndarray):
     elsewhere (None when no row is a zero row, and ``value`` is then
     ``quotient`` itself). A Jacobian that is not finite is refused, then an
     A that is not finite."""
-    _finite(J, "map derivative is not finite at the point")
+    _finite(J, _JAC_NOT_FINITE)
     _finite(A, "A = conj(f) Df is not finite at the point")
     # rows at or below ZERO_BRANCH_TOL/10 use only the zero branch; the
     # floor just keeps 0/0 out of their unused quotient

@@ -301,8 +301,19 @@ def test_diagnose_vector_nonzero_case():
     assert d.matches
     assert d.fitted_theta == pytest.approx(0.9, abs=1e-10)
     assert np.abs(d.fitted_a - a).max() <= 1e-14
-    # square root of a cancelling difference of squares: sqrt(eps) scale
-    assert d.orthogonal_max <= 1e-7
+    # the norm of G minus its projection onto a/|a|, at the scale of eps
+    assert d.orthogonal_max <= 1e-14
+
+
+def test_diagnose_reads_the_orthogonal_part_where_its_squares_overflow():
+    # 0.5 + 0.75 z + 1e200 z^2 attains equality at 0; |G|^2 on the sample
+    # circle overflows, but the part of G orthogonal to a/|a| is 0
+    f = PolyMap(1, 1, {(0,): [0.5], (1,): [0.75], (2,): [1e200]})
+    assert equality_gap(f, 0.0) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = diagnose_equality_form(f, [0.0], [0.5])
+    assert d.orthogonal_max == 0.0 and not d.matches
 
 
 def test_diagnose_reads_f_and_its_slice_derivative_at_p_from_one_pass():

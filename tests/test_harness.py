@@ -5,11 +5,13 @@ import json
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
 
 from holoball import (
+    AffineMap,
     CampaignReport,
     FuzzConfig,
     InputError,
@@ -576,18 +578,47 @@ def test_force_zero_keeps_the_plan_of_a_generated_map(n, m):
         assert g._value(zs).tobytes() == ref._value(zs).tobytes()
 
 
+def refusal(call) -> InputError:
+    """The ``InputError`` that ``call`` raises, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as exc:
+            call()
+    assert type(exc.value) is InputError
+    return exc.value
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_force_zero_refuses_a_shift_that_is_not_finite(n):
+    # f overflows far outside the ball, and its value there is the shift:
+    # the evaluation gate refuses it
     f = gen_random_polymap(n, 2, max_degree=3, margin=0.25, seed=62)
-    coefs = f._coefs.copy()
-    coefs[0] = np.inf
+    got = refusal(lambda: force_zero_at(f, [1e120] * n, 0.25))
+    assert (str(got), got.field) == ("map value is not finite at the point", None)
+    # f(1.3) = -0.95e308 is finite, but the shifted constant 1.95e308 is not
+    g = PolyMap(1, 1, {(0,): [1e308], (1,): [-1.5e308]})
     with pytest.raises(InputError) as want:
-        PolyMap.from_arrays(n, 2, f._alphas, coefs)
-    # f overflows far outside the ball, and its value there is the shift
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InputError) as got:
-        force_zero_at(f, [1e120] * n, 0.25)
-    assert type(got.value) is InputError and got.value.field == "terms/0/coef"
-    assert (str(got.value), got.value.field) == (str(want.value), want.value.field)
+        PolyMap(1, 1, {(0,): [np.inf], (1,): [-1.5e308]})
+    got = refusal(lambda: force_zero_at(g, [1.3], 0.25))
+    assert (str(got), got.field) == (str(want.value), "terms/0/coef")
+
+
+def test_force_zero_refuses_a_map_that_is_not_a_polynomial():
+    got = refusal(lambda: force_zero_at(AffineMap([[0.5]], [0.25]), [0.1], 0.25))
+    assert str(got) == "force_zero_at shifts a PolyMap, got AffineMap"
+
+
+def test_force_zero_certifies_a_shift_whose_squares_overflow():
+    # the shifted coefficients -3e199 and 1e200 sum to 1.3e200 in l1, whose
+    # square overflows: the certificate still rescales them to 0.75 in l1
+    f = PolyMap(1, 1, {(0,): [5e199], (1,): [1e200]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = force_zero_at(f, [0.3], 0.25)
+    c = g._coefs[:, 0]
+    assert c.real == pytest.approx([-0.75 * 3 / 13, 0.75 * 10 / 13], rel=1e-12)
+    assert not c.imag.any()
+    assert abs(g.eval([0.3])[0]) <= 1e-15
 
 
 def absorb_reference(report, rep, fd):

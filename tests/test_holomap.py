@@ -3,6 +3,7 @@ oracle, holomorphy of every node kind, and the document format round trip."""
 
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -264,15 +265,37 @@ def test_map_kinds_implement_only_the_kernels():
         assert not {"eval_many", "jac_many", "eval_jac_many"} & set(vars(cls))
 
 
+def refusal(call) -> str:
+    """The message of the ``InputError`` that ``call`` raises, with every
+    warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as exc:
+            call()
+    assert type(exc.value) is InputError and exc.value.field is None
+    return str(exc.value)
+
+
 def test_pipeline_rejects_a_non_finite_intermediate():
-    # 5e199 * 1e200 overflows inside the pipeline; the next stage refuses it
+    # 5e199 * 1e200 overflows inside the pipeline and runs on through the
+    # last stage: the row's value is not finite, and every entry refuses it
     big = AffineMap([[1e200]], [0.0])
     pipe = Pipeline([big, big, MobiusMap(-1.0, 0.1)])
     z = np.array([[0.5 + 0.0j]])
     for entry in (pipe.eval_many, pipe.jac_many, pipe.eval_jac_many,
                   lambda Z: sp_bound(pipe, Z[0])):
-        with np.errstate(over="ignore"), pytest.raises(InputError, match="non-finite"):
-            entry(z)
+        assert refusal(lambda: entry(z)) == "map value is not finite at the point"
+
+
+@pytest.mark.parametrize("f, z", [
+    (PolyMap(1, 1, {(2,): [1e308]}), 10.0),
+    # the last stage takes 2.0 to 2e308
+    (Pipeline([AffineMap([[2.0]], [0.0]), AffineMap([[1e308]], [0.0])]), 1.0),
+], ids=["poly", "pipeline"])
+def test_public_entries_refuse_a_value_that_is_not_finite(f, z):
+    # the value rule comes first: both maps' derivatives overflow there too
+    for entry in (f.eval_many, f.jac_many, f.eval_jac_many, f.eval, f.jacobian):
+        assert refusal(lambda: entry([[z]])) == "map value is not finite at the point"
 
 
 @pytest.mark.parametrize(

@@ -487,3 +487,39 @@ def test_every_name_the_benchmark_looks_up_exists():
         for name in chain:
             assert hasattr(obj, name), "hb." + ".".join(chain)
             obj = getattr(obj, name)
+
+
+
+def _callers(tree, name):
+    """The name of each function in a module that calls ``name`` or an
+    attribute ``name`` in its own body, not in a function nested in it."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        todo = list(func.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None),
+                                                       getattr(node.func, "id", None)):
+                found.add(func.name)
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_the_map_kernels_have_one_gate():
+    # outside a kernel only holomap._evaluate calls the kernels; a kernel
+    # judges nothing but a pole, and map evaluation has one errstate (the
+    # other guards a document's q - p, which the constructor then refuses)
+    kernels = {"_value", "_value_jac"}
+    for module in LIBRARY:
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        callers = _callers(tree, "_value") | _callers(tree, "_value_jac")
+        if module is holomap:
+            assert callers == {"_evaluate", *kernels}
+            assert _callers(tree, "_finite") == {"_evaluate", "_judged"}
+            assert _callers(tree, "errstate") == {"_evaluate", "_line_embed"}
+        else:
+            assert not callers, module.__name__

@@ -39,7 +39,8 @@ from holoball import (
 )
 from holoball import holomap, schwarzpick
 from holoball.complexcore import sphere_rows
-from holoball.schwarzpick import FD_STEPS, ZERO_BRANCH_TOL, _contract, _grad_many, _row_norms
+from holoball.holomap import _contract
+from holoball.schwarzpick import FD_STEPS, ZERO_BRANCH_TOL, _grad_many, _row_norms
 
 S = 1.0 / np.sqrt(2.0)
 HALFSUM = PolyMap(2, 1, {(1, 0): [0.5], (0, 1): [0.5]})
@@ -161,6 +162,15 @@ def test_fd_validation():
         mod_grad_fd(f, 0.0, seed=-1)
 
 
+def refused_without_a_warning(call) -> str:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as exc:
+            call()
+    assert type(exc.value) is InputError
+    return str(exc.value)
+
+
 def test_a_value_that_overflows_is_refused():
     # f(1e120) overflows: the gradient and the FD oracle refuse the point
     # with the bound's error, and no numpy warning escapes
@@ -189,31 +199,38 @@ def test_rows_ahead_of_a_point_outside_the_ball_are_read_without_a_warning():
 def test_a_derivative_that_overflows_is_refused():
     # the last stage is constant, so Df = 0, but the chain-rule product at
     # 1e-311 is 0 * inf: every verdict refuses the point, and so does the FD
-    # oracle where f = 0, since it reads Df there; no numpy warning escapes
+    # oracle where f = 0, since it reads Df there, and so do the map's own
+    # Jacobian entries; no numpy warning escapes
     g = Pipeline([MobiusMap(1e308, 0.0), AffineMap([[10.0]], [0.0]), AffineMap([[0.0]], [0.5])])
     g0 = Pipeline([*g.stages[:2], AffineMap([[0.0]], [0.0])])
     for call in (lambda: sp_bound(g, 1e-311), lambda: sp_bound_many(g, [[2e-311], [1e-311]]),
                  lambda: mod_grad(g, 1e-311), lambda: mod_grad(g0, 1e-311),
-                 lambda: mod_grad_fd(g0, 1e-311)):
-        with pytest.raises(InputError) as exc:
-            call()
-        assert type(exc.value) is InputError
-        assert str(exc.value) == "map derivative is not finite at the point"
+                 lambda: mod_grad_fd(g0, 1e-311), lambda: g.jac_many([[1e-311]]),
+                 lambda: g.eval_jac_many([[1e-311]]), lambda: g.jacobian(1e-311)):
+        assert refused_without_a_warning(call) == "map derivative is not finite at the point"
+
+
+def test_a_pipeline_batch_raises_what_its_first_bad_row_raises():
+    # at 1e-300 the stages stay finite and the image leaves the ball; at 0.5
+    # 5e199 * 1e200 overflows between two stages, and the row's value is not
+    # finite. No stage judges its input, so the first bad row decides
+    big = AffineMap([[1e200]], [0.0])
+    pipe = Pipeline([big, big, MobiusMap(-1.0, 0.1)])
+    with pytest.raises(CertificationError) as want:
+        sp_bound(pipe, 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CertificationError) as got:
+            sp_bound_many(pipe, [[1e-300], [0.5]])
+    assert str(got.value) == str(want.value)
+    assert refused_without_a_warning(lambda: sp_bound_many(pipe, [[0.5], [1e-300]])) == (
+        "map value is not finite at the point")
 
 
 # 1.7976e308 z: at 1e-10 its value and derivative are finite but A = conj(f) Df
 # is not; at 0.9999999 its value is finite but the FD oracle's rows z +- t e
 # are not
 HUGE_LINEAR = PolyMap(1, 1, {(1,): [1.7976e308]})
-
-
-def refused_without_a_warning(call) -> str:
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InputError) as exc:
-            call()
-    assert type(exc.value) is InputError
-    return str(exc.value)
 
 
 def test_an_A_that_overflows_is_refused():
@@ -659,7 +676,7 @@ def test_fd_off_the_zero_set_reads_values_only(monkeypatch):
 
     monkeypatch.setattr(PolyMap, "_value_jac", refuse)
     monkeypatch.setattr(schwarzpick, "spectral_norm", refuse)
-    monkeypatch.setattr(schwarzpick, "_contract", refuse)
+    monkeypatch.setattr(holomap, "_contract", refuse)
     assert np.array_equal(mod_grad_fd_many(f, zs, range(30)), want)
 
 
